@@ -9,9 +9,10 @@
 //! independent drill-down *passes* through [`fan_out`] (re-exported there
 //! as `hdb_core::engine::fan_out`, one thread scope per estimator run —
 //! the spawn cost amortises over the run), while per-*query* work
-//! ([`ShardedDb`](crate::ShardedDb) shard evaluation, `hdb-server`
-//! connection handling) runs on a [`WorkerPool`], whose threads persist
-//! across calls so a single drill-down probe never pays a thread spawn.
+//! ([`ShardedDb`](crate::ShardedDb) shard evaluation,
+//! [`FederatedBackend`](crate::FederatedBackend) fleet fan-out) runs on a
+//! [`WorkerPool`], whose threads persist across calls so a single
+//! drill-down probe never pays a thread spawn.
 //!
 //! The worker count defaults to [`default_workers`], which honours the
 //! `HDB_ENGINE_WORKERS` environment variable (CI runs the test suite
@@ -178,8 +179,8 @@ where
     ctx.into_fan_out()
 }
 
-/// A queued pool job: boxed so connections, probes, and scoped fan-out
-/// helpers all travel through the same queue.
+/// A queued pool job: boxed so owned jobs and scoped fan-out helpers
+/// travel through the same queue.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolQueue {
@@ -234,8 +235,7 @@ struct GateSlot {
 ///
 /// Two entry points share the queue:
 ///
-/// * [`WorkerPool::execute`] runs an owned (`'static`) job — how
-///   `hdb-server` handles concurrent client connections;
+/// * [`WorkerPool::execute`] runs an owned (`'static`) job;
 /// * [`WorkerPool::fan_out`] runs a *scoped* fan-out over borrowed data —
 ///   how [`ShardedDb`](crate::ShardedDb) evaluates shards per probe
 ///   without paying a thread spawn per AND (the calling thread always
@@ -243,9 +243,7 @@ struct GateSlot {
 ///   to a deadlock).
 ///
 /// Dropping the pool finishes the jobs currently running, discards any
-/// still queued, and joins the threads. Long-lived jobs that re-enqueue
-/// themselves (connection handlers) must observe their own shutdown
-/// signal.
+/// still queued, and joins the threads.
 pub struct WorkerPool {
     inner: Arc<PoolInner>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -318,19 +316,16 @@ impl WorkerPool {
     /// Enqueues an owned job; some pool thread runs it eventually. Jobs
     /// are claimed in FIFO order.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        enqueue(&self.inner, Box::new(job));
-    }
-
-    /// A detached handle for enqueueing jobs without owning the pool.
-    ///
-    /// Jobs that re-enqueue themselves (server connection turns) must
-    /// hold a `PoolSender`, never the `WorkerPool` itself: a strong
-    /// reference held by a queued job would let a pool *worker* drop the
-    /// pool — and `WorkerPool`'s drop joins the worker threads, which a
-    /// worker cannot do to itself.
-    #[must_use]
-    pub fn sender(&self) -> PoolSender {
-        PoolSender { inner: Arc::downgrade(&self.inner) }
+        let mut q = self.inner.queue.lock().expect("pool queue poisoned");
+        if q.shutdown {
+            return; // racing a drop: the job is discarded, like the rest of the queue
+        }
+        q.jobs.push_back(Box::new(job));
+        let depth = q.jobs.len() as u64;
+        drop(q);
+        self.inner.enqueued.fetch_add(1, Ordering::Relaxed);
+        self.inner.depth_high.fetch_max(depth, Ordering::Relaxed);
+        self.inner.available.notify_one();
     }
 
     /// [`fan_out`] over the pool's persistent threads: runs `run_task(i)`
@@ -415,46 +410,6 @@ impl WorkerPool {
         }
         drop(slot);
         ctx.into_fan_out()
-    }
-}
-
-fn enqueue(inner: &PoolInner, job: Job) {
-    let mut q = inner.queue.lock().expect("pool queue poisoned");
-    if q.shutdown {
-        return; // racing a drop: the job is discarded, like the rest of the queue
-    }
-    q.jobs.push_back(job);
-    let depth = q.jobs.len() as u64;
-    drop(q);
-    inner.enqueued.fetch_add(1, Ordering::Relaxed);
-    inner.depth_high.fetch_max(depth, Ordering::Relaxed);
-    inner.available.notify_one();
-}
-
-/// A cloneable, non-owning job submitter for a [`WorkerPool`] (see
-/// [`WorkerPool::sender`]). Sending to a dropped pool discards the job.
-#[derive(Clone)]
-pub struct PoolSender {
-    inner: std::sync::Weak<PoolInner>,
-}
-
-impl std::fmt::Debug for PoolSender {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolSender").finish_non_exhaustive()
-    }
-}
-
-impl PoolSender {
-    /// Enqueues a job if the pool is still alive; returns whether it was
-    /// accepted (a shut-down or dropped pool discards it).
-    pub fn send(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        match self.inner.upgrade() {
-            Some(inner) => {
-                enqueue(&inner, Box::new(job));
-                true
-            }
-            None => false,
-        }
     }
 }
 

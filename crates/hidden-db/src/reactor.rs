@@ -5,13 +5,12 @@
 //! # Why this exists
 //!
 //! The paper's estimators are query-budget-bound, so a hidden-DB
-//! front-end lives or dies on how cheaply it moves probes. The previous
-//! serving loop re-queued every connection through the worker pool on a
-//! 2 ms read timeout — a *poll sweep* that cost every idle connection
-//! ~500 timed `read` syscalls per second and capped the server at dozens
-//! of connections. This module inverts that: connections are registered
-//! with the OS readiness facility and cost **zero** syscalls until bytes
-//! actually arrive.
+//! front-end lives or dies on how cheaply it moves probes. A serving
+//! loop that re-reads every connection on a 2 ms read timeout — a *poll
+//! sweep* — costs every idle connection ~500 timed `read` syscalls per
+//! second and caps the server at dozens of connections. This module
+//! inverts that: connections are registered with the OS readiness
+//! facility and cost **zero** syscalls until bytes actually arrive.
 //!
 //! # Design
 //!
@@ -19,9 +18,12 @@
 //!   `EPOLLONESHOT` (emulated in the `poll` backend by disarming an
 //!   entry when it fires): once a readiness event for a token is
 //!   delivered, the fd stays silent until [`Reactor::rearm`] is called.
-//!   That makes the dispatch protocol race-free — a connection handed to
-//!   a worker cannot fire again until that worker has finished its turn
-//!   and re-armed it.
+//!   That makes serving race-free with several threads waiting at once —
+//!   a connection one thread woke for cannot fire again until that
+//!   thread has finished its turn and re-armed it.
+//! * **One event per wait.** [`Reactor::wait`] returns at most one event,
+//!   so a thread serves what it woke for while the other ready fds stay
+//!   queued for the other waiters.
 //! * **No `libc` dependency.** The workspace is offline and std-only, so
 //!   the handful of syscalls used here are hand-declared `extern "C"`
 //!   items. This is the only FFI surface in the workspace; hdb-lint's
@@ -32,8 +34,8 @@
 //!
 //! Errors are surfaced as [`std::io::Error`]; callers in the serving
 //! layer translate them into typed `HdbError`s. `EINTR` never escapes
-//! [`Reactor::wait`] — it is reported as an empty event batch so callers
-//! re-check their shutdown flags.
+//! [`Reactor::wait`] — it is reported as no event so callers re-check
+//! their shutdown flags.
 
 use std::collections::BTreeMap;
 use std::ffi::{c_int, c_ulong, c_void};
@@ -129,7 +131,6 @@ const SIG_ERR: usize = usize::MAX;
 #[cfg(target_os = "linux")]
 #[repr(C)]
 #[cfg_attr(target_arch = "x86_64", repr(packed))]
-#[derive(Clone, Copy)]
 pub(crate) struct EpollEvent {
     events: u32,
     data: u64,
@@ -258,8 +259,9 @@ pub enum ReactorKind {
 
 /// A one-shot readiness notifier over raw fds.
 ///
-/// All methods take `&self`; registration and re-arming are safe to call
-/// from worker threads while another thread blocks in [`Reactor::wait`].
+/// All methods take `&self`. Any number of threads may block in
+/// [`Reactor::wait`] at once, each event going to exactly one of them,
+/// while others register and re-arm.
 pub struct Reactor {
     backend: BackendImpl,
 }
@@ -343,19 +345,20 @@ impl Reactor {
         }
     }
 
-    /// Blocks until at least one armed fd is ready (or `timeout`
-    /// elapses; `None` waits forever), filling `out` with the batch.
+    /// Blocks until an armed fd is ready (or `timeout` elapses; `None`
+    /// waits forever) and returns one event, disarming its fd. Other
+    /// ready fds stay armed for the next wait, on this thread or another.
     ///
-    /// Returns with `out` empty on timeout **and** on `EINTR`, so a
-    /// caller's loop re-checks its shutdown condition either way.
+    /// Returns `None` on timeout **and** on `EINTR`, so a caller's loop
+    /// re-checks its shutdown condition either way.
     ///
     /// # Errors
     /// Unrecoverable `epoll_wait`/`poll` failures (never `EINTR`).
-    pub fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    pub fn wait(&self, timeout: Option<Duration>) -> io::Result<Option<Event>> {
         match &self.backend {
             #[cfg(target_os = "linux")]
-            BackendImpl::Epoll(e) => e.wait(out, timeout),
-            BackendImpl::Poll(p) => p.wait(out, timeout),
+            BackendImpl::Epoll(e) => e.wait(timeout),
+            BackendImpl::Poll(p) => p.wait(timeout),
         }
     }
 }
@@ -410,35 +413,29 @@ impl Epoll {
         let _ = self.ctl(epoll_consts::EPOLL_CTL_DEL, fd, 0, 0);
     }
 
-    fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    fn wait(&self, timeout: Option<Duration>) -> io::Result<Option<Event>> {
         use epoll_consts::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-        out.clear();
-        const BATCH: usize = 128;
-        let mut buf = [EpollEvent { events: 0, data: 0 }; BATCH];
-        // SAFETY: `buf` is a live array of BATCH epoll_event entries;
-        // epoll_wait writes at most BATCH entries into it.
-        let n = unsafe {
-            linux_ffi::epoll_wait(self.epfd, buf.as_mut_ptr(), c_int::try_from(BATCH).unwrap_or(1), timeout_ms(timeout))
-        };
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: `ev` is one live epoll_event; with maxevents = 1,
+        // epoll_wait writes at most that one entry.
+        let n = unsafe { linux_ffi::epoll_wait(self.epfd, &mut ev, 1, timeout_ms(timeout)) };
         if n < 0 {
             let err = io::Error::last_os_error();
             if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(());
+                return Ok(None);
             }
             return Err(err);
         }
-        let n = usize::try_from(n).unwrap_or(0).min(BATCH);
-        for ev in buf.iter().take(n) {
-            // Copy out of the (possibly packed) struct before using.
-            let bits = ev.events;
-            let token = ev.data;
-            out.push(Event {
-                token,
-                readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0,
-                writable: bits & (EPOLLOUT | EPOLLERR) != 0,
-            });
+        if n == 0 {
+            return Ok(None);
         }
-        Ok(())
+        // Copy out of the (possibly packed) struct before using.
+        let bits = ev.events;
+        Ok(Some(Event {
+            token: ev.data,
+            readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0,
+            writable: bits & (EPOLLOUT | EPOLLERR) != 0,
+        }))
     }
 }
 
@@ -462,10 +459,18 @@ struct PollEntry {
 }
 
 /// `poll(2)`-based backend. A self-pipe wakes a blocked `wait` whenever
-/// the watch set changes from another thread, so `arm` from a worker is
-/// picked up immediately rather than after the current `poll` returns.
+/// the watch set changes from another thread, so `arm` from another
+/// thread is picked up immediately rather than after the current `poll`
+/// returns.
 struct PortablePoll {
     entries: Mutex<BTreeMap<RawFd, PollEntry>>,
+    /// Held across snapshot, `poll(2)` and harvest, so one waiter polls
+    /// at a time: two pollers could each drain a wake byte the other's
+    /// stale snapshot needed. (The other waiters queue here, so their
+    /// timeout starts once they hold it.) Holds the fd delivered last,
+    /// where the next delivery starts looking, so one busy fd cannot
+    /// starve the rest.
+    poller: Mutex<RawFd>,
     wake_rx: RawFd,
     wake_tx: RawFd,
 }
@@ -473,7 +478,12 @@ struct PortablePoll {
 impl PortablePoll {
     fn new() -> io::Result<Self> {
         let (wake_rx, wake_tx) = new_pipe(true, true)?;
-        Ok(Self { entries: Mutex::new(BTreeMap::new()), wake_rx, wake_tx })
+        Ok(Self {
+            entries: Mutex::new(BTreeMap::new()),
+            poller: Mutex::new(-1),
+            wake_rx,
+            wake_tx,
+        })
     }
 
     /// Registers or re-arms — the portable backend does not distinguish.
@@ -519,8 +529,10 @@ impl PortablePoll {
         }
     }
 
-    fn wait(&self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        out.clear();
+    fn wait(&self, timeout: Option<Duration>) -> io::Result<Option<Event>> {
+        let Ok(mut last) = self.poller.lock() else {
+            return Err(io::Error::other("reactor poller poisoned"));
+        };
         // Snapshot the armed set: (fd, token) parallel to the pollfd vec.
         let mut fds: Vec<PollFd> =
             vec![PollFd { fd: self.wake_rx, events: POLLIN, revents: 0 }];
@@ -548,12 +560,12 @@ impl PortablePoll {
         if n < 0 {
             let err = io::Error::last_os_error();
             if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(());
+                return Ok(None);
             }
             return Err(err);
         }
         if n == 0 {
-            return Ok(());
+            return Ok(None);
         }
         if fds.first().is_some_and(|w| w.revents != 0) {
             self.drain_wake();
@@ -561,24 +573,28 @@ impl PortablePoll {
         let Ok(mut map) = self.entries.lock() else {
             return Err(io::Error::other("reactor watch set poisoned"));
         };
-        for (pfd, &(fd, token)) in fds.iter().skip(1).zip(snapshot.iter()) {
-            if pfd.revents == 0 {
-                continue;
-            }
-            // Skip entries deregistered or re-registered mid-wait.
-            let Some(entry) = map.get_mut(&fd) else { continue };
-            if entry.token != token || !entry.armed {
-                continue;
-            }
+        // The snapshot is in fd order: deliver the first ready fd after
+        // the one delivered last, wrapping around. Entries deregistered
+        // or re-registered mid-wait are skipped.
+        let pick = fds
+            .iter()
+            .skip(1)
+            .zip(&snapshot)
+            .filter(|&(pfd, &(fd, token))| {
+                pfd.revents != 0 && map.get(&fd).is_some_and(|e| e.token == token && e.armed)
+            })
+            .min_by_key(|&(_, &(fd, _))| (fd <= *last, fd));
+        let Some((pfd, &(fd, token))) = pick else { return Ok(None) };
+        if let Some(entry) = map.get_mut(&fd) {
             entry.armed = false;
-            let r = pfd.revents;
-            out.push(Event {
-                token,
-                readable: r & (POLLIN | POLLERR | POLLHUP) != 0,
-                writable: r & (POLLOUT | POLLERR) != 0,
-            });
         }
-        Ok(())
+        *last = fd;
+        let r = pfd.revents;
+        Ok(Some(Event {
+            token,
+            readable: r & (POLLIN | POLLERR | POLLHUP) != 0,
+            writable: r & (POLLOUT | POLLERR) != 0,
+        }))
     }
 }
 
@@ -716,11 +732,9 @@ mod tests {
     /// Waits until an event for `token` arrives (readiness can be
     /// delivered across several wakeups).
     fn wait_for(r: &Reactor, token: u64) -> Event {
-        let mut events = Vec::new();
         for _ in 0..500 {
-            r.wait(&mut events, Some(TICK)).unwrap();
-            if let Some(ev) = events.iter().find(|e| e.token == token) {
-                return *ev;
+            if let Some(ev) = r.wait(Some(TICK)).unwrap().filter(|e| e.token == token) {
+                return ev;
             }
         }
         panic!("no event for token {token} within {PATIENCE:?}");
@@ -755,14 +769,9 @@ mod tests {
             // Event delivered, fd disarmed: a second connection must stay
             // silent until rearm — even though the fd is still readable.
             let _c2 = TcpStream::connect(addr).unwrap();
-            let mut events = Vec::new();
             for _ in 0..5 {
-                r.wait(&mut events, Some(TICK)).unwrap();
-                assert!(
-                    events.iter().all(|e| e.token != 1),
-                    "{}: disarmed fd fired",
-                    r.backend_name()
-                );
+                let ev = r.wait(Some(TICK)).unwrap();
+                assert!(ev.is_none_or(|e| e.token != 1), "{}: disarmed fd fired", r.backend_name());
             }
             r.rearm(listener.as_raw_fd(), 1, Interest::READ).unwrap();
             let ev = wait_for(&r, 1);
@@ -815,9 +824,8 @@ mod tests {
     #[test]
     fn wait_times_out_empty_when_nothing_is_ready() {
         for r in both_kinds() {
-            let mut events = vec![Event { token: 9, readable: true, writable: false }];
-            r.wait(&mut events, Some(Duration::from_millis(5))).unwrap();
-            assert!(events.is_empty(), "{}", r.backend_name());
+            let ev = r.wait(Some(Duration::from_millis(5))).unwrap();
+            assert!(ev.is_none(), "{}", r.backend_name());
         }
     }
 

@@ -12,15 +12,20 @@
 //!
 //! ## Concurrency model
 //!
-//! One event thread blocks in a [`reactor`](hdb_interface::reactor)
-//! (`epoll` on Linux, portable `poll` elsewhere) over the listener and
-//! every connection, all one-shot registered. A readiness event removes
-//! the connection from the table and dispatches it to a persistent
-//! [`WorkerPool`] as a batch job: flush pending output, serve up to
-//! `frames_per_turn` buffered frames, read until the socket would block,
-//! then re-arm. Idle connections therefore cost **zero** syscalls and
-//! zero dispatches — there is no sweep — and a pool of `W` threads
-//! serves any number of connections with batch-level fairness.
+//! [`ServerConfig::pool_threads`] serving threads share one
+//! [`reactor`](hdb_interface::reactor) (`epoll` on Linux, portable `poll`
+//! elsewhere) over the listener and every connection, all one-shot
+//! registered. Each thread blocks in the reactor for one event at a time
+//! and serves it on the spot: the thread that wakes on the listener
+//! accepts, and the thread that wakes on a connection takes it out of the
+//! table and runs its turn — flush pending output, serve up to a fixed
+//! quota of buffered frames, read until the socket would block, then
+//! re-arm. A request is thus answered on the thread that woke for it,
+//! with no hand-off between threads. A connection that uses up its quota
+//! re-arms for read and write; its send buffer has room, so it fires
+//! again at once, behind the events already ready. Idle connections cost
+//! **zero** syscalls and zero turns — there is no sweep. The replies to a
+//! `Batch` frame leave in one `write`.
 //!
 //! ## Session lifecycle
 //!
@@ -85,7 +90,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use hdb_interface::par::{PoolSender, WorkerPool};
 use hdb_interface::reactor::{Interest, Reactor, ReactorKind};
 use hdb_interface::wire::{
     encode_page_chunk, write_frame, FrameBuf, Request, Response, PROTOCOL_VERSION, STREAM_TUPLES,
@@ -102,24 +106,28 @@ const LISTENER_TOKEN: u64 = 0;
 const METRICS_TOKEN: u64 = 1;
 /// The first connection token.
 const FIRST_CONN_TOKEN: u64 = 2;
-/// How long the event thread blocks per reactor wait — a liveness
+/// How long a serving thread blocks per reactor wait — a liveness
 /// backstop only (shutdown also wakes the reactor via the listener);
 /// no per-connection work happens on this cadence.
 const WAIT_BACKSTOP: Duration = Duration::from_millis(500);
+/// Frames served to one connection per turn before it yields to the
+/// other ready connections (the fairness quota).
+const FRAMES_PER_TURN: usize = 64;
+/// Bytes of a batch's replies held back so that they leave in one
+/// `write`; a batch answering more flushes early.
+const BATCH_REPLY_CAP: usize = 64 * 1024;
 
 /// Tuning knobs for a [`Server`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker-pool threads serving connections. More threads serve more
+    /// Serving threads. Each blocks in the shared reactor for one ready
+    /// event at a time and serves it itself, so more threads serve more
     /// connections truly concurrently; the default covers the typical
     /// client pool (see `docs/ARCHITECTURE.md` §Serving layer on sizing).
     pub pool_threads: usize,
     /// Walk sessions kept before LRU eviction kicks in. Each session
     /// holds one materialised match set per committed walk level.
     pub session_cap: usize,
-    /// Frames served to one connection per dispatch before it re-queues
-    /// behind the others (fairness batch size).
-    pub frames_per_turn: usize,
     /// Readiness backend: `Auto` picks `epoll` on Linux; `Portable`
     /// forces the `poll` fallback (tests exercise it everywhere).
     pub reactor: ReactorKind,
@@ -134,7 +142,6 @@ impl Default for ServerConfig {
         Self {
             pool_threads: hdb_interface::par::default_workers().max(4),
             session_cap: 1024,
-            frames_per_turn: 64,
             reactor: ReactorKind::Auto,
             metrics_addr: None,
         }
@@ -340,17 +347,18 @@ impl Ledger {
     }
 }
 
-/// Everything the event thread and the pool workers share.
+/// Everything the serving threads share.
 struct Inner<B> {
     backend: B,
     sessions: Sessions,
     shutdown: AtomicBool,
     reactor: Reactor,
+    listener: TcpListener,
+    metrics_listener: Option<TcpListener>,
     conns: Mutex<BTreeMap<u64, Conn>>,
     next_token: AtomicU64,
-    pool: PoolSender,
-    frames_per_turn: usize,
-    /// Readiness dispatches to the pool (idle connections add zero).
+    /// Connection turns started by readiness events (idle connections
+    /// add zero).
     dispatches: AtomicU64,
     /// Request frames served (batch members count individually).
     frames: AtomicU64,
@@ -729,14 +737,15 @@ struct PageTail {
 }
 
 /// One connection's serving state. Lives in the connection table while
-/// parked (armed in the reactor) and is owned by exactly one pool worker
-/// while being served — one-shot notification makes the hand-off
+/// parked (armed in the reactor) and is owned by exactly one serving
+/// thread while being served — one-shot notification makes the hand-off
 /// race-free.
 struct Conn {
     stream: TcpStream,
     buf: FrameBuf,
-    /// Encoded-but-unsent frames (at most one response frame plus a
-    /// partially written predecessor — bounded).
+    /// Encoded-but-unsent frames: one response frame, or a batch's
+    /// replies held until its last member is answered (bounded by
+    /// [`BATCH_REPLY_CAP`] plus one frame).
     out: Vec<u8>,
     out_pos: usize,
     /// A page mid-stream; no new frame is served until it completes.
@@ -878,9 +887,9 @@ fn close_conn<B>(inner: &Inner<B>, conn: Conn) {
 
 /// Parks a connection back into the table and re-arms its readiness
 /// interest. Insert-before-arm: one-shot registration guarantees no
-/// event can fire until the arm, so the event thread always finds the
-/// connection in the table.
-fn park<B>(inner: &Arc<Inner<B>>, token: u64, conn: Conn, interest: Interest) {
+/// event can fire until the arm, so the thread that wakes for it always
+/// finds the connection in the table.
+fn park<B>(inner: &Inner<B>, token: u64, conn: Conn, interest: Interest) {
     let fd = conn.stream.as_raw_fd();
     inner.conns.lock().unwrap_or_else(|p| p.into_inner()).insert(token, conn);
     if inner.reactor.rearm(fd, token, interest).is_err() {
@@ -891,20 +900,27 @@ fn park<B>(inner: &Arc<Inner<B>>, token: u64, conn: Conn, interest: Interest) {
     }
 }
 
-/// One pool turn over a connection: flush, stream pending chunks, serve
-/// up to the fairness quota of frames, read until the socket blocks,
-/// then park (or re-queue if buffered work remains).
-fn turn<B: SearchBackend + 'static>(inner: &Arc<Inner<B>>, token: u64, mut conn: Conn) {
+/// One turn over a connection: flush, stream pending chunks, serve up
+/// to the fairness quota of frames, read until the socket blocks, then
+/// park.
+fn turn<B: SearchBackend>(inner: &Inner<B>, token: u64, mut conn: Conn) {
     if inner.shutdown.load(Ordering::Acquire) {
         close_conn(inner, conn);
         return;
     }
     let mut served = 0usize;
     loop {
-        match flush(&mut conn) {
-            FlushState::Drained => {}
-            FlushState::Blocked => return park(inner, token, conn, Interest::WRITE),
-            FlushState::Gone => return close_conn(inner, conn),
+        // A batch's replies leave in one write: hold them until its last
+        // member is answered, unless a page stream (which flushes before
+        // each chunk) or the byte cap needs the buffer drained first.
+        let hold =
+            !conn.queued.is_empty() && conn.tail.is_none() && conn.out.len() < BATCH_REPLY_CAP;
+        if !hold {
+            match flush(&mut conn) {
+                FlushState::Drained => {}
+                FlushState::Blocked => return park(inner, token, conn, Interest::WRITE),
+                FlushState::Gone => return close_conn(inner, conn),
+            }
         }
         // A page mid-stream owns the connection: its chunks must be the
         // next frames out (the client reassembles them positionally),
@@ -916,16 +932,12 @@ fn turn<B: SearchBackend + 'static>(inner: &Arc<Inner<B>>, token: u64, mut conn:
             };
             continue;
         }
-        if served >= inner.frames_per_turn {
-            // Fairness: rotate behind the other queued turns. The
-            // connection is disarmed, so this worker chain keeps sole
-            // ownership.
-            let next = Arc::clone(inner);
-            let sender = inner.pool.clone();
-            if !sender.send(move || turn(&next, token, conn)) {
-                // pool shutting down
-            }
-            return;
+        if served >= FRAMES_PER_TURN {
+            // Fairness: yield to the other ready connections. Its send
+            // buffer has room unless the peer stopped reading, so the
+            // re-armed connection fires again at once, behind the events
+            // already ready.
+            return park(inner, token, conn, Interest::READ_WRITE);
         }
         let resp = if let Some(req) = conn.queued.pop_front() {
             Some(handle_request(inner, req))
@@ -975,9 +987,9 @@ fn turn<B: SearchBackend + 'static>(inner: &Arc<Inner<B>>, token: u64, mut conn:
 
 /// Accepts every pending connection on the (nonblocking) listener and
 /// registers each with the reactor.
-fn accept_ready<B>(inner: &Arc<Inner<B>>, listener: &TcpListener) {
+fn accept_ready<B>(inner: &Inner<B>) {
     loop {
-        match listener.accept() {
+        match inner.listener.accept() {
             Ok((stream, _)) => {
                 let setup =
                     stream.set_nodelay(true).and_then(|()| stream.set_nonblocking(true));
@@ -1004,8 +1016,9 @@ fn accept_ready<B>(inner: &Arc<Inner<B>>, listener: &TcpListener) {
 
 /// Serves one Prometheus scrape: drain the request head (the path is
 /// ignored — every scrape gets the full exposition), write an
-/// `HTTP/1.0` response, close. Runs on a pool worker with bounded
-/// timeouts so a stalled scraper cannot pin a thread.
+/// `HTTP/1.0` response, close. Runs on the serving thread that accepted
+/// it, with bounded timeouts so a stalled scraper pins that thread for
+/// seconds at most.
 fn serve_scrape<B: SearchBackend>(inner: &Inner<B>, mut stream: TcpStream) {
     let setup = stream
         .set_nonblocking(false)
@@ -1044,16 +1057,11 @@ fn serve_scrape<B: SearchBackend>(inner: &Inner<B>, mut stream: TcpStream) {
 }
 
 /// Accepts every pending scrape connection on the (nonblocking) metrics
-/// listener and dispatches each to the pool.
-fn accept_scrapes<B: SearchBackend + 'static>(inner: &Arc<Inner<B>>, metrics: &TcpListener) {
+/// listener and serves each.
+fn accept_scrapes<B: SearchBackend>(inner: &Inner<B>, metrics: &TcpListener) {
     loop {
         match metrics.accept() {
-            Ok((stream, _)) => {
-                let next = Arc::clone(inner);
-                if !inner.pool.send(move || serve_scrape(&next, stream)) {
-                    return;
-                }
-            }
+            Ok((stream, _)) => serve_scrape(inner, stream),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return,
@@ -1061,62 +1069,48 @@ fn accept_scrapes<B: SearchBackend + 'static>(inner: &Arc<Inner<B>>, metrics: &T
     }
 }
 
-/// The event loop: blocks in the reactor, accepts on listener
-/// readiness, and dispatches ready connections to the pool. Runs until
-/// the shutdown flag is set (the control thread wakes the reactor with
-/// a throwaway connection).
-fn event_loop<B: SearchBackend + 'static>(
-    inner: &Arc<Inner<B>>,
-    listener: &TcpListener,
-    metrics: Option<&TcpListener>,
-) {
-    let mut events = Vec::new();
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        if inner.reactor.wait(&mut events, Some(WAIT_BACKSTOP)).is_err() {
-            break;
-        }
-        for ev in &events {
-            if ev.token == LISTENER_TOKEN {
+/// A serving thread: blocks in the shared reactor for one event at a
+/// time and serves it on the spot — accepting on a listener, or running
+/// the woken connection's turn. Runs until the shutdown flag is set
+/// ([`RunningServer::stop`] wakes the reactor with throwaway
+/// connections).
+fn serving_thread<B: SearchBackend>(inner: &Inner<B>) {
+    while !inner.shutdown.load(Ordering::Acquire) {
+        let ev = match inner.reactor.wait(Some(WAIT_BACKSTOP)) {
+            Ok(Some(ev)) => ev,
+            Ok(None) => continue,
+            Err(_) => break,
+        };
+        let rearmed = match (ev.token, &inner.metrics_listener) {
+            (LISTENER_TOKEN, _) => {
                 if inner.shutdown.load(Ordering::Acquire) {
-                    return;
+                    break;
                 }
-                accept_ready(inner, listener);
-                if inner
-                    .reactor
-                    .rearm(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
-                    .is_err()
-                {
-                    return;
-                }
-            } else if ev.token == METRICS_TOKEN {
-                let Some(metrics) = metrics else { continue };
+                accept_ready(inner);
+                inner.reactor.rearm(inner.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
+            }
+            (METRICS_TOKEN, Some(metrics)) => {
                 accept_scrapes(inner, metrics);
-                if inner
-                    .reactor
-                    .rearm(metrics.as_raw_fd(), METRICS_TOKEN, Interest::READ)
-                    .is_err()
-                {
-                    return;
-                }
-            } else {
-                let conn =
-                    inner.conns.lock().unwrap_or_else(|p| p.into_inner()).remove(&ev.token);
+                inner.reactor.rearm(metrics.as_raw_fd(), METRICS_TOKEN, Interest::READ)
+            }
+            (token, _) => {
+                let conn = inner.conns.lock().unwrap_or_else(|p| p.into_inner()).remove(&token);
                 // A missing entry is a stale event for a connection that
                 // already closed — ignore.
                 if let Some(conn) = conn {
                     inner.dispatches.fetch_add(1, Ordering::Relaxed);
-                    let next = Arc::clone(inner);
-                    let token = ev.token;
-                    if !inner.pool.send(move || turn(&next, token, conn)) {
-                        return;
-                    }
+                    turn(inner, token, conn);
                 }
+                Ok(())
             }
+        };
+        if rearmed.is_err() {
+            break;
         }
     }
+    // Pass the shutdown wake-up on: a throwaway connection is still
+    // pending, so the re-armed listener wakes the next serving thread.
+    let _ = inner.reactor.rearm(inner.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ);
 }
 
 /// Namespace for [`Server::bind`].
@@ -1179,7 +1173,6 @@ impl Server {
                     .map_err(|e| HdbError::Transport(format!("metrics local_addr: {e}")))?,
             ),
         };
-        let pool = WorkerPool::new(config.pool_threads.max(1));
         let registry = MetricsRegistry::new();
         let ledger = Ledger::new(&registry);
         let batch_size = registry.histogram("hdb_server_batch_size");
@@ -1188,10 +1181,10 @@ impl Server {
             sessions: Sessions::new(config.session_cap),
             shutdown: AtomicBool::new(false),
             reactor,
+            listener,
+            metrics_listener: metrics,
             conns: Mutex::new(BTreeMap::new()),
             next_token: AtomicU64::new(FIRST_CONN_TOKEN),
-            pool: pool.sender(),
-            frames_per_turn: config.frames_per_turn.max(1),
             dispatches: AtomicU64::new(0),
             frames: AtomicU64::new(0),
             streamed_bytes: AtomicU64::new(0),
@@ -1199,19 +1192,13 @@ impl Server {
             ledger,
             batch_size,
         });
-        let event_inner = Arc::clone(&inner);
-        let events = std::thread::spawn(move || {
-            event_loop(&event_inner, &listener, metrics.as_ref());
-            // Listeners drop (close) here; parked connections drain in
-            // RunningServer::stop once the workers have joined.
-        });
-        Ok(RunningServer {
-            addr: local_addr,
-            metrics_addr,
-            control: Control(inner),
-            events: Some(events),
-            pool: Some(pool),
-        })
+        let threads = (0..config.pool_threads.max(1))
+            .map(|_| {
+                let inner = Arc::clone(&inner);
+                std::thread::spawn(move || serving_thread(&inner))
+            })
+            .collect();
+        Ok(RunningServer { addr: local_addr, metrics_addr, control: Control(inner), threads })
     }
 }
 
@@ -1253,9 +1240,9 @@ impl<B: SearchBackend> ControlTarget for Inner<B> {
     }
 
     fn drain(&self) {
-        // Workers and the event thread have joined by the time this
-        // runs: every parked connection can be deregistered and closed,
-        // and the session table cleared, without racing a turn.
+        // Every serving thread has joined by the time this runs: every
+        // parked connection can be deregistered and closed, and the
+        // session table cleared, without racing a turn.
         let parked = std::mem::take(
             &mut *self.conns.lock().unwrap_or_else(|p| p.into_inner()),
         );
@@ -1278,15 +1265,15 @@ impl<B: SearchBackend> ControlTarget for Inner<B> {
     }
 }
 
-/// A live server: reactor event thread + connection pool. Dropping it
-/// (or calling [`RunningServer::shutdown`]) stops accepting, closes
-/// every connection, drains the session table, and joins all threads.
+/// A live server: [`ServerConfig::pool_threads`] serving threads over
+/// one reactor. Dropping it (or calling [`RunningServer::shutdown`])
+/// stops accepting, closes every connection, drains the session table,
+/// and joins all threads.
 pub struct RunningServer {
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
     control: Control,
-    events: Option<std::thread::JoinHandle<()>>,
-    pool: Option<WorkerPool>,
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl RunningServer {
@@ -1316,8 +1303,10 @@ impl RunningServer {
         self.control.0.session_count()
     }
 
-    /// Readiness dispatches to the worker pool so far. Idle connections
-    /// add zero — this is the regression pin for the poll-sweep defect.
+    /// Connection turns started by readiness events so far, including
+    /// each one after a connection yielded its fairness quota. Idle
+    /// connections add zero — this is the regression pin for the
+    /// poll-sweep defect.
     #[must_use]
     pub fn dispatch_count(&self) -> u64 {
         self.control.0.dispatch_count()
@@ -1359,15 +1348,17 @@ impl RunningServer {
 
     fn stop(&mut self) {
         self.control.0.set_shutdown();
-        // Unblock the reactor with a throwaway connection (listener
-        // readiness wakes the event thread, which sees the flag).
-        let _ = TcpStream::connect(self.addr);
-        if let Some(events) = self.events.take() {
-            let _ = events.join();
+        // Unblock the reactor with throwaway connections: listener
+        // readiness wakes a serving thread, which sees the flag and
+        // re-arms the listener on its way out, so a connection still
+        // pending wakes the next. One per thread: one that a thread
+        // mid-accept takes wakes a thread by its hang-up instead.
+        for _ in &self.threads {
+            let _ = TcpStream::connect(self.addr);
         }
-        // Dropping the pool discards queued connection turns and joins
-        // the worker threads; only this control thread ever owns it.
-        self.pool.take();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
         // With every serving thread joined, drain parked connections
         // and the session table.
         self.control.0.drain();
@@ -1385,7 +1376,7 @@ mod tests {
     use super::*;
     use hdb_interface::wire::read_frame;
     use hdb_interface::{
-        HiddenDb, Query, RemoteBackend, Table, TableBackend, TopKInterface, Tuple,
+        Clock as _, HiddenDb, Query, RemoteBackend, Table, TableBackend, TopKInterface, Tuple,
     };
 
     fn table() -> Table {
@@ -1395,7 +1386,11 @@ mod tests {
     }
 
     fn serve() -> RunningServer {
-        Server::bind(TableBackend::new(table()), "127.0.0.1:0").unwrap()
+        serve_with(ServerConfig::default())
+    }
+
+    fn serve_with(config: ServerConfig) -> RunningServer {
+        Server::bind_with(TableBackend::new(table()), "127.0.0.1:0", config).unwrap()
     }
 
     fn ask(stream: &mut TcpStream, req: &Request) -> Response {
@@ -1421,12 +1416,8 @@ mod tests {
 
     #[test]
     fn portable_reactor_serves_identically() {
-        let server = Server::bind_with(
-            TableBackend::new(table()),
-            "127.0.0.1:0",
-            ServerConfig { reactor: ReactorKind::Portable, ..ServerConfig::default() },
-        )
-        .unwrap();
+        let server =
+            serve_with(ServerConfig { reactor: ReactorKind::Portable, ..Default::default() });
         assert_eq!(server.reactor_name(), "poll");
         let remote = HiddenDb::over(RemoteBackend::connect(server.addr().to_string()).unwrap(), 3);
         let local = HiddenDb::new(table(), 3);
@@ -1456,14 +1447,62 @@ mod tests {
         server.shutdown();
     }
 
+    /// The serving loop on both backends. With one serving thread, a
+    /// connection pipelining a long run of frames yields after its quota,
+    /// so a second one is answered long before the run is served; with
+    /// four, shutdown wakes every thread at once, not at the backstop.
+    #[test]
+    fn serving_threads_share_fairly_and_stop_promptly() {
+        const PIPELINED: usize = 100_000;
+        for reactor in [ReactorKind::Auto, ReactorKind::Portable] {
+            let config =
+                |pool_threads| ServerConfig { pool_threads, reactor, ..Default::default() };
+            let server = serve_with(config(1));
+            let mut busy = TcpStream::connect(server.addr()).unwrap();
+            let mut replies = busy.try_clone().unwrap();
+            let (first_tx, first_rx) = std::sync::mpsc::channel();
+            // Every reply is drained, so the busy connection never meets
+            // back-pressure.
+            let reader = std::thread::spawn(move || {
+                for i in 0..PIPELINED {
+                    let payload = read_frame(&mut replies).unwrap().unwrap();
+                    assert_eq!(Response::decode(&payload).unwrap(), Response::Len(32));
+                    if i == 0 {
+                        first_tx.send(()).unwrap();
+                    }
+                }
+            });
+            let mut frames = Vec::new();
+            let len = Request::Len.encode().unwrap();
+            for _ in 0..PIPELINED {
+                write_frame(&mut frames, &len).unwrap();
+            }
+            let writer = std::thread::spawn(move || busy.write_all(&frames).unwrap());
+            first_rx.recv().unwrap();
+            let mut other = TcpStream::connect(server.addr()).unwrap();
+            assert_eq!(ask(&mut other, &Request::Len), Response::Len(32));
+            let served = server.frame_count();
+            assert!(
+                served < PIPELINED as u64 / 2,
+                "{reactor:?}: the second connection waited for {served} pipelined frames"
+            );
+            writer.join().unwrap();
+            reader.join().unwrap();
+            server.shutdown();
+
+            let server = serve_with(config(4));
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            assert_eq!(ask(&mut stream, &Request::Len), Response::Len(32));
+            let clock = hdb_interface::WallClock::new();
+            server.shutdown();
+            let took = Duration::from_nanos(clock.now_nanos());
+            assert!(took < WAIT_BACKSTOP / 2, "{reactor:?}: shutdown took {took:?}");
+        }
+    }
+
     #[test]
     fn walk_sessions_survive_extend_retract_and_eviction() {
-        let server = Server::bind_with(
-            TableBackend::new(table()),
-            "127.0.0.1:0",
-            ServerConfig { session_cap: 2, ..ServerConfig::default() },
-        )
-        .unwrap();
+        let server = serve_with(ServerConfig { session_cap: 2, ..Default::default() });
         let local = HiddenDb::new(table(), 2);
         let remote =
             HiddenDb::over(RemoteBackend::connect(server.addr().to_string()).unwrap(), 2);
@@ -1492,12 +1531,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_follows_recency_not_sid_order() {
-        let server = Server::bind_with(
-            TableBackend::new(table()),
-            "127.0.0.1:0",
-            ServerConfig { session_cap: 2, ..ServerConfig::default() },
-        )
-        .unwrap();
+        let server = serve_with(ServerConfig { session_cap: 2, ..Default::default() });
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let open = |stream: &mut TcpStream| match ask(stream, &Request::WalkOpen {
             root: Query::all(),
@@ -1586,11 +1620,17 @@ mod tests {
             Request::ExactCount { query: Query::all() },
         ]);
         write_frame(&mut stream, &batch.encode().unwrap()).unwrap();
+        // The replies leave in one write, which loopback delivers as one
+        // segment: the first read returns all three.
+        let mut got = vec![0u8; 64 * 1024];
+        let n = stream.read(&mut got).unwrap();
+        let mut frames = FrameBuf::new();
+        frames.extend(&got[..n]);
         let mut replies = Vec::new();
-        for _ in 0..3 {
-            let payload = read_frame(&mut stream).unwrap().unwrap();
+        while let Some(payload) = frames.next_frame().unwrap() {
             replies.push(Response::decode(&payload).unwrap());
         }
+        assert_eq!(replies.len(), 3, "the first read returned {} of 3 replies", replies.len());
         assert_eq!(replies[0], Response::Len(32));
         assert!(matches!(replies[1], Response::Session { .. }));
         assert_eq!(replies[2], Response::Count(32));
@@ -1790,12 +1830,8 @@ mod tests {
 
     #[test]
     fn metrics_endpoint_serves_a_prometheus_scrape() {
-        let server = Server::bind_with(
-            TableBackend::new(table()),
-            "127.0.0.1:0",
-            ServerConfig { metrics_addr: Some("127.0.0.1:0".into()), ..ServerConfig::default() },
-        )
-        .unwrap();
+        let metrics = Some("127.0.0.1:0".to_string());
+        let server = serve_with(ServerConfig { metrics_addr: metrics, ..Default::default() });
         let metrics_addr = server.metrics_addr().expect("metrics listener bound");
         // Issue a probe so the ledger is non-trivial.
         let mut stream = TcpStream::connect(server.addr()).unwrap();
@@ -1827,12 +1863,7 @@ mod tests {
 
     #[test]
     fn session_evictions_and_batches_are_counted() {
-        let server = Server::bind_with(
-            TableBackend::new(table()),
-            "127.0.0.1:0",
-            ServerConfig { session_cap: 1, ..ServerConfig::default() },
-        )
-        .unwrap();
+        let server = serve_with(ServerConfig { session_cap: 1, ..Default::default() });
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         for _ in 0..3 {
             let resp = ask(&mut stream, &Request::WalkOpen { root: Query::all() });
