@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hdb_datagen::{bool_iid, yahoo_auto, YahooConfig};
-use hdb_interface::{HiddenDb, Query, TableIndex, TopKInterface};
+use hdb_interface::{
+    HiddenDb, Predicate, Query, SearchBackend, TableBackend, TableIndex, TopKInterface, WalkState,
+};
 use std::hint::black_box;
 
 fn bench_index_build(c: &mut Criterion) {
@@ -57,11 +59,47 @@ fn bench_overflow_topk(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_walk_session(c: &mut Criterion) {
+    // A walk node's AND-count (`classify`) and child materialisation
+    // (`extend`) on both sides of the sparse-form crossover in
+    // `backend.rs`: two predicates deep a node matches about 125k of 500k
+    // rows and stays a dense bitmap; twelve deep it matches about 120 and
+    // is stored sparse. Re-check the crossover constant against these.
+    let backend = TableBackend::new(bool_iid(500_000, 40, 1).expect("generation"));
+    let mut group = c.benchmark_group("walk_session");
+    for depth in [2usize, 12] {
+        let mut node = Query::all();
+        let mut state = backend.walk_state(&node);
+        for attr in 0..depth {
+            let child = node.and(attr, 1).expect("distinct attrs");
+            let pred = Predicate::new(attr, 1);
+            state = backend.extend_state(&state, &child, pred, WalkState::fallback());
+            node = child;
+        }
+        let pred = Predicate::new(depth, 1);
+        let child = node.and(depth, 1).expect("distinct attrs");
+        group.bench_function(format!("classify_depth_{depth}"), |b| {
+            b.iter(|| {
+                backend.classify_from(black_box(&state), &child, pred, 10).expect("in-process")
+            });
+        });
+        let mut spare = WalkState::fallback();
+        group.bench_function(format!("extend_depth_{depth}"), |b| {
+            b.iter(|| {
+                let recycled = std::mem::take(&mut spare);
+                spare = backend.extend_state(black_box(&state), &child, pred, recycled);
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_index_build,
     bench_query_eval,
     bench_categorical_eval,
-    bench_overflow_topk
+    bench_overflow_topk,
+    bench_walk_session
 );
 criterion_main!(benches);

@@ -1,13 +1,21 @@
 //! A fixed-width bitset used as the posting-list representation of the
-//! query-evaluation index.
+//! query-evaluation index, and a sparse form for small match sets.
 //!
 //! The hidden-database experiments evaluate millions of conjunctive
 //! queries against tables of a few hundred thousand rows; a flat `u64`
 //! bitset per `(attribute, value)` pair makes each query an AND of `s`
 //! bitsets plus a popcount, which is the dominant cost of the whole
-//! harness. The implementation is deliberately simple — no compression —
-//! because the densities involved (each value matches a sizeable fraction
-//! of rows) make compressed formats slower.
+//! harness. Postings stay uncompressed: each value matches a sizeable
+//! fraction of rows, and at those densities compressed formats are
+//! slower.
+//!
+//! Deep drill-down nodes are different. A node a dozen predicates below
+//! the root matches tens of rows out of hundreds of thousands, so nearly
+//! every word of its dense bitmap is zero. A walk node of that kind is
+//! kept as the ascending `(word index, word)` pairs of its nonzero words,
+//! and its kernels (AND-count, AND into a child, row iteration) cost the
+//! node's nonzero words instead of the table's width. Only the walk
+//! state of `backend.rs` uses the sparse form; it chooses per node.
 
 /// A fixed-length bitset over `len` bits backed by `u64` words.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -134,24 +142,43 @@ impl Bitmap {
 
     /// Makes `self` the intersection `a & b` in one fused copy-and-AND
     /// pass, reusing `self`'s allocation when it is large enough — the
-    /// scratch-buffer kernel behind walk-session `extend` steps.
+    /// scratch-buffer kernel behind walk-session `extend` steps. Returns
+    /// the number of nonzero words of the result, counted in the same
+    /// pass.
     ///
     /// # Panics
     /// Panics if `a` and `b` differ in length.
-    pub fn assign_and(&mut self, a: &Bitmap, b: &Bitmap) {
+    pub fn assign_and(&mut self, a: &Bitmap, b: &Bitmap) -> usize {
         assert_eq!(a.len, b.len, "bitmap length mismatch");
         self.len = a.len;
         self.words.clear();
-        self.words.extend(a.words.iter().zip(&b.words).map(|(x, y)| x & y));
+        let mut nonzero = 0;
+        self.words.extend(a.words.iter().zip(&b.words).map(|(x, y)| {
+            let w = x & y;
+            nonzero += usize::from(w != 0);
+            w
+        }));
+        nonzero
     }
 
     /// Makes `self` a copy of `other`, reusing `self`'s allocation when it
     /// is large enough (the derived `Clone::clone_from` always
-    /// reallocates).
-    pub fn copy_from(&mut self, other: &Bitmap) {
+    /// reallocates). Returns the number of nonzero words, counted in the
+    /// same pass.
+    pub fn copy_from(&mut self, other: &Bitmap) -> usize {
         self.len = other.len;
         self.words.clear();
-        self.words.extend_from_slice(&other.words);
+        let mut nonzero = 0;
+        self.words.extend(other.words.iter().map(|&w| {
+            nonzero += usize::from(w != 0);
+            w
+        }));
+        nonzero
+    }
+
+    /// Number of `u64` words backing the bitmap.
+    pub(crate) fn word_count(&self) -> usize {
+        self.words.len()
     }
 
     /// Iterator over the indices of set bits of `self & other`, ascending,
@@ -249,6 +276,86 @@ impl Iterator for AndOnesIter<'_> {
             }
             self.current = self.a[self.word_idx] & self.b[self.word_idx];
         }
+    }
+}
+
+/// A bitset over `len` bits stored as the ascending `(word index, word)`
+/// pairs of its nonzero words. Every kernel pairs it with a dense
+/// [`Bitmap`] of the same length and touches only the listed words.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SparseBitmap {
+    pairs: Vec<(usize, u64)>,
+    len: usize,
+}
+
+impl SparseBitmap {
+    /// Makes `self` the nonzero words of `dense`, reusing `self`'s
+    /// allocation.
+    pub(crate) fn assign_from(&mut self, dense: &Bitmap) {
+        self.len = dense.len;
+        self.pairs.clear();
+        self.pairs
+            .extend(dense.words.iter().enumerate().filter(|&(_, &w)| w != 0).map(|(i, &w)| (i, w)));
+    }
+
+    /// Number of set bits in `self & dense`.
+    ///
+    /// # Panics
+    /// Panics if lengths differ.
+    pub(crate) fn and_count(&self, dense: &Bitmap) -> usize {
+        assert_eq!(self.len, dense.len, "bitmap length mismatch");
+        self.pairs.iter().map(|&(i, w)| (w & dense.words[i]).count_ones() as usize).sum()
+    }
+
+    /// Makes `out` the intersection `self & dense`, keeping only its
+    /// nonzero words and reusing `out`'s allocation.
+    ///
+    /// # Panics
+    /// Panics if lengths differ.
+    pub(crate) fn and_into(&self, dense: &Bitmap, out: &mut SparseBitmap) {
+        assert_eq!(self.len, dense.len, "bitmap length mismatch");
+        out.len = self.len;
+        out.pairs.clear();
+        out.pairs.reserve(self.pairs.len());
+        out.pairs.extend(
+            self.pairs.iter().map(|&(i, w)| (i, w & dense.words[i])).filter(|&(_, w)| w != 0),
+        );
+    }
+
+    /// Iterator over the indices of set bits of `self & dense`,
+    /// ascending, without materialising the intersection.
+    ///
+    /// # Panics
+    /// Panics if lengths differ.
+    pub(crate) fn iter_and_ones<'a>(&'a self, dense: &'a Bitmap) -> SparseAndOnesIter<'a> {
+        assert_eq!(self.len, dense.len, "bitmap length mismatch");
+        SparseAndOnesIter { pairs: &self.pairs, dense: &dense.words, base: 0, current: 0 }
+    }
+}
+
+/// Iterator over set-bit positions of a [`SparseBitmap`] ∩ [`Bitmap`]
+/// pair (see [`SparseBitmap::iter_and_ones`]).
+pub(crate) struct SparseAndOnesIter<'a> {
+    pairs: &'a [(usize, u64)],
+    dense: &'a [u64],
+    /// Bit index of the first bit of `current`.
+    base: usize,
+    current: u64,
+}
+
+impl Iterator for SparseAndOnesIter<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.current == 0 {
+            let (&(i, w), rest) = self.pairs.split_first()?;
+            self.pairs = rest;
+            self.base = i * 64;
+            self.current = w & self.dense[i];
+        }
+        let bit = self.current.trailing_zeros() as usize;
+        self.current &= self.current - 1;
+        Some(self.base + bit)
     }
 }
 

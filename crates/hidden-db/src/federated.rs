@@ -98,6 +98,7 @@ pub struct ShardPartBackend {
 /// The walk payload of a [`ShardPartBackend`]: the shard-local match-set
 /// state (a newtype so it can never be confused with another backend's
 /// payload).
+#[derive(Default)]
 struct PartWalk(SelState);
 
 impl ShardPartBackend {
@@ -179,11 +180,8 @@ impl SearchBackend for ShardPartBackend {
         let Some(walk) = parent.payload::<PartWalk>() else {
             return self.walk_state(child);
         };
-        let buf = recycled.take_payload::<PartWalk>().map(|w| SelState::into_buffer(w.0));
         let posting = self.shard.table.index().posting(pred.attr, pred.value as usize);
-        WalkState::with_payload(PartWalk(SelState::Bits(
-            walk.0.child(posting, buf.unwrap_or_default()),
-        )))
+        recycled.rebuild(|spare: PartWalk| PartWalk(walk.0.child(posting, spare.0)))
     }
 
     fn evaluate_from(

@@ -7,7 +7,7 @@
 //! implements for us. Estimators never touch it.
 
 use crate::bitmap::{Bitmap, OnesIter};
-use crate::query::Query;
+use crate::query::{Predicate, Query};
 use crate::table::Table;
 use crate::tuple::TupleId;
 
@@ -82,6 +82,9 @@ impl Iterator for SelectionOnes<'_> {
 pub struct TableIndex {
     /// `postings[attr][value]` = bitmap of rows with `A_attr = value`.
     postings: Vec<Vec<Bitmap>>,
+    /// `counts[attr][value]` = set bits of `postings[attr][value]`,
+    /// counted once at build time (a table mutation rebuilds the index).
+    counts: Vec<Vec<usize>>,
     rows: usize,
 }
 
@@ -94,12 +97,15 @@ impl TableIndex {
         let mut postings: Vec<Vec<Bitmap>> = (0..schema.len())
             .map(|a| (0..schema.fanout(a)).map(|_| Bitmap::zeros(rows)).collect())
             .collect();
+        let mut counts: Vec<Vec<usize>> =
+            (0..schema.len()).map(|a| vec![0; schema.fanout(a)]).collect();
         for (row, tuple) in table.tuples().iter().enumerate() {
             for (attr, &value) in tuple.values().iter().enumerate() {
                 postings[attr][value as usize].set(row);
+                counts[attr][value as usize] += 1;
             }
         }
-        Self { postings, rows }
+        Self { postings, counts, rows }
     }
 
     /// Number of rows indexed.
@@ -126,15 +132,21 @@ impl TableIndex {
     /// the intersection (smallest posting first).
     #[must_use]
     pub fn selection(&self, q: &Query) -> Selection<'_> {
-        let mut preds: Vec<&Bitmap> =
-            q.predicates().iter().map(|p| &self.postings[p.attr][p.value as usize]).collect();
+        let mut preds: Vec<(usize, &Bitmap)> = q
+            .predicates()
+            .iter()
+            .map(|p| {
+                let v = p.value as usize;
+                (self.counts[p.attr][v], &self.postings[p.attr][v])
+            })
+            .collect();
         match preds.len() {
             0 => Selection::All { rows: self.rows },
-            1 => Selection::Posting(preds[0]),
+            1 => Selection::Posting(preds[0].1),
             _ => {
-                preds.sort_by_key(|b| b.count());
-                let mut acc = preds[0].clone();
-                for b in &preds[1..] {
+                preds.sort_by_key(|&(count, _)| count);
+                let mut acc = preds[0].1.clone();
+                for (_, b) in &preds[1..] {
                     acc.and_with(b);
                 }
                 Selection::Owned(acc)
@@ -154,15 +166,12 @@ impl TableIndex {
     /// `|Sel(q)|` — the number of tuples matching `q`.
     #[must_use]
     pub fn count(&self, q: &Query) -> usize {
-        let post = |i: usize| {
-            let p = &q.predicates()[i];
-            &self.postings[p.attr][p.value as usize]
-        };
-        match q.predicates().len() {
-            0 => self.rows,
-            1 => post(0).count(),
-            2 => post(0).and_count(post(1)),
-            3 => post(0).and_count_3(post(1), post(2)),
+        let post = |p: &Predicate| &self.postings[p.attr][p.value as usize];
+        match q.predicates() {
+            [] => self.rows,
+            [p] => self.value_frequency(p.attr, p.value as usize),
+            [a, b] => post(a).and_count(post(b)),
+            [a, b, c] => post(a).and_count_3(post(b), post(c)),
             _ => self.selection(q).count(),
         }
     }
@@ -179,7 +188,7 @@ impl TableIndex {
     /// Panics if out of range.
     #[must_use]
     pub fn value_frequency(&self, attr: usize, value: usize) -> usize {
-        self.postings[attr][value].count()
+        self.counts[attr][value]
     }
 }
 
@@ -294,5 +303,11 @@ mod tests {
         assert_eq!(idx.value_frequency(0, 1), 2);
         assert_eq!(idx.value_frequency(4, 0), 5);
         assert_eq!(idx.value_frequency(4, 2), 1);
+        // the stored counts are the postings' popcounts
+        for attr in 0..5 {
+            for value in 0..t.schema().fanout(attr) {
+                assert_eq!(idx.value_frequency(attr, value), idx.posting(attr, value).count());
+            }
+        }
     }
 }

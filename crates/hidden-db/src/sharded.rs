@@ -348,22 +348,14 @@ impl SearchBackend for ShardedDb {
         let Some(sels) = parent.payload::<Vec<SelState>>() else {
             return self.walk_state(child);
         };
-        let mut buffers: Vec<Option<crate::bitmap::Bitmap>> = recycled
-            .take_payload::<Vec<SelState>>()
-            .map(|v| v.into_iter().map(SelState::into_buffer).collect())
-            .unwrap_or_default();
-        buffers.resize_with(self.shards.len(), || None);
-        let children: Vec<SelState> = self
-            .shards
-            .iter()
-            .zip(sels)
-            .zip(buffers)
-            .map(|((shard, sel), buf)| {
+        recycled.rebuild(|mut children: Vec<SelState>| {
+            children.resize_with(self.shards.len(), SelState::default);
+            for ((slot, shard), sel) in children.iter_mut().zip(&self.shards).zip(sels) {
                 let posting = shard.table.index().posting(pred.attr, pred.value as usize);
-                SelState::Bits(sel.child(posting, buf))
-            })
-            .collect();
-        WalkState::with_payload(children)
+                *slot = sel.child(posting, std::mem::take(slot));
+            }
+            children
+        })
     }
 
     fn evaluate_from(

@@ -62,6 +62,37 @@ fn hd_run<B: hdb_interface::SearchBackend>(
     (summary.estimate.to_bits(), est.history().to_vec(), summary.queries)
 }
 
+/// The headline guarantee on one input: incremental sessions (count-only
+/// and materialising) produce bit-identical estimator runs to the fresh
+/// per-query path, over the single table and over a sharded backend.
+fn assert_incremental_runs_match_fresh(
+    table: &Table,
+    k: usize,
+    shards: usize,
+    workers: usize,
+    master_seed: u64,
+) -> Result<(), TestCaseError> {
+    let passes = 30;
+    let fresh = HiddenDb::new(table.clone(), k).with_session_mode(SessionMode::Fresh);
+    let reference = hd_run(&fresh, master_seed, passes);
+
+    let incremental = HiddenDb::new(table.clone(), k);
+    prop_assert_eq!(incremental.session_mode(), SessionMode::Incremental);
+    let got = hd_run(&incremental, master_seed, passes);
+    prop_assert_eq!(&reference, &got, "count-only session diverged");
+
+    let materialized = HiddenDb::new(table.clone(), k)
+        .with_session_mode(SessionMode::IncrementalMaterialized);
+    let got = hd_run(&materialized, master_seed, passes);
+    prop_assert_eq!(&reference, &got, "materialising session diverged");
+
+    let sharded = HiddenDb::over(ShardedDb::new(table, shards).with_workers(workers), k);
+    let got = hd_run(&sharded, master_seed, passes);
+    prop_assert_eq!(&reference, &got,
+        "sharded incremental session diverged at shards={} workers={}", shards, workers);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -75,25 +106,7 @@ proptest! {
         master_seed in any::<u64>(),
         workers in 1usize..=3,
     ) {
-        let passes = 30;
-        let fresh = HiddenDb::new(table.clone(), k).with_session_mode(SessionMode::Fresh);
-        let reference = hd_run(&fresh, master_seed, passes);
-
-        let incremental = HiddenDb::new(table.clone(), k);
-        prop_assert_eq!(incremental.session_mode(), SessionMode::Incremental);
-        let got = hd_run(&incremental, master_seed, passes);
-        prop_assert_eq!(&reference, &got, "count-only session diverged");
-
-        let materialized = HiddenDb::new(table.clone(), k)
-            .with_session_mode(SessionMode::IncrementalMaterialized);
-        let got = hd_run(&materialized, master_seed, passes);
-        prop_assert_eq!(&reference, &got, "materialising session diverged");
-
-        let sharded =
-            HiddenDb::over(ShardedDb::new(&table, shards).with_workers(workers), k);
-        let got = hd_run(&sharded, master_seed, passes);
-        prop_assert_eq!(&reference, &got,
-            "sharded incremental session diverged at shards={} workers={}", shards, workers);
+        assert_incremental_runs_match_fresh(&table, k, shards, workers, master_seed)?;
     }
 
     /// Simple backtracking (the costlier ablation strategy) drives the
@@ -196,6 +209,20 @@ proptest! {
             }
         }
         prop_assert_eq!(fresh_db.queries_issued(), incr_db.queries_issued());
+    }
+}
+
+/// The proptest tables fit in one bitmap word, so their walk nodes never
+/// take the sparse form. At 20,000 rows (313 words) and k = 10 the deep
+/// overflowing nodes match 11–40 rows and are stored sparse, and so are
+/// the per-shard states of a 3-shard backend: this pins that path end to
+/// end on a single table and at 1 and 3 shards.
+#[test]
+fn wide_table_runs_match_fresh_runs_bitwise() {
+    let table = hdb_datagen::bool_iid(20_000, 16, 7).expect("valid generator parameters");
+    for shards in [1, 3] {
+        assert_incremental_runs_match_fresh(&table, 10, shards, 2, 11)
+            .unwrap_or_else(|e| panic!("shards={shards}: {e:?}"));
     }
 }
 
