@@ -1,19 +1,67 @@
 //! Micro-benchmarks of the hidden-database substrate: index construction
-//! and query evaluation at several depths, at experiment scale.
+//! and maintenance under ingest, query evaluation at several depths, and
+//! storage checksums, at experiment scale.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hdb_datagen::{bool_iid, yahoo_auto, YahooConfig};
+use hdb_interface::storage::wal::crc32;
 use hdb_interface::{
-    HiddenDb, Predicate, Query, SearchBackend, TableBackend, TableIndex, TopKInterface, WalkState,
+    HiddenDb, MemIo, PersistentBackend, Predicate, Query, SearchBackend, SyncPolicy, Table,
+    TableBackend, TableIndex, TopKInterface, WalkState,
 };
 use std::hint::black_box;
+use std::sync::Arc;
 
-fn bench_index_build(c: &mut Criterion) {
+fn bench_index(c: &mut Criterion) {
     let table = bool_iid(50_000, 40, 1).expect("generation");
     let mut group = c.benchmark_group("index");
     group.sample_size(20);
     group.bench_function("build_50k_x_40", |b| {
         b.iter(|| TableIndex::build(black_box(&table)));
+    });
+    // 256 ingests into a 50k x 40 store whose index is already built,
+    // then one read (the root query's top-k). Each ingest appends its
+    // row's bits to the live index, so the read pays no rebuild. The
+    // ingested tuples are the tail of the draw whose head is the base,
+    // so every one is unique.
+    let draw = bool_iid(50_256, 40, 1).expect("generation");
+    let (head, ingests) = draw.tuples().split_at(50_000);
+    let base = Table::new(draw.schema().clone(), head.to_vec()).expect("unique base");
+    group.bench_function("ingest_256_then_read_50k_x_40", |b| {
+        b.iter_batched(
+            || {
+                let io = Box::new(MemIo::new());
+                let store = Arc::new(
+                    PersistentBackend::create_with(io, SyncPolicy::Never, base.clone())
+                        .expect("in-memory store"),
+                );
+                HiddenDb::over(Arc::clone(&store), 10).query(&Query::all()).expect("unlimited");
+                store
+            },
+            |store| {
+                for t in ingests {
+                    store.ingest(t.clone()).expect("unique ingest");
+                }
+                let read = HiddenDb::over(Arc::clone(&store), 10)
+                    .query(black_box(&Query::all()))
+                    .expect("unlimited");
+                // Returned so the store drops outside the measurement.
+                (store, read)
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+}
+
+fn bench_storage(c: &mut Criterion) {
+    // CRC-32 over a 4 MiB body, about one snapshot of 50k x 40: every
+    // WAL record, snapshot and recovery read is checksummed.
+    let bytes: Vec<u8> =
+        (0..4usize << 20).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 11) as u8).collect();
+    let mut group = c.benchmark_group("storage");
+    group.bench_function("crc32_4mib", |b| {
+        b.iter(|| crc32(black_box(&bytes)));
     });
     group.finish();
 }
@@ -96,10 +144,11 @@ fn bench_walk_session(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_index_build,
+    bench_index,
     bench_query_eval,
     bench_categorical_eval,
     bench_overflow_topk,
-    bench_walk_session
+    bench_walk_session,
+    bench_storage
 );
 criterion_main!(benches);

@@ -637,9 +637,10 @@ impl TableBackend {
     }
 
     /// Mutable access to the underlying table — the persistent backend's
-    /// ingest path. Mutation drops the table's cached index, so walk
-    /// states derived from the old corpus must not be reused (the
-    /// persistent wrapper enforces this with a generation tag).
+    /// ingest path. An append keeps the table's index built, growing
+    /// every posting by one bit, but a walk state built before the write
+    /// holds bitmaps one row short of those postings and must not meet
+    /// them: the persistent wrapper enforces this with a generation tag.
     pub(crate) fn table_mut(&mut self) -> &mut Table {
         &mut self.table
     }

@@ -71,6 +71,18 @@ impl Bitmap {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
+    /// Appends one bit, growing the bitmap by one. The bit lands in the
+    /// first unused position of the last word (or in a fresh zero word),
+    /// so the trailing bits stay 0.
+    pub(crate) fn push(&mut self, bit: bool) {
+        let i = self.len;
+        if i.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        self.words[i / 64] |= u64::from(bit) << (i % 64);
+        self.len = i + 1;
+    }
+
     /// Clears bit `i`.
     ///
     /// # Panics
@@ -494,6 +506,32 @@ mod tests {
             a.set(i);
         }
         assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![0, 63, 64, 127, 128, 191]);
+    }
+
+    #[test]
+    fn push_grows_across_word_boundaries() {
+        // Every third bit set, pushed one at a time from empty: at each
+        // length the result equals `zeros` + `set`, words included, so the
+        // tail word never carries a stray bit past `len`.
+        let mut pushed = Bitmap::zeros(0);
+        for len in 1..=130usize {
+            pushed.push((len - 1) % 3 == 0);
+            let mut want = Bitmap::zeros(len);
+            for i in (0..len).step_by(3) {
+                want.set(i);
+            }
+            assert_eq!(pushed, want, "len {len}");
+            assert_eq!(pushed.word_count(), len.div_ceil(64), "len {len}");
+        }
+        // A full word, then one past it: 63 → 64 → 65 bits of ones.
+        let mut ones = Bitmap::ones(63);
+        ones.push(true);
+        assert_eq!(ones, Bitmap::ones(64));
+        ones.push(true);
+        assert_eq!(ones, Bitmap::ones(65));
+        ones.push(false);
+        assert_eq!(ones.count(), 65);
+        assert!(!ones.get(65));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::bitmap::{Bitmap, OnesIter};
 use crate::query::{Predicate, Query};
 use crate::table::Table;
-use crate::tuple::TupleId;
+use crate::tuple::{Tuple, TupleId};
 
 /// The matching-row set of a query, in the cheapest representation the
 /// query shape allows: the zero-predicate query matches *all* rows (no
@@ -78,12 +78,12 @@ impl Iterator for SelectionOnes<'_> {
 }
 
 /// Bitmap index over a table.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TableIndex {
     /// `postings[attr][value]` = bitmap of rows with `A_attr = value`.
     postings: Vec<Vec<Bitmap>>,
     /// `counts[attr][value]` = set bits of `postings[attr][value]`,
-    /// counted once at build time (a table mutation rebuilds the index).
+    /// counted at build time and bumped by [`TableIndex::push`].
     counts: Vec<Vec<usize>>,
     rows: usize,
 }
@@ -106,6 +106,23 @@ impl TableIndex {
             }
         }
         Self { postings, counts, rows }
+    }
+
+    /// Appends `tuple` as the next row: every posting grows by one bit,
+    /// set only in the posting of the tuple's value, so the index stays
+    /// equal to [`TableIndex::build`] over the grown table. The caller
+    /// guarantees the tuple conforms to the indexed schema.
+    pub(crate) fn push(&mut self, tuple: &Tuple) {
+        for ((postings, counts), &value) in
+            self.postings.iter_mut().zip(&mut self.counts).zip(tuple.values())
+        {
+            let value = usize::from(value);
+            for (v, posting) in postings.iter_mut().enumerate() {
+                posting.push(v == value);
+            }
+            counts[value] += 1;
+        }
+        self.rows += 1;
     }
 
     /// Number of rows indexed.

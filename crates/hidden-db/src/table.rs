@@ -6,7 +6,9 @@
 //! through a lazily built, cached [`TableIndex`] (bitmap AND + popcount
 //! per query) rather than rescanning the tuple vector on every call; the
 //! scan path survives as `*_scan` methods so property tests and benches
-//! can pit the two against each other.
+//! can pit the two against each other. Once built, the index stays live:
+//! every append adds the new row's bits to it, so a table that grows
+//! between reads never pays for a rebuild.
 
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -26,8 +28,9 @@ pub struct Table {
     schema: Schema,
     tuples: Vec<Tuple>,
     /// Bitmap index over the current tuples, built on first aggregate
-    /// call and dropped by any mutation. `OnceLock` keeps the table
-    /// `Sync` without locking the read path.
+    /// call and kept current by every append (which holds `&mut self`,
+    /// so it reaches a built index through `OnceLock::get_mut`).
+    /// `OnceLock` keeps the table `Sync` without locking the read path.
     index: OnceLock<TableIndex>,
 }
 
@@ -108,18 +111,17 @@ impl Table {
                 tuple.values()
             )));
         }
-        self.tuples.push(tuple);
-        self.index.take();
+        self.append(tuple);
         Ok(())
     }
 
     /// Appends a tuple the caller has already validated (conformance and
     /// uniqueness) — the persistent backend's ingest path, which keeps
     /// its own `BTreeSet` of seen tuples so ingest stays O(log m) rather
-    /// than the O(m) scan of [`Table::push`]. Drops the cached index.
+    /// than the O(m) scan of [`Table::push`]. A built index gains the
+    /// row's bits and stays built.
     pub(crate) fn push_validated(&mut self, tuple: Tuple) {
-        self.tuples.push(tuple);
-        self.index.take();
+        self.append(tuple);
     }
 
     fn extend(&mut self, tuples: Vec<Tuple>) -> Result<()> {
@@ -139,9 +141,21 @@ impl Table {
             validated.push(t.clone());
         }
         drop(seen);
-        self.tuples.extend(validated);
-        self.index.take();
+        self.tuples.reserve(validated.len());
+        for t in validated {
+            self.append(t);
+        }
         Ok(())
+    }
+
+    /// The one append every mutation goes through. The tuple is already
+    /// validated; a built index gains its row, so it stays equal to a
+    /// rebuild over the grown table.
+    fn append(&mut self, tuple: Tuple) {
+        if let Some(index) = self.index.get_mut() {
+            index.push(&tuple);
+        }
+        self.tuples.push(tuple);
     }
 
     /// The schema.
@@ -183,7 +197,7 @@ impl Table {
 
     /// The bitmap index over the current tuples, building it on first
     /// use. All aggregate methods route through this; mutations
-    /// ([`Table::push`]) drop the cache.
+    /// ([`Table::push`]) append their rows to a built index.
     #[must_use]
     pub fn index(&self) -> &TableIndex {
         self.index.get_or_init(|| TableIndex::build(self))
@@ -267,6 +281,9 @@ impl Table {
 mod tests {
     use super::*;
     use crate::schema::Attribute;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -354,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn index_survives_reads_and_is_dropped_by_mutation() {
+    fn index_survives_reads_and_tracks_mutation() {
         let mut t = table();
         let q = Query::all().and(1, 1).unwrap();
         assert_eq!(t.exact_count(&q), 3);
@@ -362,6 +379,87 @@ mod tests {
         t.push(Tuple::new(vec![0, 1, 2])).unwrap();
         assert_eq!(t.exact_count(&q), 4);
         assert_eq!(t.exact_count_scan(&q), 4);
+    }
+
+    #[test]
+    fn index_stays_built_across_push_validated() {
+        let mut t = table();
+        let _ = t.index();
+        t.push_validated(Tuple::new(vec![0, 1, 2]));
+        assert!(t.index.get().is_some(), "an append must not drop the built index");
+        assert_eq!(t.index(), &TableIndex::build(&t));
+    }
+
+    /// `count` distinct tuples over `fanouts`, in draw order.
+    fn distinct_tuples(fanouts: &[usize], count: usize, rng: &mut StdRng) -> Vec<Tuple> {
+        let mut seen = BTreeSet::new();
+        let mut out = Vec::with_capacity(count);
+        while out.len() < count {
+            let t = Tuple::new(fanouts.iter().map(|&f| rng.random_range(0..f as u16)).collect());
+            if seen.insert(t.clone()) {
+                out.push(t);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Appending through every mutation path keeps a built index
+        /// equal to a rebuild over the grown table: postings (words and
+        /// length, so the zero tail too), stored counts and row count.
+        /// The base sizes straddle the 64-row word boundaries.
+        #[test]
+        fn appended_index_equals_rebuild(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Boolean attributes interleaved with categorical ones of 3-5
+            // values.
+            let fanouts: Vec<usize> = (0..12)
+                .map(|a| if a % 2 == 0 { 2 } else { rng.random_range(3..=5) })
+                .collect();
+            let schema = Schema::new(
+                fanouts
+                    .iter()
+                    .enumerate()
+                    .map(|(a, &f)| {
+                        if f == 2 {
+                            Attribute::boolean(format!("a{a}"))
+                        } else {
+                            Attribute::categorical(format!("a{a}"), (0..f).map(|v| v.to_string()))
+                                .unwrap()
+                        }
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            let large: usize = rng.random_range(200..400);
+            for base in [0usize, 1, 63, 64, 65, 127, 128, 129, large] {
+                let added: usize = rng.random_range(1..=200);
+                let rows = distinct_tuples(&fanouts, base + added, &mut rng);
+                let (head, tail) = rows.split_at(base);
+                for path in ["push", "push_validated", "extend"] {
+                    let mut t = Table::new(schema.clone(), head.to_vec()).unwrap();
+                    let _ = t.index();
+                    match path {
+                        "push" => {
+                            for r in tail {
+                                t.push(r.clone()).unwrap();
+                            }
+                        }
+                        "push_validated" => {
+                            for r in tail {
+                                t.push_validated(r.clone());
+                            }
+                        }
+                        _ => t.extend(tail.to_vec()).unwrap(),
+                    }
+                    let ctx = format!("{path}: {base} + {added} rows over fanouts {fanouts:?}");
+                    prop_assert!(t.index.get().is_some(), "{}", ctx);
+                    prop_assert_eq!(t.index(), &TableIndex::build(&t), "{}", ctx);
+                }
+            }
+        }
     }
 
     #[test]

@@ -138,8 +138,9 @@ impl Bencher {
         self.iters = target;
     }
 
-    /// Times `routine` over fresh inputs from `setup`; setup time is
-    /// excluded from the measurement.
+    /// Times `routine` over fresh inputs from `setup`; setup time and
+    /// dropping the routine's output are excluded from the measurement,
+    /// as in the real crate.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
@@ -148,15 +149,17 @@ impl Bencher {
         // Calibration.
         let input = setup();
         let start = Instant::now();
-        black_box(routine(input));
+        let output = black_box(routine(input));
         let once = start.elapsed().max(Duration::from_nanos(1));
+        drop(output);
         let target = (self.budget.as_nanos() / once.as_nanos().max(1)).clamp(1, 1_000) as u64;
         let mut total = Duration::ZERO;
         for _ in 0..target {
             let input = setup();
             let start = Instant::now();
-            black_box(routine(input));
+            let output = black_box(routine(input));
             total += start.elapsed();
+            drop(output);
         }
         self.total = total;
         self.iters = target;
