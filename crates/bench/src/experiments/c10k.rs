@@ -197,8 +197,9 @@ pub fn run_c10k(scale: &Scale, datasets: &Datasets) {
         "  {sessions} estimator runs in {storm_secs:.2}s: {total_queries} queries, \
          {qps:.0} q/s aggregate, {exchanges_per_query:.3} wire exchanges per issued query"
     );
-    // Pre-pipelining, every drill-down step cost a standalone WalkExtend
-    // round trip on top of its probe (≈ 1.5–2 exchanges per query).
+    // Before extends rode on probes, every drill-down step cost a
+    // standalone extend round trip on top of its probe (≈ 1.5–2
+    // exchanges per query).
     assert!(
         exchanges_per_query < 1.5,
         "wire economics regressed: {exchanges_per_query:.3} exchanges per issued query"

@@ -117,6 +117,24 @@ pub struct AggEstimate {
     pub std_error: f64,
 }
 
+impl AggEstimate {
+    /// The mean of per-pass `estimates` and its standard error `s/√n`
+    /// (0 below two passes) — the one place either is computed. An empty
+    /// slice pools to estimate 0 over 0 passes.
+    pub(crate) fn pooled(estimates: &[f64], queries: u64) -> Self {
+        let n = estimates.len();
+        let estimate = estimates.iter().sum::<f64>() / n.max(1) as f64;
+        let std_error = if n < 2 {
+            0.0
+        } else {
+            let var = estimates.iter().map(|e| (e - estimate).powi(2)).sum::<f64>()
+                / (n - 1) as f64;
+            (var / n as f64).sqrt()
+        };
+        Self { estimate, passes: n as u64, queries, std_error }
+    }
+}
+
 /// The `HD-UNBIASED-AGG` estimator.
 ///
 /// Each [`UnbiasedAggEstimator::pass`] produces one unbiased estimate of
@@ -641,24 +659,8 @@ impl UnbiasedAggEstimator {
     /// The current summary, if any pass has completed.
     #[must_use]
     pub fn summary(&self) -> Option<AggEstimate> {
-        let n = self.estimates.len();
-        if n == 0 {
-            return None;
-        }
-        let mean = self.estimates.iter().sum::<f64>() / n as f64;
-        let std_error = if n < 2 {
-            0.0
-        } else {
-            let var = self.estimates.iter().map(|e| (e - mean).powi(2)).sum::<f64>()
-                / (n - 1) as f64;
-            (var / n as f64).sqrt()
-        };
-        Some(AggEstimate {
-            estimate: mean,
-            passes: n as u64,
-            queries: self.queries_spent,
-            std_error,
-        })
+        (!self.estimates.is_empty())
+            .then(|| AggEstimate::pooled(&self.estimates, self.queries_spent))
     }
 }
 

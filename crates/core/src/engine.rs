@@ -12,9 +12,7 @@
 //!   pass's RNG stream, weight state, or completion order.
 //! * **Order-independent merge** — per-pass estimates are keyed by pass
 //!   index and replayed in canonical index order before any
-//!   floating-point fold (the discipline `hdb_stats::PassReducer`
-//!   packages for external consumers), so arrival order can never leak
-//!   into a result.
+//!   floating-point fold, so arrival order can never leak into a result.
 //! * **Canonical budget exhaustion** — interfaces that meter a query
 //!   budget ([`TopKInterface::budget_remaining`] returns `Some`) run in
 //!   wave-barriered chunks: fully parallel while the remaining budget

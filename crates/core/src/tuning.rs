@@ -72,7 +72,7 @@ pub fn adaptive_estimate<I: TopKInterface>(
                 Ok(_) => {}
                 Err(e) if e.is_budget_exhausted() && !all_estimates.is_empty() => {
                     queries += est.queries_spent();
-                    return Ok(pooled(&all_estimates, queries));
+                    return Ok(AggEstimate::pooled(&all_estimates, queries));
                 }
                 Err(e) => return Err(e),
             }
@@ -81,20 +81,7 @@ pub fn adaptive_estimate<I: TopKInterface>(
         queries += est.queries_spent();
         round += 1;
     }
-    Ok(pooled(&all_estimates, queries))
-}
-
-fn pooled(estimates: &[f64], queries: u64) -> AggEstimate {
-    let n = estimates.len().max(1);
-    let mean = estimates.iter().sum::<f64>() / n as f64;
-    let std_error = if estimates.len() < 2 {
-        0.0
-    } else {
-        let var = estimates.iter().map(|e| (e - mean).powi(2)).sum::<f64>()
-            / (estimates.len() - 1) as f64;
-        (var / estimates.len() as f64).sqrt()
-    };
-    AggEstimate { estimate: mean, passes: estimates.len() as u64, queries, std_error }
+    Ok(AggEstimate::pooled(&all_estimates, queries))
 }
 
 #[cfg(test)]
@@ -161,5 +148,17 @@ mod tests {
         let result = adaptive_estimate(&db, &AggregateSpec::count(sel), 2_000, 11).unwrap();
         let rel = (result.estimate - truth).abs() / truth;
         assert!(rel < 0.5, "estimate {} vs truth {truth}", result.estimate);
+    }
+
+    #[test]
+    fn zero_budget_pools_nothing() {
+        let table = uniform_table(&Schema::boolean(6), 40, 2).unwrap();
+        let db = HiddenDb::new(table, 2);
+        let result = adaptive_estimate(&db, &AggregateSpec::database_size(), 0, 1).unwrap();
+        assert_eq!(result.estimate, 0.0);
+        assert_eq!(result.passes, 0);
+        assert_eq!(result.queries, 0);
+        assert_eq!(result.std_error, 0.0);
+        assert_eq!(db.queries_issued(), 0);
     }
 }

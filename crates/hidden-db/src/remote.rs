@@ -20,18 +20,15 @@
 //!
 //! [`SearchBackend::extend_state`] costs **zero** round trips: it only
 //! records a pending branch commitment in the client-side walk node. The
-//! next probe resolves the pending chain in one exchange — a single
-//! fused `WalkExtendEvaluate` / `WalkExtendClassify` frame when one
-//! extend is pending, or one `Batch` frame (extends + fused probe,
-//! answered with one response per member) when several are. A drill-down
-//! step — commit a branch, probe a child — therefore costs exactly one
-//! round trip, down from two. Extends replay idempotently on the server
-//! (extend-from-level truncates deeper levels first), which is what
-//! makes the pooled-connection stale retry safe — and the retry paths
-//! enforce it structurally: [`Request::replayable`] gates every re-send,
-//! so a message that must not be replayed (`WalkOpen` allocates a fresh
-//! session per send) can never ride a retry, whichever method a caller
-//! picks.
+//! next probe carries the pending chain as its `extends`, so a drill-down
+//! step — commit a branch, probe a child — costs exactly one round trip,
+//! down from two, however many commitments are pending. Extends replay
+//! idempotently on the server (the chain's first push truncates deeper
+//! levels), which is what makes the pooled-connection stale retry safe —
+//! and the retry path enforces it structurally: [`Request::replayable`]
+//! gates every re-send, so a message that must not be replayed
+//! (`WalkOpen` allocates a fresh session per send) can never ride a
+//! retry, whichever method a caller picks.
 //!
 //! Every fast-path degradation (evicted session, failed open) falls back
 //! to re-rooting a fresh session or fresh evaluation, both bit-identical,
@@ -50,6 +47,7 @@ use crate::obs::MetricsSnapshot;
 use crate::query::{Predicate, Query};
 use crate::ranking::{RankingFunction, RankingSpec};
 use crate::schema::{AttrId, Schema};
+use crate::storage::WalkStep;
 use crate::wire::{read_response, write_frame, Request, Response, PROTOCOL_VERSION};
 
 /// Default cap on pooled idle connections.
@@ -67,8 +65,8 @@ struct ClientCore {
     idle: Mutex<Vec<TcpStream>>,
     max_idle: usize,
     io_timeout: Duration,
-    /// Wire exchanges performed (one per request frame sent, batches
-    /// included) — the round-trip economics evidence.
+    /// Wire exchanges performed (one per request frame sent) — the
+    /// round-trip economics evidence.
     requests: AtomicU64,
     /// Exchanges re-sent on a fresh socket after a pooled connection
     /// turned out stale. Every retry is also counted in `requests`.
@@ -112,23 +110,6 @@ impl ClientCore {
             .ok_or_else(|| HdbError::Transport("server closed the connection".into()))
     }
 
-    /// One multi-request exchange: the pre-framed bytes go out in one
-    /// write, `n` responses come back (one per batch member).
-    fn exchange(&self, stream: &mut TcpStream, framed: &[u8], n: usize) -> Result<Vec<Response>> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        stream
-            .write_all(framed)
-            .map_err(|e| HdbError::Transport(format!("write failed: {e}")))?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let resp = read_response(stream)?.ok_or_else(|| {
-                HdbError::Transport("server closed the connection mid-batch".into())
-            })?;
-            out.push(resp);
-        }
-        Ok(out)
-    }
-
     /// Sends `req` on a pooled connection, falling back to a fresh one if
     /// the pooled socket turned out stale (the server may have dropped it
     /// while idle). The single retry is gated on
@@ -154,49 +135,6 @@ impl ClientCore {
         let resp = self.roundtrip(&mut stream, req)?;
         self.checkin(stream);
         Ok(resp)
-    }
-
-    /// Sends several requests in one frame (a singleton skips the batch
-    /// wrapper) and reads one response per member, in member order, with
-    /// the same stale-retry as [`ClientCore::request`]. The retry
-    /// re-sends the **whole** frame, so it is gated on every member being
-    /// [`Request::replayable`]: extends replay idempotently (the server
-    /// truncates the stack to the parent before pushing, so a batch whose
-    /// fused probe already committed server-side converges to the same
-    /// stack on the second pass) and probes are reads — but a frame
-    /// carrying a non-replayable member gets exactly one attempt.
-    fn request_many(&self, reqs: Vec<Request>) -> Result<Vec<Response>> {
-        let n = reqs.len();
-        let replayable = reqs.iter().all(Request::replayable);
-        let mut reqs = reqs;
-        let payload = match n {
-            0 => return Ok(Vec::new()),
-            1 => match reqs.pop() {
-                Some(req) => req.encode()?,
-                None => return Ok(Vec::new()),
-            },
-            _ => Request::Batch(reqs).encode()?,
-        };
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &payload)?;
-        let pooled = self.idle.lock().unwrap_or_else(|p| p.into_inner()).pop();
-        if let Some(mut stream) = pooled {
-            match self.exchange(&mut stream, &framed, n) {
-                Ok(resps) => {
-                    self.checkin(stream);
-                    return Ok(resps);
-                }
-                Err(e) if !replayable => return Err(e),
-                Err(_) => {
-                    // stale pooled connection: retry fresh below
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        let mut stream = self.open()?;
-        let resps = self.exchange(&mut stream, &framed, n)?;
-        self.checkin(stream);
-        Ok(resps)
     }
 
     /// [`ClientCore::request`] without the stale-connection retry, for
@@ -259,9 +197,6 @@ enum NodeState {
     /// it will piggyback on the next probe. `pred` extends the parent;
     /// the node's full query lives on [`RemoteNode::query`].
     Pending { pred: Predicate },
-    /// The server rejected this node's extend with a typed error; probes
-    /// through it go to fresh evaluation instead of retrying forever.
-    Broken,
 }
 
 /// One node of the client-side walk tree. Children keep their parent
@@ -285,62 +220,37 @@ struct RemoteWalk {
     node: Arc<RemoteNode>,
 }
 
-/// How a probe should reach the server, resolved from the walk tree.
-enum Anchor {
-    /// Nearest committed ancestor plus the pending chain (shallowest
-    /// first) that must commit on the way to the probed node.
-    Chain {
-        session: Arc<RemoteSessionHandle>,
-        level: u32,
-        pendings: Vec<Arc<RemoteNode>>,
-    },
-    /// No usable server session behind this node — evaluate fresh.
-    Fresh,
+/// How a probe reaches the server: the nearest committed ancestor, plus
+/// the pending nodes on the way down to the probed one and the steps
+/// that commit them, both shallowest first.
+struct Anchor {
+    session: Arc<RemoteSessionHandle>,
+    level: u32,
+    pendings: Vec<Arc<RemoteNode>>,
+    extends: Vec<WalkStep>,
 }
 
 /// Walks from `node` up to the nearest committed ancestor, collecting
-/// pending nodes along the way.
-fn anchor_of(node: &Arc<RemoteNode>) -> Anchor {
+/// pending nodes along the way; `None` when no ancestor is committed.
+fn anchor_of(node: &Arc<RemoteNode>) -> Option<Anchor> {
     let mut pendings = Vec::new();
+    let mut extends = Vec::new();
     let mut cur = Arc::clone(node);
     loop {
-        let next = {
-            let state = cur.state.lock().unwrap_or_else(|p| p.into_inner());
-            match &*state {
-                NodeState::Committed { session, level } => {
-                    let (session, level) = (Arc::clone(session), *level);
-                    pendings.reverse();
-                    return Anchor::Chain { session, level, pendings };
-                }
-                NodeState::Broken => return Anchor::Fresh,
-                NodeState::Pending { .. } => cur.parent.clone(),
+        match &*cur.state.lock().unwrap_or_else(|p| p.into_inner()) {
+            NodeState::Committed { session, level } => {
+                pendings.reverse();
+                extends.reverse();
+                let (session, level) = (Arc::clone(session), *level);
+                return Some(Anchor { session, level, pendings, extends });
             }
-        };
-        pendings.push(Arc::clone(&cur));
-        match next {
-            Some(parent) => cur = parent,
-            None => return Anchor::Fresh,
+            NodeState::Pending { pred } => {
+                extends.push(WalkStep { pred: *pred, child: cur.query.clone() });
+            }
         }
+        let parent = cur.parent.clone()?;
+        pendings.push(std::mem::replace(&mut cur, parent));
     }
-}
-
-/// The pending `pred` of a node (the node must be in `Pending` state;
-/// a concurrent commit makes this `None` and the caller re-resolves).
-fn pending_pred(node: &RemoteNode) -> Option<Predicate> {
-    match &*node.state.lock().unwrap_or_else(|p| p.into_inner()) {
-        NodeState::Pending { pred } => Some(*pred),
-        _ => None,
-    }
-}
-
-/// What the batched resolution of a pending chain concluded.
-enum Resolved {
-    /// The probe's response (the chain committed up to it).
-    Probe(Response),
-    /// The session disappeared server-side; re-root and retry plainly.
-    Gone,
-    /// An extend was rejected with a typed error; fall back fresh.
-    Broken,
 }
 
 /// A [`SearchBackend`] speaking the hidden-DB wire protocol to an
@@ -349,7 +259,8 @@ enum Resolved {
 /// The schema and corpus size are fetched once at connect time (the
 /// hidden-database model is static); every other operation is one
 /// request/response round trip — including a drill-down extend+probe,
-/// which travels as one fused or batched frame (see the module docs).
+/// which travels as one walk probe carrying its extends (see the module
+/// docs).
 pub struct RemoteBackend {
     core: Arc<ClientCore>,
     schema: Schema,
@@ -428,8 +339,8 @@ impl RemoteBackend {
         self.core.idle.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
-    /// Wire exchanges performed so far (one per frame sent — a batched
-    /// extend chain plus probe counts once). This is the round-trip
+    /// Wire exchanges performed so far (one per frame sent — a probe
+    /// carrying an extend chain counts once). This is the round-trip
     /// economics evidence: with pipelined extends, a drill-down step
     /// adds exactly one.
     #[must_use]
@@ -507,69 +418,44 @@ impl RemoteBackend {
         }
     }
 
-    /// Sends the pending chain plus the probe in one exchange and
-    /// commits each acknowledged extend into its node. `make_probe`
-    /// builds the final (fused) request from `(sid, parent_level)`;
-    /// `probe_of` extracts and commits the fused response.
-    fn resolve_chain(
+    /// Sends one walk probe from `walk`'s node, carrying the pending
+    /// chain above it, and commits each pending node once the answer
+    /// arrives. `request` builds the probe from `(sid, parent_level,
+    /// extends)`; `reply` unwraps the expected answer (named `expected`),
+    /// handing any other response back. When the chain cannot commit
+    /// (`SessionGone`), the node re-roots and the probe goes again with
+    /// no extends; `fresh` answers whenever no session can.
+    fn walk_probe<T>(
         &self,
-        session: &Arc<RemoteSessionHandle>,
-        base_level: u32,
-        pendings: &[Arc<RemoteNode>],
-        make_probe: impl FnOnce(u64, u32, Query, Predicate) -> Request,
-    ) -> Result<Resolved> {
-        let sid = session.sid;
-        let mut reqs = Vec::with_capacity(pendings.len());
-        let mut level = base_level;
-        let Some((last, body)) = pendings.split_last() else {
-            return Ok(Resolved::Broken);
+        walk: &RemoteWalk,
+        request: impl Fn(u64, u32, Vec<WalkStep>) -> Request,
+        expected: &str,
+        reply: fn(Response) -> std::result::Result<T, Response>,
+        fresh: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        let Some(Anchor { session, level, pendings, extends }) = anchor_of(&walk.node) else {
+            return fresh();
         };
-        for node in body {
-            let Some(pred) = pending_pred(node) else {
-                // Concurrently committed under us — rare; degrade fresh.
-                return Ok(Resolved::Broken);
-            };
-            reqs.push(Request::WalkExtend {
-                sid,
-                parent_level: level,
-                child: node.query.clone(),
-                pred,
-            });
-            level += 1;
-        }
-        let Some(last_pred) = pending_pred(last) else {
-            return Ok(Resolved::Broken);
+        let send = |sid: u64, level: u32, extends: Vec<WalkStep>| -> Result<Option<T>> {
+            match ok_or_err(self.core.request(&request(sid, level, extends))?)? {
+                Response::SessionGone => Ok(None),
+                resp => reply(resp).map(Some).map_err(|other| unexpected(expected, &other)),
+            }
         };
-        reqs.push(make_probe(sid, level, last.query.clone(), last_pred));
-        let resps = self.core.request_many(reqs)?;
-        if resps.len() != pendings.len() {
-            return Err(HdbError::Transport(format!(
-                "protocol error: {} responses to a {}-member batch",
-                resps.len(),
-                pendings.len()
-            )));
+        if let Some(answer) = send(session.sid, level, extends)? {
+            for (node, level) in pendings.iter().zip(level + 1..) {
+                node.set_state(NodeState::Committed { session: Arc::clone(&session), level });
+            }
+            return Ok(answer);
         }
-        let mut resps = resps.into_iter();
-        for node in body {
-            match resps.next() {
-                Some(Response::Level { level }) => {
-                    node.set_state(NodeState::Committed {
-                        session: Arc::clone(session),
-                        level,
-                    });
-                }
-                Some(Response::SessionGone) => return Ok(Resolved::Gone),
-                Some(_) | None => {
-                    node.set_state(NodeState::Broken);
-                    return Ok(Resolved::Broken);
+        if !pendings.is_empty() {
+            if let Some(session) = self.re_root(&walk.node) {
+                if let Some(answer) = send(session.sid, 0, Vec::new())? {
+                    return Ok(answer);
                 }
             }
         }
-        match resps.next() {
-            Some(Response::SessionGone) => Ok(Resolved::Gone),
-            Some(resp) => Ok(Resolved::Probe(resp)),
-            None => Ok(Resolved::Broken),
-        }
+        fresh()
     }
 }
 
@@ -672,60 +558,24 @@ impl SearchBackend for RemoteBackend {
             return self.evaluate(child, k, ranking);
         };
         let spec = Self::spec_of(ranking)?;
-        let plain = |sid: u64, parent_level: u32| -> Result<Evaluation> {
-            let req = Request::WalkEvaluate {
+        self.walk_probe(
+            walk,
+            |sid, parent_level, extends| Request::WalkEvaluate {
                 sid,
                 parent_level,
+                extends,
                 child: child.clone(),
                 pred,
                 k: k as u64,
                 ranking: spec,
-            };
-            match ok_or_err(self.core.request(&req)?)? {
+            },
+            "Evaluation",
+            |resp| match resp {
                 Response::Evaluation(ev) => Ok(ev),
-                Response::SessionGone => self.evaluate(child, k, ranking),
-                other => Err(unexpected("Evaluation", &other)),
-            }
-        };
-        match anchor_of(&walk.node) {
-            Anchor::Fresh => self.evaluate(child, k, ranking),
-            Anchor::Chain { session, level, pendings } if pendings.is_empty() => {
-                plain(session.sid, level)
-            }
-            Anchor::Chain { session, level, pendings } => {
-                let resolved = self.resolve_chain(
-                    &session,
-                    level,
-                    &pendings,
-                    |sid, parent_level, ext_child, ext_pred| Request::WalkExtendEvaluate {
-                        sid,
-                        parent_level,
-                        ext_child,
-                        ext_pred,
-                        child: child.clone(),
-                        pred,
-                        k: k as u64,
-                        ranking: spec,
-                    },
-                )?;
-                match resolved {
-                    Resolved::Probe(resp) => match ok_or_err(resp)? {
-                        Response::ExtendEvaluation { level, evaluation } => {
-                            if let Some(last) = pendings.last() {
-                                last.set_state(NodeState::Committed { session, level });
-                            }
-                            Ok(evaluation)
-                        }
-                        other => Err(unexpected("ExtendEvaluation", &other)),
-                    },
-                    Resolved::Gone => match self.re_root(&walk.node) {
-                        Some(session) => plain(session.sid, 0),
-                        None => self.evaluate(child, k, ranking),
-                    },
-                    Resolved::Broken => self.evaluate(child, k, ranking),
-                }
-            }
-        }
+                other => Err(other),
+            },
+            || self.evaluate(child, k, ranking),
+        )
     }
 
     fn classify_from(
@@ -744,57 +594,22 @@ impl SearchBackend for RemoteBackend {
         let Some(walk) = parent.payload::<RemoteWalk>() else {
             return fresh();
         };
-        let plain = |sid: u64, parent_level: u32| -> Result<Classified> {
-            let req = Request::WalkClassify {
+        self.walk_probe(
+            walk,
+            |sid, parent_level, extends| Request::WalkClassify {
                 sid,
                 parent_level,
+                extends,
                 child: child.clone(),
                 pred,
                 k: k as u64,
-            };
-            match ok_or_err(self.core.request(&req)?)? {
+            },
+            "Classified",
+            |resp| match resp {
                 Response::Classified(c) => Ok(c),
-                Response::SessionGone => fresh(),
-                other => Err(unexpected("Classified", &other)),
-            }
-        };
-        match anchor_of(&walk.node) {
-            Anchor::Fresh => fresh(),
-            Anchor::Chain { session, level, pendings } if pendings.is_empty() => {
-                plain(session.sid, level)
-            }
-            Anchor::Chain { session, level, pendings } => {
-                let resolved = self.resolve_chain(
-                    &session,
-                    level,
-                    &pendings,
-                    |sid, parent_level, ext_child, ext_pred| Request::WalkExtendClassify {
-                        sid,
-                        parent_level,
-                        ext_child,
-                        ext_pred,
-                        child: child.clone(),
-                        pred,
-                        k: k as u64,
-                    },
-                )?;
-                match resolved {
-                    Resolved::Probe(resp) => match ok_or_err(resp)? {
-                        Response::ExtendClassified { level, classified } => {
-                            if let Some(last) = pendings.last() {
-                                last.set_state(NodeState::Committed { session, level });
-                            }
-                            Ok(classified)
-                        }
-                        other => Err(unexpected("ExtendClassified", &other)),
-                    },
-                    Resolved::Gone => match self.re_root(&walk.node) {
-                        Some(session) => plain(session.sid, 0),
-                        None => fresh(),
-                    },
-                    Resolved::Broken => fresh(),
-                }
-            }
-        }
+                other => Err(other),
+            },
+            fresh,
+        )
     }
 }

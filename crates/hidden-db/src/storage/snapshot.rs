@@ -132,8 +132,7 @@ pub fn encode_snapshot(next_seq: u64, table: &Table, sessions: &SessionDump) -> 
         enc(crate::wire::enc_query(&mut e, &s.root))?;
         enc(e.seq(s.steps.len(), "snapshot step count"))?;
         for step in &s.steps {
-            enc(crate::wire::enc_predicate(&mut e, step.pred))?;
-            enc(crate::wire::enc_query(&mut e, &step.child))?;
+            enc(crate::wire::enc_step(&mut e, step))?;
         }
     }
     let body = e.into_bytes();
@@ -197,10 +196,9 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SnapshotData> {
             let steps_n = d.seq_len("session step count")?;
             let mut steps = Vec::with_capacity(steps_n);
             for _ in 0..steps_n {
-                let pred = crate::wire::dec_predicate(d)?;
-                let child = crate::wire::dec_query(d)?;
-                child.validate(table.schema())?;
-                steps.push(WalkStep { pred, child });
+                let step = crate::wire::dec_step(d)?;
+                step.child.validate(table.schema())?;
+                steps.push(step);
             }
             sessions.push(SessionRecord { sid, touched, root, steps });
         }

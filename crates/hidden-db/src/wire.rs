@@ -6,21 +6,20 @@
 //! payload; the payload's first byte is the message tag. Every message
 //! covers exactly one [`SearchBackend`](crate::SearchBackend) operation —
 //! `schema` / `len` / `evaluate` / `exact_count` / `exact_sum` plus the
-//! incremental walk fast path (`WalkOpen` / `WalkExtend` /
-//! `WalkEvaluate` / `WalkClassify` / `WalkClose`), whose server-side
-//! state is keyed by a session id so a drill-down probe stays one AND
-//! (and one round trip) across the network.
+//! incremental walk fast path (`WalkOpen` / `WalkEvaluate` /
+//! `WalkClassify` / `WalkClose`), whose server-side state is keyed by a
+//! session id so a drill-down probe stays one AND (and one round trip)
+//! across the network.
 //!
-//! Version 2 pipelines the protocol three ways:
+//! Each exchange is one request frame and one logical reply:
 //!
-//! * **Fused walk steps** — [`Request::WalkExtendEvaluate`] /
-//!   [`Request::WalkExtendClassify`] commit a branch *and* probe it in
-//!   one message, so a drill-down step costs zero standalone round
-//!   trips (down from one `WalkExtend` RTT per step).
-//! * **Batched requests** — [`Request::Batch`] carries several requests
-//!   in one frame. The server answers with one response frame *per
-//!   member, in member order* (there is deliberately no `Response::Batch`
-//!   — keeping responses flat lets any member's page stream).
+//! * **Walk probes carry their extends** — a [`Request::WalkEvaluate`] or
+//!   [`Request::WalkClassify`] lists the branch commitments the client
+//!   made since its last probe ([`WalkStep`]s, shallowest first). The
+//!   server pushes them onto the session's stack and probes the level the
+//!   last one pushed, all under one lock, so a drill-down step (commit a
+//!   branch, probe a child) costs one round trip however many commitments
+//!   it carries.
 //! * **Chunked page streaming** — a page-carrying response whose page
 //!   exceeds [`STREAM_TUPLES`] is shipped as a [`Response::Streamed`]
 //!   head (page stripped) followed by [`Response::PageChunk`] frames,
@@ -43,13 +42,14 @@ use crate::obs::{HistogramSnapshot, MetricsSnapshot};
 use crate::query::{Predicate, Query};
 use crate::ranking::RankingSpec;
 use crate::schema::{Attribute, Schema};
+use crate::storage::WalkStep;
 use crate::tuple::Tuple;
 
 /// Protocol version; [`Request::Hello`] / [`Response::Hello`] exchange it
 /// and a mismatch is a connect-time [`HdbError::Transport`]. Version 2
-/// added the fused walk messages, request batching, and chunked page
-/// streaming.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// added chunked page streaming; version 3 made a walk probe carry its
+/// pending extends.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on a frame payload (64 MiB): anything larger is treated as
 /// a corrupt length prefix and rejected before allocation.
@@ -102,25 +102,19 @@ pub enum Request {
         /// The session root query.
         root: Query,
     },
-    /// Extends the state at `parent_level` by one predicate (the walk
-    /// committed to a branch). Truncates any deeper levels first — the
-    /// walk is stack-disciplined.
-    WalkExtend {
-        /// The session id from [`Response::Session`].
-        sid: u64,
-        /// Index of the parent level in the session's state stack.
-        parent_level: u32,
-        /// The child's full query (fallback path + revalidation).
-        child: Query,
-        /// The predicate extending the parent.
-        pred: Predicate,
-    },
     /// Full top-k evaluation of `parent ∧ pred` against session state.
+    /// Any `extends` are pushed first, above `parent_level` and after
+    /// truncating deeper levels (the walk is stack-disciplined); the
+    /// probe then reads the level the last one pushed. A chain that
+    /// cannot commit answers [`Response::SessionGone`].
     WalkEvaluate {
         /// The session id.
         sid: u64,
-        /// Index of the parent level.
+        /// Index of the level the first extend (or, with none, the probe)
+        /// applies to.
         parent_level: u32,
+        /// The branch commitments to push first, shallowest first.
+        extends: Vec<WalkStep>,
         /// The child's full query (fallback path + revalidation).
         child: Query,
         /// The probed predicate.
@@ -132,12 +126,16 @@ pub enum Request {
     },
     /// Count-only classification of `parent ∧ pred` against session
     /// state — the drill-down probe fast path: one AND on the server, one
-    /// round trip on the wire.
+    /// round trip on the wire. `extends` work as in
+    /// [`Request::WalkEvaluate`].
     WalkClassify {
         /// The session id.
         sid: u64,
-        /// Index of the parent level.
+        /// Index of the level the first extend (or, with none, the probe)
+        /// applies to.
         parent_level: u32,
+        /// The branch commitments to push first, shallowest first.
+        extends: Vec<WalkStep>,
         /// The child's full query (fallback path + revalidation).
         child: Query,
         /// The probed predicate.
@@ -149,51 +147,6 @@ pub enum Request {
     WalkClose {
         /// The session id.
         sid: u64,
-    },
-    /// Several requests in one frame, answered with one response frame
-    /// per member in member order. Must be non-empty; members cannot
-    /// themselves be batches. This is how a deferred chain of walk
-    /// extends piggybacks onto the probe that finally needs them.
-    Batch(Vec<Request>),
-    /// Fused [`Request::WalkExtend`] + [`Request::WalkEvaluate`]: commit
-    /// the branch `ext_pred` at `parent_level`, then evaluate the probe
-    /// on the level just pushed — one message, one round trip, and
-    /// bit-identical to the two-message sequence.
-    WalkExtendEvaluate {
-        /// The session id.
-        sid: u64,
-        /// Index of the parent level the extend applies to.
-        parent_level: u32,
-        /// The extend's full child query (fallback path + revalidation).
-        ext_child: Query,
-        /// The predicate the extend commits.
-        ext_pred: Predicate,
-        /// The probe's full child query (fallback path + revalidation).
-        child: Query,
-        /// The probed predicate (applied on the level the extend pushed).
-        pred: Predicate,
-        /// The interface constant `k` (must be ≥ 1).
-        k: u64,
-        /// The ranking to select the top `k` under.
-        ranking: RankingSpec,
-    },
-    /// Fused [`Request::WalkExtend`] + [`Request::WalkClassify`]: the
-    /// count-only sibling of [`Request::WalkExtendEvaluate`].
-    WalkExtendClassify {
-        /// The session id.
-        sid: u64,
-        /// Index of the parent level the extend applies to.
-        parent_level: u32,
-        /// The extend's full child query (fallback path + revalidation).
-        ext_child: Query,
-        /// The predicate the extend commits.
-        ext_pred: Predicate,
-        /// The probe's full child query (fallback path + revalidation).
-        child: Query,
-        /// The probed predicate (applied on the level the extend pushed).
-        pred: Predicate,
-        /// The interface constant `k` (must be ≥ 1).
-        k: u64,
     },
     /// Asks the server for its own metrics snapshot — the same series the
     /// Prometheus endpoint renders, delivered over the query wire so a
@@ -225,34 +178,15 @@ pub enum Response {
         /// Key for subsequent walk requests.
         sid: u64,
     },
-    /// A successful extend: the new level's index.
-    Level {
-        /// Index of the pushed level.
-        level: u32,
-    },
     /// A count-only classification.
     Classified(Classified),
     /// Acknowledges a [`Request::WalkClose`].
     Closed,
-    /// The referenced session/level was evicted or never existed; the
-    /// client falls back to fresh evaluation (bit-identical, just
-    /// slower). Not an error.
+    /// The referenced session/level was evicted or never existed, so a
+    /// probe's extends could not commit; the client re-roots or falls
+    /// back to fresh evaluation (bit-identical, just slower). Not an
+    /// error.
     SessionGone,
-    /// Reply to a fused [`Request::WalkExtendEvaluate`]: the level the
-    /// extend pushed plus the probe's evaluation.
-    ExtendEvaluation {
-        /// Index of the pushed level.
-        level: u32,
-        /// The probe's full evaluation.
-        evaluation: Evaluation,
-    },
-    /// Reply to a fused [`Request::WalkExtendClassify`].
-    ExtendClassified {
-        /// Index of the pushed level.
-        level: u32,
-        /// The probe's count-only classification.
-        classified: Classified,
-    },
     /// Reply to [`Request::Stats`]: the server's metrics snapshot at the
     /// moment the request was dispatched.
     Stats(MetricsSnapshot),
@@ -691,12 +625,11 @@ impl Request {
     /// without changing server state beyond what a single send would.
     ///
     /// Reads ([`Request::Schema`], [`Request::Len`], evaluations, exact
-    /// aggregates) are trivially replayable. The walk-session mutations
-    /// are replayable **by construction**: the server's state stack is
-    /// truncated to `parent_level + 1` before every extend, so re-sending
-    /// the same extend (alone, fused, or inside a [`Request::Batch`])
-    /// converges to the same stack no matter how much of the first
-    /// attempt the server executed before the connection died.
+    /// aggregates) are trivially replayable. A walk probe's extends are
+    /// replayable **by construction**: the server truncates the state
+    /// stack to `parent_level + 1` before pushing them, so re-sending the
+    /// same probe converges to the same stack no matter how much of the
+    /// first attempt the server executed before the connection died.
     /// [`Request::WalkClose`] is an idempotent evict.
     ///
     /// The one exception is [`Request::WalkOpen`]: every send allocates a
@@ -707,26 +640,16 @@ impl Request {
     /// single-attempt API instead.
     #[must_use]
     pub fn replayable(&self) -> bool {
-        match self {
-            Self::WalkOpen { .. } => false,
-            Self::Batch(members) => members.iter().all(Self::replayable),
-            _ => true,
-        }
+        !matches!(self, Self::WalkOpen { .. })
     }
 
     /// Encodes this request as a frame payload.
     ///
     /// # Errors
     /// [`HdbError::Transport`] if a length in the message does not fit
-    /// the wire's `u32` ranges (a message that big could never be framed),
-    /// or the message nests batches / is an empty batch.
+    /// the wire's `u32` ranges (a message that big could never be framed).
     pub fn encode(&self) -> Result<Vec<u8>> {
         let mut e = Enc::new();
-        self.enc_into(&mut e, true)?;
-        Ok(e.into_bytes())
-    }
-
-    fn enc_into(&self, e: &mut Enc, top: bool) -> Result<()> {
         match self {
             Self::Hello { version } => {
                 e.u8(0x01);
@@ -736,101 +659,50 @@ impl Request {
             Self::Len => e.u8(0x03),
             Self::Evaluate { query, k, ranking } => {
                 e.u8(0x04);
-                enc_query(e, query)?;
+                enc_query(&mut e, query)?;
                 e.u64(*k);
-                enc_ranking(e, *ranking)?;
+                enc_ranking(&mut e, *ranking)?;
             }
             Self::ExactCount { query } => {
                 e.u8(0x05);
-                enc_query(e, query)?;
+                enc_query(&mut e, query)?;
             }
             Self::ExactSum { attr, query } => {
                 e.u8(0x06);
                 e.u64(*attr);
-                enc_query(e, query)?;
+                enc_query(&mut e, query)?;
             }
             Self::WalkOpen { root } => {
                 e.u8(0x07);
-                enc_query(e, root)?;
+                enc_query(&mut e, root)?;
             }
-            Self::WalkExtend { sid, parent_level, child, pred } => {
-                e.u8(0x08);
+            Self::WalkEvaluate { sid, parent_level, extends, child, pred, k, .. }
+            | Self::WalkClassify { sid, parent_level, extends, child, pred, k } => {
+                let ranking = match self {
+                    Self::WalkEvaluate { ranking, .. } => Some(*ranking),
+                    _ => None,
+                };
+                e.u8(if ranking.is_some() { 0x09 } else { 0x0A });
                 e.u64(*sid);
                 e.u32(*parent_level);
-                enc_query(e, child)?;
-                enc_predicate(e, *pred)?;
-            }
-            Self::WalkEvaluate { sid, parent_level, child, pred, k, ranking } => {
-                e.u8(0x09);
-                e.u64(*sid);
-                e.u32(*parent_level);
-                enc_query(e, child)?;
-                enc_predicate(e, *pred)?;
+                e.seq(extends.len(), "walk step count")?;
+                for step in extends {
+                    enc_step(&mut e, step)?;
+                }
+                enc_query(&mut e, child)?;
+                enc_predicate(&mut e, *pred)?;
                 e.u64(*k);
-                enc_ranking(e, *ranking)?;
-            }
-            Self::WalkClassify { sid, parent_level, child, pred, k } => {
-                e.u8(0x0A);
-                e.u64(*sid);
-                e.u32(*parent_level);
-                enc_query(e, child)?;
-                enc_predicate(e, *pred)?;
-                e.u64(*k);
+                if let Some(ranking) = ranking {
+                    enc_ranking(&mut e, ranking)?;
+                }
             }
             Self::WalkClose { sid } => {
                 e.u8(0x0B);
                 e.u64(*sid);
             }
-            Self::Batch(members) => {
-                if !top {
-                    return Err(HdbError::Transport(
-                        "unencodable message: batches cannot nest".into(),
-                    ));
-                }
-                if members.is_empty() {
-                    return Err(HdbError::Transport(
-                        "unencodable message: empty batch".into(),
-                    ));
-                }
-                e.u8(0x0C);
-                e.seq(members.len(), "batch member count")?;
-                for m in members {
-                    m.enc_into(e, false)?;
-                }
-            }
-            Self::WalkExtendEvaluate {
-                sid,
-                parent_level,
-                ext_child,
-                ext_pred,
-                child,
-                pred,
-                k,
-                ranking,
-            } => {
-                e.u8(0x0D);
-                e.u64(*sid);
-                e.u32(*parent_level);
-                enc_query(e, ext_child)?;
-                enc_predicate(e, *ext_pred)?;
-                enc_query(e, child)?;
-                enc_predicate(e, *pred)?;
-                e.u64(*k);
-                enc_ranking(e, *ranking)?;
-            }
-            Self::WalkExtendClassify { sid, parent_level, ext_child, ext_pred, child, pred, k } => {
-                e.u8(0x0E);
-                e.u64(*sid);
-                e.u32(*parent_level);
-                enc_query(e, ext_child)?;
-                enc_predicate(e, *ext_pred)?;
-                enc_query(e, child)?;
-                enc_predicate(e, *pred)?;
-                e.u64(*k);
-            }
             Self::Stats => e.u8(0x0F),
         }
-        Ok(())
+        Ok(e.into_bytes())
     }
 
     /// Decodes a frame payload.
@@ -839,79 +711,38 @@ impl Request {
     /// [`HdbError::Transport`] for any malformed payload.
     pub fn decode(payload: &[u8]) -> Result<Self> {
         let mut d = Dec::new(payload);
-        let req = Self::dec_from(&mut d, true)?;
-        d.finish()?;
-        Ok(req)
-    }
-
-    fn dec_from(d: &mut Dec<'_>, top: bool) -> Result<Self> {
         let req = match d.u8("request tag")? {
             0x01 => Self::Hello { version: d.u32("hello version")? },
             0x02 => Self::Schema,
             0x03 => Self::Len,
             0x04 => Self::Evaluate {
-                query: dec_query(d)?,
+                query: dec_query(&mut d)?,
                 k: d.u64("k")?,
-                ranking: dec_ranking(d)?,
+                ranking: dec_ranking(&mut d)?,
             },
-            0x05 => Self::ExactCount { query: dec_query(d)? },
-            0x06 => Self::ExactSum { attr: d.u64("sum attr")?, query: dec_query(d)? },
-            0x07 => Self::WalkOpen { root: dec_query(d)? },
-            0x08 => Self::WalkExtend {
-                sid: d.u64("sid")?,
-                parent_level: d.u32("parent level")?,
-                child: dec_query(d)?,
-                pred: dec_predicate(d)?,
-            },
-            0x09 => Self::WalkEvaluate {
-                sid: d.u64("sid")?,
-                parent_level: d.u32("parent level")?,
-                child: dec_query(d)?,
-                pred: dec_predicate(d)?,
-                k: d.u64("k")?,
-                ranking: dec_ranking(d)?,
-            },
-            0x0A => Self::WalkClassify {
-                sid: d.u64("sid")?,
-                parent_level: d.u32("parent level")?,
-                child: dec_query(d)?,
-                pred: dec_predicate(d)?,
-                k: d.u64("k")?,
-            },
-            0x0B => Self::WalkClose { sid: d.u64("sid")? },
-            0x0C => {
-                if !top {
-                    return Err(HdbError::Transport("malformed frame: nested batch".into()));
-                }
-                let n = d.seq_len("batch member count")?;
-                if n == 0 {
-                    return Err(HdbError::Transport("malformed frame: empty batch".into()));
-                }
-                let mut members = Vec::with_capacity(n);
+            0x05 => Self::ExactCount { query: dec_query(&mut d)? },
+            0x06 => Self::ExactSum { attr: d.u64("sum attr")?, query: dec_query(&mut d)? },
+            0x07 => Self::WalkOpen { root: dec_query(&mut d)? },
+            tag @ (0x09 | 0x0A) => {
+                let sid = d.u64("sid")?;
+                let parent_level = d.u32("parent level")?;
+                let n = d.seq_len("walk step count")?;
+                let mut extends = Vec::with_capacity(n);
                 for _ in 0..n {
-                    members.push(Self::dec_from(d, false)?);
+                    extends.push(dec_step(&mut d)?);
                 }
-                Self::Batch(members)
+                let child = dec_query(&mut d)?;
+                let pred = dec_predicate(&mut d)?;
+                let k = d.u64("k")?;
+                match tag {
+                    0x09 => {
+                        let ranking = dec_ranking(&mut d)?;
+                        Self::WalkEvaluate { sid, parent_level, extends, child, pred, k, ranking }
+                    }
+                    _ => Self::WalkClassify { sid, parent_level, extends, child, pred, k },
+                }
             }
-            0x0D => Self::WalkExtendEvaluate {
-                sid: d.u64("sid")?,
-                parent_level: d.u32("parent level")?,
-                ext_child: dec_query(d)?,
-                ext_pred: dec_predicate(d)?,
-                child: dec_query(d)?,
-                pred: dec_predicate(d)?,
-                k: d.u64("k")?,
-                ranking: dec_ranking(d)?,
-            },
-            0x0E => Self::WalkExtendClassify {
-                sid: d.u64("sid")?,
-                parent_level: d.u32("parent level")?,
-                ext_child: dec_query(d)?,
-                ext_pred: dec_predicate(d)?,
-                child: dec_query(d)?,
-                pred: dec_predicate(d)?,
-                k: d.u64("k")?,
-            },
+            0x0B => Self::WalkClose { sid: d.u64("sid")? },
             0x0F => Self::Stats,
             t => {
                 return Err(HdbError::Transport(format!(
@@ -919,8 +750,21 @@ impl Request {
                 )))
             }
         };
+        d.finish()?;
         Ok(req)
     }
+}
+
+/// One walk step: the predicate, then the child query it pushes — the
+/// layout of a walk probe's extends and of a snapshotted session's steps.
+pub(crate) fn enc_step(e: &mut Enc, step: &WalkStep) -> Result<()> {
+    enc_predicate(e, step.pred)?;
+    enc_query(e, &step.child)
+}
+
+pub(crate) fn dec_step(d: &mut Dec<'_>) -> Result<WalkStep> {
+    let pred = dec_predicate(d)?;
+    Ok(WalkStep { pred, child: dec_query(d)? })
 }
 
 impl Response {
@@ -967,10 +811,6 @@ impl Response {
                 e.u8(0x87);
                 e.u64(*sid);
             }
-            Self::Level { level } => {
-                e.u8(0x88);
-                e.u32(*level);
-            }
             Self::Classified(c) => {
                 e.u8(0x89);
                 e.usize(c.count, "classified count")?;
@@ -978,18 +818,6 @@ impl Response {
             }
             Self::Closed => e.u8(0x8A),
             Self::SessionGone => e.u8(0x8B),
-            Self::ExtendEvaluation { level, evaluation } => {
-                e.u8(0x8D);
-                e.u32(*level);
-                e.usize(evaluation.count, "evaluation count")?;
-                enc_page(e, &evaluation.top)?;
-            }
-            Self::ExtendClassified { level, classified } => {
-                e.u8(0x8E);
-                e.u32(*level);
-                e.usize(classified.count, "classified count")?;
-                enc_page(e, &classified.page)?;
-            }
             Self::Streamed(head) => {
                 if !top {
                     return Err(HdbError::Transport(
@@ -1029,13 +857,7 @@ impl Response {
     /// Whether this response carries a tuple page — the variants eligible
     /// to head a chunked stream.
     fn carries_page(&self) -> bool {
-        matches!(
-            self,
-            Self::Evaluation(_)
-                | Self::Classified(_)
-                | Self::ExtendEvaluation { .. }
-                | Self::ExtendClassified { .. }
-        )
+        matches!(self, Self::Evaluation(_) | Self::Classified(_))
     }
 
     /// The carried page, mutably (see [`Response::carries_page`]).
@@ -1043,8 +865,6 @@ impl Response {
         match self {
             Self::Evaluation(ev) => Some(&mut ev.top),
             Self::Classified(c) => Some(&mut c.page),
-            Self::ExtendEvaluation { evaluation, .. } => Some(&mut evaluation.top),
-            Self::ExtendClassified { classified, .. } => Some(&mut classified.page),
             _ => None,
         }
     }
@@ -1072,29 +892,12 @@ impl Response {
             0x85 => Self::Count(d.u64("count")?),
             0x86 => Self::Sum(d.f64("sum")?),
             0x87 => Self::Session { sid: d.u64("sid")? },
-            0x88 => Self::Level { level: d.u32("level")? },
             0x89 => {
                 let count = d.usize("classified count")?;
                 Self::Classified(Classified { count, page: dec_page(d)? })
             }
             0x8A => Self::Closed,
             0x8B => Self::SessionGone,
-            0x8D => {
-                let level = d.u32("level")?;
-                let count = d.usize("evaluation count")?;
-                Self::ExtendEvaluation {
-                    level,
-                    evaluation: Evaluation { count, top: dec_page(d)? },
-                }
-            }
-            0x8E => {
-                let level = d.u32("level")?;
-                let count = d.usize("classified count")?;
-                Self::ExtendClassified {
-                    level,
-                    classified: Classified { count, page: dec_page(d)? },
-                }
-            }
             0x90 => {
                 if !top {
                     return Err(HdbError::Transport(
@@ -1239,20 +1042,6 @@ fn stream_parts(resp: &Response) -> Option<(Response, &[ReturnedTuple])> {
             Response::Classified(Classified { count: c.count, page: Vec::new() }),
             &c.page,
         )),
-        Response::ExtendEvaluation { level, evaluation } => Some((
-            Response::ExtendEvaluation {
-                level: *level,
-                evaluation: Evaluation { count: evaluation.count, top: Vec::new() },
-            },
-            &evaluation.top,
-        )),
-        Response::ExtendClassified { level, classified } => Some((
-            Response::ExtendClassified {
-                level: *level,
-                classified: Classified { count: classified.count, page: Vec::new() },
-            },
-            &classified.page,
-        )),
         _ => None,
     }
 }
@@ -1394,15 +1183,10 @@ mod tests {
             Request::ExactCount { query: q.clone() },
             Request::ExactSum { attr: 2, query: q.clone() },
             Request::WalkOpen { root: Query::all() },
-            Request::WalkExtend {
-                sid: 9,
-                parent_level: 2,
-                child: q.clone(),
-                pred: Predicate::new(1, 2),
-            },
             Request::WalkEvaluate {
                 sid: 9,
                 parent_level: 0,
+                extends: Vec::new(),
                 child: q.clone(),
                 pred: Predicate::new(0, 1),
                 k: 3,
@@ -1411,70 +1195,38 @@ mod tests {
             Request::WalkClassify {
                 sid: u64::MAX,
                 parent_level: 1,
+                extends: Vec::new(),
                 child: q.clone(),
                 pred: Predicate::new(2, 0),
                 k: 10,
             },
             Request::WalkClose { sid: 5 },
-            Request::WalkExtendEvaluate {
+            Request::WalkEvaluate {
                 sid: 11,
                 parent_level: 3,
-                ext_child: q.clone(),
-                ext_pred: Predicate::new(1, 2),
+                extends: vec![WalkStep { pred: Predicate::new(1, 2), child: q.clone() }],
                 child: q.clone().and(2, 1).unwrap(),
                 pred: Predicate::new(2, 1),
                 k: 4,
                 ranking: RankingSpec::SeededRandom { seed: 7 },
             },
-            Request::WalkExtendClassify {
+            Request::WalkClassify {
                 sid: 12,
                 parent_level: 0,
-                ext_child: q.clone(),
-                ext_pred: Predicate::new(0, 1),
+                extends: vec![
+                    WalkStep { pred: Predicate::new(0, 1), child: Query::all().and(0, 1).unwrap() },
+                    WalkStep { pred: Predicate::new(1, 2), child: q.clone() },
+                ],
                 child: q.clone().and(2, 0).unwrap(),
                 pred: Predicate::new(2, 0),
                 k: 9,
             },
-            Request::Batch(vec![
-                Request::WalkExtend {
-                    sid: 9,
-                    parent_level: 0,
-                    child: q.clone(),
-                    pred: Predicate::new(1, 2),
-                },
-                Request::WalkClassify {
-                    sid: 9,
-                    parent_level: 1,
-                    child: q.clone(),
-                    pred: Predicate::new(2, 0),
-                    k: 10,
-                },
-            ]),
             Request::Stats,
         ];
         for req in requests {
             let bytes = req.encode().unwrap();
             assert_eq!(Request::decode(&bytes).unwrap(), req);
         }
-    }
-
-    #[test]
-    fn batch_requests_cannot_nest_or_be_empty() {
-        assert!(Request::Batch(vec![]).encode().is_err());
-        assert!(Request::Batch(vec![Request::Batch(vec![Request::Len])]).encode().is_err());
-        // Hand-craft a nested batch: outer 0x0C with one member 0x0C.
-        let mut e = Enc::new();
-        e.u8(0x0C);
-        e.u32(1);
-        e.u8(0x0C);
-        e.u32(1);
-        e.u8(0x03);
-        assert!(Request::decode(&e.into_bytes()).is_err());
-        // Hand-craft an empty batch.
-        let mut e = Enc::new();
-        e.u8(0x0C);
-        e.u32(0);
-        assert!(Request::decode(&e.into_bytes()).is_err());
     }
 
     #[test]
@@ -1491,18 +1243,9 @@ mod tests {
             Response::Count(7),
             Response::Sum(-1234.5),
             Response::Session { sid: 3 },
-            Response::Level { level: 4 },
             Response::Classified(Classified { count: 2, page: page.clone() }),
             Response::Closed,
             Response::SessionGone,
-            Response::ExtendEvaluation {
-                level: 5,
-                evaluation: Evaluation { count: 12, top: page.clone() },
-            },
-            Response::ExtendClassified {
-                level: 1,
-                classified: Classified { count: 2, page: page.clone() },
-            },
             Response::Streamed(Box::new(Response::Classified(Classified {
                 count: 9,
                 page: Vec::new(),
@@ -1532,7 +1275,7 @@ mod tests {
             HistogramSnapshot { buckets: vec![0, 1, 2, 0, 7], count: 10, sum: 123_456 },
         );
         snap.histograms.insert(
-            "hdb_server_batch_size".into(),
+            "hdb_engine_pass_nanos".into(),
             HistogramSnapshot { buckets: Vec::new(), count: 0, sum: 0 },
         );
         snap
@@ -1608,11 +1351,8 @@ mod tests {
             assert_eq!(read_response(&mut cursor).unwrap(), Some(resp), "len={len}");
             assert_eq!(read_response(&mut cursor).unwrap(), None);
         }
-        // The fused variants stream too.
-        let resp = Response::ExtendClassified {
-            level: 3,
-            classified: Classified { count: 4000, page: big_page(4000) },
-        };
+        // A count-only classification streams too.
+        let resp = Response::Classified(Classified { count: 4000, page: big_page(4000) });
         let mut stream = Vec::new();
         write_response(&mut stream, &resp).unwrap();
         assert_eq!(read_response(&mut std::io::Cursor::new(stream)).unwrap(), Some(resp));
@@ -1677,12 +1417,18 @@ mod tests {
 
     #[test]
     fn malformed_payloads_are_typed_errors_not_panics() {
-        // every prefix of a valid message must fail cleanly
+        // every prefix of a valid message must fail cleanly, a chained
+        // probe's steps included
+        let child = Query::all().and(0, 1).unwrap();
         let full = Request::WalkEvaluate {
             sid: 1,
             parent_level: 0,
-            child: Query::all().and(0, 1).unwrap(),
-            pred: Predicate::new(0, 1),
+            extends: vec![
+                WalkStep { pred: Predicate::new(0, 1), child: child.clone() },
+                WalkStep { pred: Predicate::new(1, 0), child: child.and(1, 0).unwrap() },
+            ],
+            child: child.and(1, 0).unwrap().and(2, 1).unwrap(),
+            pred: Predicate::new(2, 1),
             k: 2,
             ranking: RankingSpec::RowId,
         }

@@ -6,9 +6,9 @@
 //! plus the incremental walk fast path with **server-side session state**
 //! keyed by a session id, so a drill-down probe from a
 //! [`RemoteBackend`](hdb_interface::RemoteBackend) costs one AND on the
-//! server and one round trip on the wire — and with the fused
-//! extend+probe messages, a drill-down *step* (commit a branch, probe a
-//! child) costs that same single round trip.
+//! server and one round trip on the wire — and since a probe carries the
+//! branch commitments made before it, a drill-down *step* (commit a
+//! branch, probe a child) costs that same single round trip.
 //!
 //! ## Concurrency model
 //!
@@ -24,32 +24,31 @@
 //! with no hand-off between threads. A connection that uses up its quota
 //! re-arms for read and write; its send buffer has room, so it fires
 //! again at once, behind the events already ready. Idle connections cost
-//! **zero** syscalls and zero turns — there is no sweep. The replies to a
-//! `Batch` frame leave in one `write`.
+//! **zero** syscalls and zero turns — there is no sweep.
 //!
 //! ## Session lifecycle
 //!
-//! `WalkOpen` materialises the root match set and returns a `sid`;
-//! `WalkExtend` pushes one level (truncating any deeper levels — the walk
-//! is stack-disciplined, so a retract is simply the client re-extending
-//! from a shallower level); probes reference `(sid, level)`. The fused
-//! `WalkExtendEvaluate` / `WalkExtendClassify` messages commit an extend
-//! and probe from the pushed level in one frame, and a `Batch` request
-//! carries a deferred extend chain plus its probe in one round trip —
-//! answered with one response frame per member, in member order.
-//! Sessions die on `WalkClose`, or by LRU eviction (O(log n) via an
-//! explicit recency order) once the table exceeds its cap — an evicted
-//! session is *not* an error: probes fall back to fresh evaluation
-//! (bit-identical, one intersection slower) and extends answer
-//! `SessionGone` so the client re-roots.
+//! `WalkOpen` materialises the root match set and returns a `sid`; a
+//! walk probe (`WalkEvaluate` / `WalkClassify`) references `(sid,
+//! parent_level)` and carries the extends the client committed since its
+//! last probe. The server pushes them above `parent_level`, truncating
+//! any deeper levels first (the walk is stack-disciplined, so a retract
+//! is simply the client extending from a shallower level), then probes
+//! the level the last one pushed — all under the session's stack lock,
+//! so a chain commits atomically against concurrent probes of the same
+//! session. Sessions die on `WalkClose`, or by LRU eviction (O(log n)
+//! via an explicit recency order) once the table exceeds its cap — an
+//! evicted session is *not* an error: a probe without extends falls back
+//! to fresh evaluation (bit-identical, one intersection slower), and one
+//! with extends answers `SessionGone` so the client re-roots.
 //!
 //! ## Observability
 //!
 //! The server keeps a query ledger partitioned exactly like the
 //! client-side [`QueryCounter`](hdb_interface::QueryCounter): every
-//! probe-shaped request (`Evaluate`, the walk probes, and the fused
-//! extend+probe pair) bumps `hdb_queries_issued_total` and exactly one
-//! of `underflow`/`valid`/`overflow`/`errored`, so
+//! probe-shaped request (`Evaluate` and the two walk probes) bumps
+//! `hdb_queries_issued_total` and exactly one of
+//! `underflow`/`valid`/`overflow`/`errored`, so
 //! `issued == underflow + valid + overflow + errored` holds on every
 //! scrape. A `Stats` request answers the merged snapshot (backend
 //! series, server ledger, serving counters) over the wire; an optional
@@ -82,7 +81,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd as _;
@@ -95,8 +94,8 @@ use hdb_interface::wire::{
     encode_page_chunk, write_frame, FrameBuf, Request, Response, PROTOCOL_VERSION, STREAM_TUPLES,
 };
 use hdb_interface::{
-    Counter, HdbError, Histogram, MetricsRegistry, MetricsSnapshot, Predicate, Query, Result,
-    ReturnedTuple, Schema, SearchBackend, SessionDump, SessionRecord, WalkState, WalkStep,
+    Counter, HdbError, MetricsRegistry, MetricsSnapshot, Predicate, Query, Result, ReturnedTuple,
+    Schema, SearchBackend, SessionDump, SessionRecord, WalkState, WalkStep,
 };
 
 /// The reactor token reserved for the listener; connections count up
@@ -113,9 +112,6 @@ const WAIT_BACKSTOP: Duration = Duration::from_millis(500);
 /// Frames served to one connection per turn before it yields to the
 /// other ready connections (the fairness quota).
 const FRAMES_PER_TURN: usize = 64;
-/// Bytes of a batch's replies held back so that they leave in one
-/// `write`; a batch answering more flushes early.
-const BATCH_REPLY_CAP: usize = 64 * 1024;
 
 /// Tuning knobs for a [`Server`].
 #[derive(Clone, Debug)]
@@ -325,16 +321,12 @@ impl Ledger {
     }
 
     /// Classifies one probe's response under the `k` it asked for.
-    /// Errors and `SessionGone` (the fused probes' no-answer road) land
+    /// Errors and `SessionGone` (a chained probe's no-answer road) land
     /// in `errored`; everything else partitions on the true match count.
     fn record(&self, k: u64, resp: &Response) {
         let count = match resp {
-            Response::Evaluation(ev) | Response::ExtendEvaluation { evaluation: ev, .. } => {
-                Some(ev.count)
-            }
-            Response::Classified(c) | Response::ExtendClassified { classified: c, .. } => {
-                Some(c.count)
-            }
+            Response::Evaluation(ev) => Some(ev.count),
+            Response::Classified(c) => Some(c.count),
             _ => None,
         };
         self.issued.inc();
@@ -360,20 +352,18 @@ struct Inner<B> {
     /// Connection turns started by readiness events (idle connections
     /// add zero).
     dispatches: AtomicU64,
-    /// Request frames served (batch members count individually).
+    /// Request frames served.
     frames: AtomicU64,
     /// Page-chunk bytes pushed through [`Conn::tail`] streaming.
     streamed_bytes: AtomicU64,
     registry: MetricsRegistry,
     ledger: Ledger,
-    /// Members per batch frame.
-    batch_size: Histogram,
 }
 
 impl<B: SearchBackend> Inner<B> {
     /// The merged snapshot every exposure path serves: backend-reported
-    /// series, the registry (ledger + batch histogram), and the serving
-    /// counters, in one ordered map.
+    /// series, the registry (the ledger), and the serving counters, in
+    /// one ordered map.
     fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         self.backend.fill_metrics(&mut snap);
@@ -479,44 +469,61 @@ fn validate_k(k: u64) -> Result<usize> {
     }
 }
 
-/// Validates the shared preamble of an extend: child query, predicate,
-/// session, level bounds. `Ok(None)` is the graceful `SessionGone` road.
-fn locate_session<B: SearchBackend>(
-    inner: &Inner<B>,
-    schema: &Schema,
-    sid: u64,
-    parent_level: u32,
-) -> Option<Arc<Session>> {
-    let entry = inner.sessions.get(sid)?;
-    // Depth cap: a legitimate walk commits at most one level per
-    // attribute, so a deeper stack can only be a hostile client
-    // inflating server memory — send it to the fresh fallback instead.
-    if parent_level as usize + 1 > schema.len() {
-        return None;
-    }
-    Some(entry)
+/// Validates each of a walk probe's extends: its query and predicate.
+fn validate_steps(schema: &Schema, steps: &[WalkStep]) -> Result<()> {
+    steps.iter().try_for_each(|s| {
+        s.child.validate(schema)?;
+        validate_pred(schema, s.pred)
+    })
 }
 
-/// Commits one extend into a locked session stack. The walk is
-/// stack-disciplined: extending from level L retires everything deeper
-/// (the client retracted). Returns the pushed level's index, or `None`
-/// when `parent_level` references a retired level.
-fn push_level<B: SearchBackend>(
+/// Runs a walk probe against the level it reads. With no `extends`, that
+/// is `parent_level` itself; a missing session, a poisoned stack (some
+/// probe panicked mid-update, so its contents are suspect) or a retired
+/// level hands `probe` no state, and it evaluates fresh — bit-identical,
+/// one intersection slower. Otherwise the steps are pushed above
+/// `parent_level`, truncating anything deeper first (the walk is
+/// stack-disciplined, and the truncation makes a replayed chain
+/// idempotent), and `probe` reads the level the last step pushed, under
+/// the same lock. A chain that cannot commit — missing or poisoned
+/// session (a poisoned one is closed), retired parent level, or a stack
+/// deeper than the schema is wide — answers `SessionGone` and commits
+/// nothing, so the client re-roots.
+fn walk_probe<B: SearchBackend>(
     inner: &Inner<B>,
-    stack: &mut Vec<Level>,
+    sid: u64,
     parent_level: u32,
-    child: &Query,
-    pred: Predicate,
-) -> Option<u32> {
+    extends: Vec<WalkStep>,
+    probe: impl FnOnce(Option<&WalkState>) -> Result<Response>,
+) -> Result<Response> {
+    let entry = inner.sessions.get(sid);
     let parent = parent_level as usize;
+    if extends.is_empty() {
+        let stack = entry.as_ref().and_then(|e| e.stack.lock().ok());
+        return probe(stack.as_ref().and_then(|s| s.get(parent)).map(|l| &l.state));
+    }
+    let Some(entry) = entry else { return Ok(Response::SessionGone) };
+    // Depth cap: a legitimate walk commits at most one level per
+    // attribute, so a deeper stack can only be a hostile client
+    // inflating server memory.
+    if parent + extends.len() > inner.backend.schema().len() {
+        return Ok(Response::SessionGone);
+    }
+    let Ok(mut stack) = entry.stack.lock() else {
+        inner.sessions.close(sid);
+        return Ok(Response::SessionGone);
+    };
     if parent >= stack.len() {
-        return None;
+        return Ok(Response::SessionGone);
     }
     stack.truncate(parent + 1);
-    let state =
-        inner.backend.extend_state(&stack[parent].state, child, pred, WalkState::fallback());
-    stack.push(Level { query: child.clone(), pred: Some(pred), state });
-    Some(parent_level + 1)
+    for step in extends {
+        let Some(top) = stack.last() else { return Ok(Response::SessionGone) };
+        let state =
+            inner.backend.extend_state(&top.state, &step.child, step.pred, WalkState::fallback());
+        stack.push(Level { query: step.child, pred: Some(step.pred), state });
+    }
+    probe(stack.last().map(|l| &l.state))
 }
 
 /// Answers one decoded request. Total: every failure path is a typed
@@ -528,9 +535,7 @@ fn handle_request<B: SearchBackend>(inner: &Inner<B>, req: Request) -> Response 
     let probe_k = match &req {
         Request::Evaluate { k, .. }
         | Request::WalkEvaluate { k, .. }
-        | Request::WalkClassify { k, .. }
-        | Request::WalkExtendEvaluate { k, .. }
-        | Request::WalkExtendClassify { k, .. } => Some(*k),
+        | Request::WalkClassify { k, .. } => Some(*k),
         _ => None,
     };
     let outcome = (|| -> Result<Response> {
@@ -570,152 +575,42 @@ fn handle_request<B: SearchBackend>(inner: &Inner<B>, req: Request) -> Response 
                 let state = inner.backend.walk_state(&root);
                 Response::Session { sid: inner.sessions.open(root, state) }
             }
-            Request::WalkExtend { sid, parent_level, child, pred } => {
-                child.validate(schema)?;
-                validate_pred(schema, pred)?;
-                let Some(entry) = locate_session(inner, schema, sid, parent_level) else {
-                    return Ok(Response::SessionGone);
-                };
-                // A poisoned stack means some probe panicked mid-update;
-                // its contents are suspect, so retire the session and
-                // send the client to the fresh-evaluation fallback.
-                let Ok(mut stack) = entry.stack.lock() else {
-                    inner.sessions.close(sid);
-                    return Ok(Response::SessionGone);
-                };
-                match push_level(inner, &mut stack, parent_level, &child, pred) {
-                    Some(level) => Response::Level { level },
-                    None => Response::SessionGone,
-                }
-            }
-            Request::WalkEvaluate { sid, parent_level, child, pred, k, ranking } => {
+            Request::WalkEvaluate { sid, parent_level, extends, child, pred, k, ranking } => {
+                validate_steps(schema, &extends)?;
                 child.validate(schema)?;
                 validate_pred(schema, pred)?;
                 validate_ranking(schema, ranking)?;
                 let k = validate_k(k)?;
                 let ranking = ranking.instantiate();
-                // Missing session, poisoned stack (a probe panicked
-                // mid-update — its state is suspect), or retired level
-                // all take the same road: fresh evaluation, which is
-                // bit-identical, just one intersection slower.
-                let entry = inner.sessions.get(sid);
-                let stack = entry.as_ref().and_then(|e| e.stack.lock().ok());
-                let parent =
-                    stack.as_ref().and_then(|s| s.get(parent_level as usize)).map(|l| &l.state);
-                let evaluation = match parent {
-                    Some(parent) => inner.backend.evaluate_from(
-                        parent,
-                        &child,
-                        pred,
-                        k,
-                        ranking.as_ref(),
-                    )?,
-                    None => inner.backend.evaluate(&child, k, ranking.as_ref())?,
-                };
-                Response::Evaluation(evaluation)
+                walk_probe(inner, sid, parent_level, extends, |parent| {
+                    Ok(Response::Evaluation(match parent {
+                        Some(parent) => {
+                            inner.backend.evaluate_from(parent, &child, pred, k, ranking.as_ref())?
+                        }
+                        None => inner.backend.evaluate(&child, k, ranking.as_ref())?,
+                    }))
+                })?
             }
-            Request::WalkClassify { sid, parent_level, child, pred, k } => {
+            Request::WalkClassify { sid, parent_level, extends, child, pred, k } => {
+                validate_steps(schema, &extends)?;
                 child.validate(schema)?;
                 validate_pred(schema, pred)?;
                 let k = validate_k(k)?;
-                // Same fallback road as WalkEvaluate: missing session,
-                // poisoned stack, or retired level → fresh evaluation.
-                let entry = inner.sessions.get(sid);
-                let stack = entry.as_ref().and_then(|e| e.stack.lock().ok());
-                let parent =
-                    stack.as_ref().and_then(|s| s.get(parent_level as usize)).map(|l| &l.state);
-                let classified = match parent {
-                    Some(parent) => {
-                        inner.backend.classify_from(parent, &child, pred, k)?
-                    }
-                    None => hdb_interface::Classified::from_evaluation(
-                        inner.backend.evaluate(&child, k, &hdb_interface::RowIdRanking)?,
-                        k,
-                    ),
-                };
-                Response::Classified(classified)
-            }
-            Request::WalkExtendEvaluate {
-                sid,
-                parent_level,
-                ext_child,
-                ext_pred,
-                child,
-                pred,
-                k,
-                ranking,
-            } => {
-                ext_child.validate(schema)?;
-                validate_pred(schema, ext_pred)?;
-                child.validate(schema)?;
-                validate_pred(schema, pred)?;
-                validate_ranking(schema, ranking)?;
-                let k = validate_k(k)?;
-                let ranking = ranking.instantiate();
-                let Some(entry) = locate_session(inner, schema, sid, parent_level) else {
-                    return Ok(Response::SessionGone);
-                };
-                let Ok(mut stack) = entry.stack.lock() else {
-                    inner.sessions.close(sid);
-                    return Ok(Response::SessionGone);
-                };
-                // Extend, then probe from the level just pushed — the
-                // stack lock spans both, so the fused pair is atomic
-                // against concurrent probes of the same session.
-                let Some(level) = push_level(inner, &mut stack, parent_level, &ext_child, ext_pred)
-                else {
-                    return Ok(Response::SessionGone);
-                };
-                let evaluation = inner.backend.evaluate_from(
-                    &stack[level as usize].state,
-                    &child,
-                    pred,
-                    k,
-                    ranking.as_ref(),
-                )?;
-                Response::ExtendEvaluation { level, evaluation }
-            }
-            Request::WalkExtendClassify {
-                sid,
-                parent_level,
-                ext_child,
-                ext_pred,
-                child,
-                pred,
-                k,
-            } => {
-                ext_child.validate(schema)?;
-                validate_pred(schema, ext_pred)?;
-                child.validate(schema)?;
-                validate_pred(schema, pred)?;
-                let k = validate_k(k)?;
-                let Some(entry) = locate_session(inner, schema, sid, parent_level) else {
-                    return Ok(Response::SessionGone);
-                };
-                let Ok(mut stack) = entry.stack.lock() else {
-                    inner.sessions.close(sid);
-                    return Ok(Response::SessionGone);
-                };
-                let Some(level) = push_level(inner, &mut stack, parent_level, &ext_child, ext_pred)
-                else {
-                    return Ok(Response::SessionGone);
-                };
-                let classified =
-                    inner.backend.classify_from(&stack[level as usize].state, &child, pred, k)?;
-                Response::ExtendClassified { level, classified }
+                walk_probe(inner, sid, parent_level, extends, |parent| {
+                    Ok(Response::Classified(match parent {
+                        Some(parent) => inner.backend.classify_from(parent, &child, pred, k)?,
+                        None => hdb_interface::Classified::from_evaluation(
+                            inner.backend.evaluate(&child, k, &hdb_interface::RowIdRanking)?,
+                            k,
+                        ),
+                    }))
+                })?
             }
             Request::WalkClose { sid } => {
                 inner.sessions.close(sid);
                 Response::Closed
             }
             Request::Stats => Response::Stats(inner.metrics_snapshot()),
-            // Batches are flattened at the connection layer (one
-            // response frame per member); one reaching the dispatcher
-            // means a member was itself a batch, which decode rejects —
-            // keep the handler total anyway.
-            Request::Batch(_) => {
-                return Err(HdbError::Transport("batch members cannot be batches".into()))
-            }
         })
     })();
     let resp = outcome.unwrap_or_else(Response::Error);
@@ -743,15 +638,11 @@ struct PageTail {
 struct Conn {
     stream: TcpStream,
     buf: FrameBuf,
-    /// Encoded-but-unsent frames: one response frame, or a batch's
-    /// replies held until its last member is answered (bounded by
-    /// [`BATCH_REPLY_CAP`] plus one frame).
+    /// Encoded-but-unsent response frames.
     out: Vec<u8>,
     out_pos: usize,
     /// A page mid-stream; no new frame is served until it completes.
     tail: Option<PageTail>,
-    /// Batch members not yet answered (each gets its own response).
-    queued: VecDeque<Request>,
 }
 
 impl Conn {
@@ -762,7 +653,6 @@ impl Conn {
             out: Vec::new(),
             out_pos: 0,
             tail: None,
-            queued: VecDeque::new(),
         }
     }
 }
@@ -804,16 +694,6 @@ fn enqueue_response(conn: &mut Conn, mut resp: Response) -> Result<()> {
         }
         Response::Classified(c) if c.page.len() > STREAM_TUPLES => {
             Some(std::mem::take(&mut c.page))
-        }
-        Response::ExtendEvaluation { evaluation, .. }
-            if evaluation.top.len() > STREAM_TUPLES =>
-        {
-            Some(std::mem::take(&mut evaluation.top))
-        }
-        Response::ExtendClassified { classified, .. }
-            if classified.page.len() > STREAM_TUPLES =>
-        {
-            Some(std::mem::take(&mut classified.page))
         }
         _ => None,
     };
@@ -910,17 +790,10 @@ fn turn<B: SearchBackend>(inner: &Inner<B>, token: u64, mut conn: Conn) {
     }
     let mut served = 0usize;
     loop {
-        // A batch's replies leave in one write: hold them until its last
-        // member is answered, unless a page stream (which flushes before
-        // each chunk) or the byte cap needs the buffer drained first.
-        let hold =
-            !conn.queued.is_empty() && conn.tail.is_none() && conn.out.len() < BATCH_REPLY_CAP;
-        if !hold {
-            match flush(&mut conn) {
-                FlushState::Drained => {}
-                FlushState::Blocked => return park(inner, token, conn, Interest::WRITE),
-                FlushState::Gone => return close_conn(inner, conn),
-            }
+        match flush(&mut conn) {
+            FlushState::Drained => {}
+            FlushState::Blocked => return park(inner, token, conn, Interest::WRITE),
+            FlushState::Gone => return close_conn(inner, conn),
         }
         // A page mid-stream owns the connection: its chunks must be the
         // next frames out (the client reassembles them positionally),
@@ -939,35 +812,17 @@ fn turn<B: SearchBackend>(inner: &Inner<B>, token: u64, mut conn: Conn) {
             // already ready.
             return park(inner, token, conn, Interest::READ_WRITE);
         }
-        let resp = if let Some(req) = conn.queued.pop_front() {
-            Some(handle_request(inner, req))
-        } else {
-            match conn.buf.next_frame() {
-                Ok(Some(payload)) => Some(match Request::decode(&payload) {
-                    // A batch answers with one response per member, in
-                    // member order; members queue so a streamed page in
-                    // the middle keeps its chunks contiguous.
-                    Ok(Request::Batch(members)) => {
-                        inner.batch_size.observe(members.len() as u64);
-                        conn.queued.extend(members);
-                        match conn.queued.pop_front() {
-                            Some(req) => handle_request(inner, req),
-                            None => Response::Error(HdbError::Transport(
-                                "empty batch frame".into(),
-                            )),
-                        }
-                    }
-                    Ok(req) => handle_request(inner, req),
-                    // Malformed but correctly framed: the stream stays
-                    // synchronised, so answer a typed error and keep
-                    // serving.
-                    Err(e) => Response::Error(e),
-                }),
-                Ok(None) => None,
-                // Corrupt length prefix: the byte stream can never
-                // resynchronise — drop the connection.
-                Err(_) => return close_conn(inner, conn),
-            }
+        let resp = match conn.buf.next_frame() {
+            Ok(Some(payload)) => Some(match Request::decode(&payload) {
+                Ok(req) => handle_request(inner, req),
+                // Malformed but correctly framed: the stream stays
+                // synchronised, so answer a typed error and keep serving.
+                Err(e) => Response::Error(e),
+            }),
+            Ok(None) => None,
+            // Corrupt length prefix: the byte stream can never
+            // resynchronise — drop the connection.
+            Err(_) => return close_conn(inner, conn),
         };
         if let Some(resp) = resp {
             if enqueue_response(&mut conn, resp).is_err() {
@@ -1175,7 +1030,6 @@ impl Server {
         };
         let registry = MetricsRegistry::new();
         let ledger = Ledger::new(&registry);
-        let batch_size = registry.histogram("hdb_server_batch_size");
         let inner = Arc::new(Inner {
             backend,
             sessions: Sessions::new(config.session_cap),
@@ -1190,7 +1044,6 @@ impl Server {
             streamed_bytes: AtomicU64::new(0),
             registry,
             ledger,
-            batch_size,
         });
         let threads = (0..config.pool_threads.max(1))
             .map(|_| {
@@ -1312,7 +1165,7 @@ impl RunningServer {
         self.control.0.dispatch_count()
     }
 
-    /// Request frames served so far (batch members count individually).
+    /// Request frames served so far.
     #[must_use]
     pub fn frame_count(&self) -> u64 {
         self.control.0.frame_count()
@@ -1520,6 +1373,19 @@ mod tests {
         lw.retract();
         rw.retract();
         assert_eq!(lw.classify(2, 0).unwrap(), rw.classify(2, 0).unwrap());
+        // Two extends with no probe between ride on the next probe as a
+        // chain; after a retract, a probe from the chain's first node
+        // reads that node's level, not its child's.
+        lw.extend(2, 0);
+        rw.extend(2, 0);
+        lw.extend(3, 1);
+        rw.extend(3, 1);
+        assert_eq!(lw.classify(4, 0).unwrap(), rw.classify(4, 0).unwrap());
+        lw.retract();
+        rw.retract();
+        assert_eq!(lw.classify(4, 1).unwrap(), rw.classify(4, 1).unwrap());
+        lw.retract();
+        rw.retract();
         // cap 2: two more sessions evict the first; probes still answer
         let _s2 = remote.walk_session(Query::all()).unwrap();
         let _s3 = remote.walk_session(Query::all()).unwrap();
@@ -1529,111 +1395,97 @@ mod tests {
         server.shutdown();
     }
 
+    fn open(stream: &mut TcpStream) -> u64 {
+        match ask(stream, &Request::WalkOpen { root: Query::all() }) {
+            Response::Session { sid } => sid,
+            other => panic!("expected a session, got {other:?}"),
+        }
+    }
+
+    /// The step committing `attr = value` under `parent`.
+    fn step(parent: &Query, attr: usize, value: u16) -> WalkStep {
+        WalkStep { pred: Predicate::new(attr, value), child: parent.and(attr, value).unwrap() }
+    }
+
+    /// A count-only walk probe of `child ∧ attr = value` from
+    /// `parent_level`, pushing `extends` first.
+    fn classify(
+        sid: u64,
+        parent_level: u32,
+        extends: Vec<WalkStep>,
+        child: &Query,
+        (attr, value): (usize, u16),
+    ) -> Request {
+        Request::WalkClassify {
+            sid,
+            parent_level,
+            extends,
+            child: child.and(attr, value).unwrap(),
+            pred: Predicate::new(attr, value),
+            k: 2,
+        }
+    }
+
+    /// The committed steps of session `sid`, from the server's export.
+    fn exported_steps(server: &RunningServer, sid: u64) -> Vec<WalkStep> {
+        let dump = server.export_sessions();
+        let rec = dump.sessions.into_iter().find(|r| r.sid == sid).expect("session exported");
+        rec.steps
+    }
+
     #[test]
     fn lru_eviction_follows_recency_not_sid_order() {
         let server = serve_with(ServerConfig { session_cap: 2, ..Default::default() });
         let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let open = |stream: &mut TcpStream| match ask(stream, &Request::WalkOpen {
-            root: Query::all(),
-        }) {
-            Response::Session { sid } => sid,
-            other => panic!("expected a session, got {other:?}"),
-        };
+        let root = Query::all();
+        let one = step(&root, 0, 1);
         let extend = |stream: &mut TcpStream, sid: u64| {
-            ask(stream, &Request::WalkExtend {
-                sid,
-                parent_level: 0,
-                child: Query::all().and(0, 1).unwrap(),
-                pred: Predicate::new(0, 1),
-            })
+            ask(stream, &classify(sid, 0, vec![one.clone()], &one.child, (1, 0)))
         };
         let s1 = open(&mut stream);
         let s2 = open(&mut stream);
         // Touch s1 so s2 is now the stalest; the next open must evict
         // s2, not the lowest sid.
-        assert!(matches!(extend(&mut stream, s1), Response::Level { level: 1 }));
+        assert!(matches!(extend(&mut stream, s1), Response::Classified(_)));
         let s3 = open(&mut stream);
         assert!(matches!(extend(&mut stream, s2), Response::SessionGone), "s2 must be evicted");
-        assert!(matches!(extend(&mut stream, s1), Response::Level { level: 1 }));
-        assert!(matches!(extend(&mut stream, s3), Response::Level { level: 1 }));
+        assert!(matches!(extend(&mut stream, s1), Response::Classified(_)));
+        assert!(matches!(extend(&mut stream, s3), Response::Classified(_)));
+        // Two levels, then a retract to one: a chain from the retired
+        // second level cannot commit.
+        let two = step(&one.child, 1, 0);
+        let deep = classify(s1, 0, vec![one.clone(), two.clone()], &two.child, (2, 1));
+        assert!(matches!(ask(&mut stream, &deep), Response::Classified(_)));
+        assert!(matches!(extend(&mut stream, s1), Response::Classified(_)));
+        let retired = classify(s1, 2, vec![step(&two.child, 2, 1)], &two.child, (3, 0));
+        assert_eq!(ask(&mut stream, &retired), Response::SessionGone);
+        assert_eq!(exported_steps(&server, s1), vec![one]);
         server.shutdown();
     }
 
+    /// Two steps carried by one probe commit exactly what the same two
+    /// steps sent one per probe commit, and the probes answer bitwise
+    /// the same.
     #[test]
-    fn fused_extend_probe_is_bit_identical_to_the_two_message_sequence() {
+    fn chained_probe_is_bit_identical_to_one_step_per_probe() {
         let server = serve();
         let mut a = TcpStream::connect(server.addr()).unwrap();
         let mut b = TcpStream::connect(server.addr()).unwrap();
-        let open = |stream: &mut TcpStream| match ask(stream, &Request::WalkOpen {
-            root: Query::all(),
-        }) {
-            Response::Session { sid } => sid,
-            other => panic!("expected a session, got {other:?}"),
-        };
-        let sid_a = open(&mut a);
-        let sid_b = open(&mut b);
-        let ext_child = Query::all().and(0, 1).unwrap();
-        let ext_pred = Predicate::new(0, 1);
-        let child = ext_child.clone().and(1, 0).unwrap();
-        let pred = Predicate::new(1, 0);
-        // Two-message sequence on connection a…
-        assert!(matches!(
-            ask(&mut a, &Request::WalkExtend {
-                sid: sid_a,
-                parent_level: 0,
-                child: ext_child.clone(),
-                pred: ext_pred,
-            }),
-            Response::Level { level: 1 }
-        ));
-        let plain = ask(&mut a, &Request::WalkClassify {
-            sid: sid_a,
-            parent_level: 1,
-            child: child.clone(),
-            pred,
-            k: 2,
-        });
-        // …fused single message on connection b.
-        let fused = ask(&mut b, &Request::WalkExtendClassify {
-            sid: sid_b,
-            parent_level: 0,
-            ext_child,
-            ext_pred,
-            child,
-            pred,
-            k: 2,
-        });
-        let Response::Classified(plain) = plain else { panic!("{plain:?}") };
-        let Response::ExtendClassified { level, classified } = fused else { panic!("{fused:?}") };
-        assert_eq!(level, 1);
-        assert_eq!(plain, classified);
-        server.shutdown();
-    }
-
-    #[test]
-    fn batch_frames_answer_one_response_per_member() {
-        let server = serve();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let batch = Request::Batch(vec![
-            Request::Len,
-            Request::WalkOpen { root: Query::all() },
-            Request::ExactCount { query: Query::all() },
-        ]);
-        write_frame(&mut stream, &batch.encode().unwrap()).unwrap();
-        // The replies leave in one write, which loopback delivers as one
-        // segment: the first read returns all three.
-        let mut got = vec![0u8; 64 * 1024];
-        let n = stream.read(&mut got).unwrap();
-        let mut frames = FrameBuf::new();
-        frames.extend(&got[..n]);
-        let mut replies = Vec::new();
-        while let Some(payload) = frames.next_frame().unwrap() {
-            replies.push(Response::decode(&payload).unwrap());
-        }
-        assert_eq!(replies.len(), 3, "the first read returned {} of 3 replies", replies.len());
-        assert_eq!(replies[0], Response::Len(32));
-        assert!(matches!(replies[1], Response::Session { .. }));
-        assert_eq!(replies[2], Response::Count(32));
+        let (sid_a, sid_b) = (open(&mut a), open(&mut b));
+        let root = Query::all();
+        let one = step(&root, 0, 1);
+        let two = step(&one.child, 1, 0);
+        // One step per probe on session a…
+        let first = ask(&mut a, &classify(sid_a, 0, vec![one.clone()], &one.child, (1, 1)));
+        assert!(matches!(first, Response::Classified(_)), "{first:?}");
+        let split = ask(&mut a, &classify(sid_a, 1, vec![two.clone()], &two.child, (2, 1)));
+        // …both steps in one probe on session b.
+        let chained =
+            ask(&mut b, &classify(sid_b, 0, vec![one.clone(), two.clone()], &two.child, (2, 1)));
+        assert!(matches!(split, Response::Classified(_)), "{split:?}");
+        assert_eq!(split, chained);
+        assert_eq!(exported_steps(&server, sid_a), vec![one.clone(), two.clone()]);
+        assert_eq!(exported_steps(&server, sid_b), vec![one, two]);
         server.shutdown();
     }
 
@@ -1694,22 +1546,13 @@ mod tests {
         // A client extending past one-level-per-attribute (the wire child
         // query need not be consistent with the claimed level) must hit
         // the depth cap instead of inflating the state stack unboundedly.
-        let Response::Session { sid } = ask(&mut stream, &Request::WalkOpen { root: Query::all() })
-        else {
-            panic!("expected a session");
-        };
-        let child = Query::all().and(0, 0).unwrap();
-        let pred = Predicate::new(0, 0);
+        let sid = open(&mut stream);
+        let root = Query::all();
+        let zero = step(&root, 0, 0);
         let mut capped = false;
         for level in 0..10u32 {
-            let req = Request::WalkExtend {
-                sid,
-                parent_level: level,
-                child: child.clone(),
-                pred,
-            };
-            match ask(&mut stream, &req) {
-                Response::Level { level: l } => assert_eq!(l, level + 1),
+            match ask(&mut stream, &classify(sid, level, vec![zero.clone()], &root, (1, 0))) {
+                Response::Classified(_) => {}
                 Response::SessionGone => {
                     assert!(level >= 5, "cap must allow legitimate depths, hit at {level}");
                     capped = true;
@@ -1719,6 +1562,12 @@ mod tests {
             }
         }
         assert!(capped, "extend depth must be capped at the schema width");
+        // A single chain deeper than the schema is wide is refused whole,
+        // before any push.
+        let fresh = open(&mut stream);
+        let chain = vec![zero; 6];
+        assert_eq!(ask(&mut stream, &classify(fresh, 0, chain, &root, (1, 0))), Response::SessionGone);
+        assert_eq!(exported_steps(&server, fresh), Vec::new());
         server.shutdown();
     }
 
@@ -1726,26 +1575,12 @@ mod tests {
     fn exported_sessions_reimport_with_bit_identical_probes() {
         let server = serve();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let Response::Session { sid } = ask(&mut stream, &Request::WalkOpen { root: Query::all() })
-        else {
-            panic!("expected a session");
-        };
-        for (attr, v) in [(0usize, 1u16), (1, 0)] {
-            let req = Request::WalkExtend {
-                sid,
-                parent_level: attr as u32,
-                child: Query::all().and(attr, v).unwrap(),
-                pred: Predicate::new(attr, v),
-            };
-            assert!(matches!(ask(&mut stream, &req), Response::Level { .. }));
-        }
-        let probe = Request::WalkClassify {
-            sid,
-            parent_level: 2,
-            child: Query::all().and(2, 1).unwrap(),
-            pred: Predicate::new(2, 1),
-            k: 2,
-        };
+        let sid = open(&mut stream);
+        let one = step(&Query::all(), 0, 1);
+        let two = step(&one.child, 1, 0);
+        let commit = classify(sid, 0, vec![one, two.clone()], &two.child, (3, 0));
+        assert!(matches!(ask(&mut stream, &commit), Response::Classified(_)));
+        let probe = classify(sid, 2, Vec::new(), &two.child, (2, 1));
         let before = ask(&mut stream, &probe);
         let dump = server.export_sessions();
         assert_eq!(dump.sessions.len(), 1);
@@ -1759,12 +1594,7 @@ mod tests {
         let mut stream = TcpStream::connect(revived.addr()).unwrap();
         assert_eq!(ask(&mut stream, &probe), before);
         // New sessions never collide with restored sids.
-        let Response::Session { sid: sid2 } =
-            ask(&mut stream, &Request::WalkOpen { root: Query::all() })
-        else {
-            panic!("expected a session");
-        };
-        assert!(sid2 > sid);
+        assert!(open(&mut stream) > sid);
         revived.shutdown();
     }
 
@@ -1862,25 +1692,15 @@ mod tests {
     }
 
     #[test]
-    fn session_evictions_and_batches_are_counted() {
+    fn session_evictions_are_counted() {
         let server = serve_with(ServerConfig { session_cap: 1, ..Default::default() });
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         for _ in 0..3 {
-            let resp = ask(&mut stream, &Request::WalkOpen { root: Query::all() });
-            assert!(matches!(resp, Response::Session { .. }));
-        }
-        let batch = Request::Batch(vec![Request::Len, Request::Len]);
-        write_frame(&mut stream, &batch.encode().unwrap()).unwrap();
-        for _ in 0..2 {
-            let payload = read_frame(&mut stream).unwrap().unwrap();
-            assert_eq!(Response::decode(&payload).unwrap(), Response::Len(32));
+            open(&mut stream);
         }
         let snap = server.metrics();
         assert_eq!(snap.counters.get("hdb_server_session_evictions_total"), Some(&2));
         assert_eq!(snap.gauges.get("hdb_server_sessions"), Some(&1));
-        let batches = snap.histograms.get("hdb_server_batch_size").expect("batch histogram");
-        assert_eq!(batches.count, 1);
-        assert_eq!(batches.sum, 2);
         server.shutdown();
     }
 

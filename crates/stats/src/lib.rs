@@ -11,13 +11,11 @@
 #![warn(clippy::all)]
 
 pub mod experiment;
-pub mod reduce;
 pub mod running;
 pub mod series;
 pub mod summary;
 
 pub use experiment::{checkpoints, summarize_at, CheckpointAccuracy, Trace};
-pub use reduce::PassReducer;
 pub use running::RunningStats;
 pub use series::{Figure, Series};
 pub use summary::{Accuracy, ConfidenceInterval, ErrorBar};

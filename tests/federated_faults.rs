@@ -19,7 +19,7 @@ use hdb_core::UnbiasedSizeEstimator;
 use hdb_interface::wire::{read_response, write_frame, Request, Response};
 use hdb_interface::{
     FederatedBackend, FleetConfig, HdbError, HiddenDb, Predicate, Query, RankingSpec, Schema,
-    SearchBackend, ShardPartBackend, ShardedDb, Table, TopKInterface, Topology, Tuple,
+    SearchBackend, ShardPartBackend, ShardedDb, Table, TopKInterface, Topology, Tuple, WalkStep,
 };
 use hdb_repro::testkit::{Fault, FaultProxy, FaultSchedule};
 use hdb_server::{RunningServer, Server};
@@ -195,18 +195,19 @@ fn garbled_frame_fails_over_to_replica_bit_identically() {
     proxy.shutdown();
 }
 
-/// A connection reset in the middle of a `Batch`'s response stream (the
-/// pipelined extends + fused probe) forces `RemoteBackend`'s stale-retry
-/// to re-send the whole batch — which must be safe, because extends
-/// replay idempotently. The probe's answer stays bit-identical.
+/// A connection reset before the reply to a walk probe carrying two
+/// extends forces `RemoteBackend`'s stale-retry to re-send the whole
+/// probe — which must be safe, because extends replay idempotently. The
+/// probe's answer stays bit-identical and the server's session holds the
+/// two steps once.
 #[test]
 fn mid_batch_reset_replays_idempotently() {
     let t = table(64, 6);
     let (servers, _topo) = fleet(&t, 1);
 
     // s2c frames: Hello, Schema, Len (handshake), WalkOpen's Session,
-    // then the batch's responses. Reset on frame 5 = the batch's first
-    // response, killing the connection mid-batch.
+    // then the chained probe's reply. Reset on frame 5 = that reply,
+    // after the server committed the chain.
     let mut proxy = FaultProxy::spawn(
         servers[0].addr().to_string(),
         FaultSchedule::clean(),
@@ -228,9 +229,8 @@ fn mid_batch_reset_replays_idempotently() {
 
     let mut lw = local.walk_session(Query::all()).unwrap();
     let mut fw = fed_db.walk_session(Query::all()).unwrap();
-    // Two deferred extends, then a probe: the probe's exchange is a
-    // 2-member Batch (extend + fused extend-classify) — the frame the
-    // reset lands in.
+    // Two deferred extends, then a probe: the probe carries both extends
+    // — the exchange the reset lands in.
     lw.extend(0, 1);
     fw.extend(0, 1);
     lw.extend(1, 0);
@@ -238,20 +238,23 @@ fn mid_batch_reset_replays_idempotently() {
     assert_eq!(
         lw.classify(2, 1).unwrap(),
         fw.classify(2, 1).unwrap(),
-        "batch replay after mid-batch reset diverged"
+        "chained probe replay after a reset diverged"
     );
     // The session survived the replay: further probes stay identical.
     assert_eq!(lw.classify(3, 0).unwrap(), fw.classify(3, 0).unwrap());
+    let steps: Vec<usize> =
+        servers[0].export_sessions().sessions.iter().map(|s| s.steps.len()).collect();
+    assert_eq!(steps, vec![2], "the replay must not push the chain twice");
     assert!(proxy.faults_injected() >= 1, "the reset must actually have fired");
     assert_ledger_partition(&fed_db);
     proxy.shutdown();
 }
 
-/// The server-side half of batch-replay safety, pinned at the wire: the
-/// *same* extend/fused-probe batch sent twice on one session returns
+/// The server-side half of replay safety, pinned at the wire: the *same*
+/// probe carrying two extends, sent twice on one session, returns
 /// byte-identical responses both times (truncate-to-parent-then-push
-/// makes the second application a no-op), and the session's stack is
-/// intact afterwards. This is the idempotence `RemoteBackend`'s
+/// makes the second application a no-op), and the session's stack holds
+/// the two steps once. This is the idempotence `RemoteBackend`'s
 /// stale-retry relies on.
 #[test]
 fn batch_replay_is_idempotent_on_the_server() {
@@ -278,44 +281,37 @@ fn batch_replay_is_idempotent_on_the_server() {
     let child = Query::all().and(0, 1).unwrap();
     let grandchild = child.and(1, 0).unwrap();
     let probe = grandchild.and(2, 1).unwrap();
-    let batch = Request::Batch(vec![
-        Request::WalkExtend {
-            sid,
-            parent_level: 0,
-            child: child.clone(),
-            pred: Predicate::new(0, 1),
-        },
-        Request::WalkExtendClassify {
-            sid,
-            parent_level: 1,
-            ext_child: grandchild.clone(),
-            ext_pred: Predicate::new(1, 0),
-            child: probe.clone(),
-            pred: Predicate::new(2, 1),
-            k: 2,
-        },
-    ]);
-    assert!(batch.replayable(), "extend/fused-probe batches must be replayable");
+    let chained = Request::WalkClassify {
+        sid,
+        parent_level: 0,
+        extends: vec![
+            WalkStep { pred: Predicate::new(0, 1), child },
+            WalkStep { pred: Predicate::new(1, 0), child: grandchild },
+        ],
+        child: probe.clone(),
+        pred: Predicate::new(2, 1),
+        k: 2,
+    };
+    assert!(chained.replayable(), "walk probes carrying extends must be replayable");
     assert!(!Request::WalkOpen { root: Query::all() }.replayable());
-    assert!(!Request::Batch(vec![Request::WalkOpen { root: Query::all() }]).replayable());
 
-    fn exchange_batch(stream: &mut std::net::TcpStream, batch: &Request) -> Vec<Response> {
-        send(stream, batch);
-        let mut responses = Vec::new();
-        for _ in 0..2 {
-            responses.push(read_response(stream).unwrap().unwrap());
-        }
-        responses
-    }
-    let first = exchange_batch(&mut stream, &batch);
-    let second = exchange_batch(&mut stream, &batch); // the blind replay
-    assert_eq!(first, second, "replaying a committed batch must be a no-op");
+    let mut exchange = |req: &Request| {
+        send(&mut stream, req);
+        read_response(&mut stream).unwrap().unwrap()
+    };
+    let first = exchange(&chained);
+    let second = exchange(&chained); // the blind replay
+    assert_eq!(first, second, "replaying a committed chain must be a no-op");
+    let steps: Vec<usize> =
+        servers[0].export_sessions().sessions.iter().map(|s| s.steps.len()).collect();
+    assert_eq!(steps, vec![2], "the replay must not push the chain twice");
 
     // The stack is healthy: a follow-up probe from the replayed level
     // answers, and matches the ground truth of the probed query.
     send(&mut stream, &Request::WalkClassify {
         sid,
         parent_level: 2,
+        extends: Vec::new(),
         child: probe.clone(),
         pred: Predicate::new(2, 1),
         k: 2,

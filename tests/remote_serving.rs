@@ -222,8 +222,8 @@ fn shipped_rankings_cross_the_wire_custom_ones_error_typed() {
 
 /// The pipelining acceptance criterion, measured: a drill-down step —
 /// commit a branch (`extend_state`) and probe a child — costs exactly
-/// **one** wire round trip, and a chain of deferred extends collapses
-/// into a single batch frame. Results stay bit-identical to the local
+/// **one** wire round trip, and a chain of deferred extends rides in the
+/// probe's single request frame. Results stay bit-identical to the local
 /// backend throughout.
 #[test]
 fn drill_down_extend_plus_probe_costs_one_round_trip() {
@@ -239,7 +239,7 @@ fn drill_down_extend_plus_probe_costs_one_round_trip() {
     .unwrap();
     let table = Table::new_dedup(schema, tuples).unwrap();
     let local = TableBackend::new(table.clone());
-    let (_server, remote) = serve(&table, 1);
+    let (server, remote) = serve(&table, 1);
 
     let root = Query::all();
     let l_walk = local.walk_state(&root);
@@ -254,16 +254,17 @@ fn drill_down_extend_plus_probe_costs_one_round_trip() {
         hdb_interface::WalkState::fallback());
     assert_eq!(remote.requests_sent(), before, "extend_state must not touch the wire");
 
-    // The probe resolves the pending extend in ONE round trip (fused).
+    // The probe carries the pending extend: ONE round trip.
     let probe = child.and(1, 0).unwrap();
     let pred = hdb_interface::Predicate::new(1, 0);
     let before = remote.requests_sent();
     let l_got = local.classify_from(&l_child, &probe, pred, 2).unwrap();
     let r_got = remote.classify_from(&r_child, &probe, pred, 2).unwrap();
-    assert_eq!(l_got, r_got, "fused probe must be bit-identical to local");
+    assert_eq!(l_got, r_got, "chained probe must be bit-identical to local");
     assert_eq!(remote.requests_sent(), before + 1, "extend+probe must be one round trip");
 
-    // A chain of deferred extends still resolves in one batch exchange.
+    // A chain of deferred extends still resolves in one exchange: one
+    // request frame, one reply.
     let c2 = child.and(1, 1).unwrap();
     let c3 = c2.and(2, 0).unwrap();
     let l2 = local.extend_state(&l_child, &c2, hdb_interface::Predicate::new(1, 1),
@@ -277,18 +278,20 @@ fn drill_down_extend_plus_probe_costs_one_round_trip() {
     let probe2 = c3.and(3, 2).unwrap();
     let pred2 = hdb_interface::Predicate::new(3, 2);
     let before = remote.requests_sent();
+    let frames_before = server.frame_count();
     let l_eval = local
         .evaluate_from(&l3, &probe2, pred2, 2, &hdb_interface::RowIdRanking)
         .unwrap();
     let r_eval = remote
         .evaluate_from(&r3, &probe2, pred2, 2, &hdb_interface::RowIdRanking)
         .unwrap();
-    assert_eq!(l_eval, r_eval, "batched chain must be bit-identical to local");
+    assert_eq!(l_eval, r_eval, "chained probe must be bit-identical to local");
     assert_eq!(
         remote.requests_sent(),
         before + 1,
         "two extends + probe must still be one round trip"
     );
+    assert_eq!(server.frame_count(), frames_before + 1, "two extends + probe must be one frame");
 
     // After resolution the chain is committed: the next probe from the
     // same node is a plain single-round-trip walk probe.
@@ -296,6 +299,16 @@ fn drill_down_extend_plus_probe_costs_one_round_trip() {
     let l_again = local.classify_from(&l3, &probe2, pred2, 2).unwrap();
     let r_again = remote.classify_from(&r3, &probe2, pred2, 2).unwrap();
     assert_eq!(l_again, r_again);
+    assert_eq!(remote.requests_sent(), before + 1);
+
+    // Every node of the chain committed at its own level: a probe from
+    // the middle one reads that node's state, not its child's.
+    let probe_mid = c2.and(2, 1).unwrap();
+    let pred_mid = hdb_interface::Predicate::new(2, 1);
+    let before = remote.requests_sent();
+    let l_mid = local.classify_from(&l2, &probe_mid, pred_mid, 2).unwrap();
+    let r_mid = remote.classify_from(&r2, &probe_mid, pred_mid, 2).unwrap();
+    assert_eq!(l_mid, r_mid, "a chain's middle node must commit at its own level");
     assert_eq!(remote.requests_sent(), before + 1);
 }
 

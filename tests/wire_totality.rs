@@ -10,13 +10,24 @@ use hdb_interface::wire::{
     encode_page_chunk, read_frame, read_response, write_frame, write_response, FrameBuf, Request,
     Response, MAX_FRAME_LEN, STREAM_TUPLES,
 };
-use hdb_interface::{Evaluation, Predicate, Query, RankingSpec, ReturnedTuple, Tuple};
+use hdb_interface::{Evaluation, Predicate, Query, RankingSpec, ReturnedTuple, Tuple, WalkStep};
 use proptest::prelude::*;
 
 /// A corpus of valid encoded requests, parameterised so proptest can
 /// drive the varying-width fields (session ids, levels, k, seeds).
 fn encoded_requests(sid: u64, level: u32, k: u64, seed: u64) -> Vec<Vec<u8>> {
     let q = Query::all().and(1, (seed % 7) as u16).expect("fresh attr");
+    // A walk probe's extends: `n` steps down attributes 2, 3, ….
+    let steps = |n: usize| {
+        let mut child = q.clone();
+        (0..n)
+            .map(|i| {
+                let pred = Predicate::new(2 + i, ((sid >> i) % 4) as u16);
+                child = child.and(pred.attr, pred.value).expect("fresh attr");
+                WalkStep { pred, child: child.clone() }
+            })
+            .collect::<Vec<_>>()
+    };
     let reqs = vec![
         Request::Hello { version: (k as u32) ^ 1 },
         Request::Schema,
@@ -32,15 +43,10 @@ fn encoded_requests(sid: u64, level: u32, k: u64, seed: u64) -> Vec<Vec<u8>> {
         Request::ExactCount { query: q.clone() },
         Request::ExactSum { attr: sid % 5, query: q.clone() },
         Request::WalkOpen { root: Query::all() },
-        Request::WalkExtend {
-            sid,
-            parent_level: level,
-            child: q.clone(),
-            pred: Predicate::new((sid % 3) as usize, (level % 4) as u16),
-        },
         Request::WalkEvaluate {
             sid,
             parent_level: level,
+            extends: Vec::new(),
             child: q.clone(),
             pred: Predicate::new(0, 1),
             k: k.max(1),
@@ -49,39 +55,24 @@ fn encoded_requests(sid: u64, level: u32, k: u64, seed: u64) -> Vec<Vec<u8>> {
         Request::WalkClassify {
             sid,
             parent_level: level,
+            extends: steps(1),
             child: q.clone(),
             pred: Predicate::new(2, 0),
             k,
         },
-        Request::WalkExtendEvaluate {
+        Request::WalkEvaluate {
             sid,
             parent_level: level,
-            ext_child: q.clone(),
-            ext_pred: Predicate::new((sid % 4) as usize, (seed % 3) as u16),
+            extends: steps(3),
             child: q.clone(),
             pred: Predicate::new(1, 0),
             k: k.max(1),
             ranking: RankingSpec::RowId,
         },
-        Request::WalkExtendClassify {
-            sid,
-            parent_level: level,
-            ext_child: q.clone(),
-            ext_pred: Predicate::new(0, 0),
-            child: q.clone(),
-            pred: Predicate::new(1, 1),
-            k,
-        },
         Request::WalkClose { sid },
         Request::Stats,
     ];
-    let mut encoded: Vec<Vec<u8>> =
-        reqs.iter().map(|r| r.encode().expect("valid request encodes")).collect();
-    // A batch of the first few shapes — pipelining must survive the same
-    // corruption the standalone frames do.
-    let batch = Request::Batch(reqs.into_iter().take(4).collect());
-    encoded.push(batch.encode().expect("valid batch encodes"));
-    encoded
+    reqs.iter().map(|r| r.encode().expect("valid request encodes")).collect()
 }
 
 /// A synthetic page of `n` tuples for stream tests.
