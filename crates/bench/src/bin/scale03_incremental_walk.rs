@@ -1,6 +1,6 @@
 //! Scale experiment: incremental drill-down evaluation — fresh vs
-//! bitmap-reuse vs count-only probes, with the machine-readable perf
-//! trajectory written to `BENCH_scale03.json`.
+//! count-only probes, with the machine-readable perf trajectory written
+//! to `BENCH_scale03.json`.
 use hdb_bench::{experiments, Datasets, Scale};
 
 fn main() {

@@ -1,15 +1,13 @@
 //! Scale experiment for the incremental drill-down evaluation engine
 //! (not a paper figure — an engineering experiment for the repro's own
-//! roadmap): the same deep-walk estimation workload evaluated three
-//! ways, all bit-identical by contract and asserted so here:
+//! roadmap): the same deep-walk estimation workload evaluated two ways,
+//! bit-identical by contract and asserted so here:
 //!
 //! * **fresh** — every probe an independent from-scratch query
 //!   ([`SessionMode::Fresh`], the pre-session reference path);
-//! * **incremental + materialise** — probes reuse the parent node's
-//!   match bitmap (one AND instead of a d-way intersection) but still
-//!   materialise full top-k pages;
-//! * **incremental + count-only** — the default: probes are one
-//!   AND-count, pages materialise only for valid outcomes.
+//! * **incremental + count-only** — the default: probes reuse the parent
+//!   node's match set (one AND-count instead of a d-way intersection),
+//!   and pages materialise only for valid outcomes.
 //!
 //! Per-query wall-clock for each mode goes to `results/` as CSV and to
 //! **`BENCH_scale03.json`** at the repository root — the machine-readable
@@ -44,14 +42,14 @@ fn timed_run(table: &Table, mode: SessionMode, passes: u64) -> (u64, u64, f64) {
     (summary.estimate.to_bits(), db.queries_issued(), secs)
 }
 
-/// Runs the fresh-vs-incremental and materialise-vs-count-only sweep.
+/// Runs the fresh-vs-incremental sweep.
 ///
 /// # Panics
-/// Panics if any session mode changes the estimate — that would be an
+/// Panics if the incremental session changes the estimate — that would be an
 /// incremental-equivalence regression, and an experiment must not
 /// silently record results from a broken engine.
 pub fn run_incremental_scale(scale: &Scale, datasets: &Datasets) {
-    note("incremental walk sessions: fresh vs bitmap-reuse vs count-only probes");
+    note("incremental walk sessions: fresh vs count-only probes");
     // The perf trajectory is defined on the 100k-row deep-walk dataset;
     // reduced scales (--quick / HDB_ROWS) shrink it proportionally.
     let rows = scale.bool_rows.min(100_000);
@@ -61,7 +59,6 @@ pub fn run_incremental_scale(scale: &Scale, datasets: &Datasets) {
 
     let modes = [
         ("fresh", SessionMode::Fresh),
-        ("incremental+materialize", SessionMode::IncrementalMaterialized),
         ("incremental+count-only", SessionMode::Incremental),
     ];
     let mut measured: Vec<(&str, u64, f64, f64)> = Vec::new();
@@ -89,19 +86,13 @@ pub fn run_incremental_scale(scale: &Scale, datasets: &Datasets) {
     }
 
     let fresh_us = measured[0].3;
-    let materialize_us = measured[1].3;
-    let count_only_us = measured[2].3;
+    let count_only_us = measured[1].3;
     let speedup_total = fresh_us / count_only_us;
-    let speedup_bitmap_reuse = fresh_us / materialize_us;
-    let speedup_count_only = materialize_us / count_only_us;
-    println!(
-        "  speedup: fresh→count-only {speedup_total:.2}×  \
-         (bitmap reuse {speedup_bitmap_reuse:.2}×, count-only on top {speedup_count_only:.2}×)"
-    );
+    println!("  speedup: fresh→count-only {speedup_total:.2}×");
 
     let mut fig = Figure::new(
         format!("incremental walk evaluation, m={rows}, k={K}, {passes} passes"),
-        "mode (0=fresh, 1=incremental+materialize, 2=incremental+count-only)",
+        "mode (0=fresh, 1=incremental+count-only)",
         "µs per issued query",
     );
     fig.add(Series::from_points(
@@ -116,13 +107,10 @@ pub fn run_incremental_scale(scale: &Scale, datasets: &Datasets) {
          \"rows\": {rows},\n  \"attributes\": {attrs},\n  \"k\": {K},\n  \"passes\": {passes},\n  \
          \"seed\": {SEED},\n  \"estimate_bits\": {bits},\n  \"queries_per_mode\": {queries},\n  \
          \"fresh_us_per_query\": {fresh_us:.4},\n  \
-         \"incremental_materialize_us_per_query\": {materialize_us:.4},\n  \
          \"incremental_count_only_us_per_query\": {count_only_us:.4},\n  \
-         \"speedup_fresh_to_count_only\": {speedup_total:.4},\n  \
-         \"speedup_fresh_to_materialize\": {speedup_bitmap_reuse:.4},\n  \
-         \"speedup_materialize_to_count_only\": {speedup_count_only:.4}\n}}\n",
+         \"speedup_fresh_to_count_only\": {speedup_total:.4}\n}}\n",
         attrs = table.schema().len(),
-        bits = reference.expect("three runs completed"),
+        bits = reference.expect("both runs completed"),
         queries = measured[0].1,
     );
     match fs::write("BENCH_scale03.json", &json) {

@@ -310,14 +310,14 @@ impl Iterator for SelStateOnes<'_> {
 ///
 /// Drill-down estimators issue chains of queries where each child extends
 /// its parent by exactly one predicate. The `walk_state` /
-/// `extend_state` / `evaluate_from` / `classify_from` family lets a
-/// backend exploit that: the session keeps the parent's materialised
-/// match set and a child costs one AND pass instead of a from-scratch
-/// evaluation. The default implementations fall back to
-/// [`SearchBackend::evaluate`], so the fast path is strictly optional —
-/// and every implementation, fast or fallback, must return results
-/// **bit-identical** to `evaluate` on the equivalent child query (pinned
-/// by the incremental-equivalence property tests).
+/// `extend_state` / `classify_from` family lets a backend exploit that:
+/// the session keeps the parent's materialised match set and a child
+/// costs one AND pass instead of a from-scratch evaluation. The default
+/// implementations fall back to [`SearchBackend::evaluate`], so the fast
+/// path is strictly optional — and every implementation, fast or
+/// fallback, must return results **bit-identical** to `evaluate` on the
+/// equivalent child query (pinned by the incremental-equivalence property
+/// tests).
 pub trait SearchBackend: Send + Sync {
     /// The public schema of the search form.
     fn schema(&self) -> &Schema;
@@ -399,8 +399,10 @@ pub trait SearchBackend: Send + Sync {
     }
 
     /// Evaluates `child` (= parent's query ∧ `pred`) with full top-k
-    /// materialisation, using `parent`'s state when it carries a payload.
-    /// Must be bit-identical to `self.evaluate(child, k, ranking)`.
+    /// materialisation. Nothing in the workspace calls it and no backend
+    /// here overrides it: it stays, falling back to
+    /// [`SearchBackend::evaluate`], only because the job benchmark's
+    /// timing wrapper still overrides it.
     ///
     /// # Errors
     /// [`HdbError::Transport`] if a networked substrate fails to answer.
@@ -481,17 +483,6 @@ impl<B: SearchBackend + ?Sized> SearchBackend for Arc<B> {
         recycled: WalkState,
     ) -> WalkState {
         (**self).extend_state(parent, child, pred, recycled)
-    }
-
-    fn evaluate_from(
-        &self,
-        parent: &WalkState,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-        ranking: &dyn RankingFunction,
-    ) -> Result<Evaluation> {
-        (**self).evaluate_from(parent, child, pred, k, ranking)
     }
 
     fn classify_from(
@@ -715,27 +706,6 @@ impl SearchBackend for TableBackend {
         recycled.rebuild(|spare: SelState| sel.child(posting, spare))
     }
 
-    fn evaluate_from(
-        &self,
-        parent: &WalkState,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-        ranking: &dyn RankingFunction,
-    ) -> Result<Evaluation> {
-        let Some(sel) = parent.payload::<SelState>() else {
-            return self.evaluate(child, k, ranking);
-        };
-        let posting = self.table.index().posting(pred.attr, pred.value as usize);
-        let count = sel.and_count(posting);
-        let matches =
-            sel.iter_and(posting).map(|row| (row as TupleId, self.table.tuple(row as TupleId)));
-        Ok(Evaluation {
-            count,
-            top: select_candidates(matches, count, k, self.table.schema(), ranking),
-        })
-    }
-
     fn classify_from(
         &self,
         parent: &WalkState,
@@ -873,7 +843,6 @@ mod tests {
                 let child = root.and(attr, v as u16).unwrap();
                 for k in [1usize, 2, 10] {
                     let fresh = b.evaluate(&child, k, &RowIdRanking).unwrap();
-                    assert_eq!(b.evaluate_from(&state, &child, pred, k, &RowIdRanking).unwrap(), fresh);
                     let classified = b.classify_from(&state, &child, pred, k).unwrap();
                     assert_eq!(classified.count, fresh.count);
                     if (1..=k).contains(&fresh.count) {
@@ -889,10 +858,9 @@ mod tests {
                     let gchild = child.and(1 - attr, v2 as u16).unwrap();
                     let fresh = b.evaluate(&gchild, 2, &RowIdRanking).unwrap();
                     assert_eq!(
-                        b.evaluate_from(&child_state, &gchild, pred2, 2, &RowIdRanking).unwrap(),
-                        fresh
+                        b.classify_from(&child_state, &gchild, pred2, 2).unwrap(),
+                        Classified::from_evaluation(fresh, 2)
                     );
-                    assert_eq!(b.classify_from(&child_state, &gchild, pred2, 2).unwrap().count, fresh.count);
                 }
             }
         }
@@ -907,10 +875,9 @@ mod tests {
         let pred = Predicate::new(0, 1);
         let child = Query::all().and(0, 1).unwrap();
         assert_eq!(
-            b.evaluate_from(&state, &child, pred, 2, &RowIdRanking).unwrap(),
-            b.evaluate(&child, 2, &RowIdRanking).unwrap()
+            b.classify_from(&state, &child, pred, 2).unwrap(),
+            Classified::from_evaluation(b.evaluate(&child, 2, &RowIdRanking).unwrap(), 2)
         );
-        assert_eq!(b.classify_from(&state, &child, pred, 2).unwrap().count, 2);
     }
 
     /// A bitmap over `len` bits, each set with probability `density`.

@@ -184,21 +184,6 @@ impl SearchBackend for ShardPartBackend {
         recycled.rebuild(|spare: PartWalk| PartWalk(walk.0.child(posting, spare.0)))
     }
 
-    fn evaluate_from(
-        &self,
-        parent: &WalkState,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-        ranking: &dyn RankingFunction,
-    ) -> Result<Evaluation> {
-        let Some(walk) = parent.payload::<PartWalk>() else {
-            return self.evaluate(child, k, ranking);
-        };
-        let (count, top) = self.shard.partial_from(&walk.0, pred, k, &self.schema, ranking);
-        Ok(Evaluation { count, top })
-    }
-
     fn classify_from(
         &self,
         parent: &WalkState,
@@ -873,38 +858,9 @@ impl FederatedBackend {
         (sw.generation > 0).then_some(sw)
     }
 
-    /// One shard's partial for an incremental evaluate probe: the walk
+    /// One shard's classification for an incremental probe: the walk
     /// fast path when the shard connection still matches the state's
     /// generation, failover + fresh evaluation otherwise.
-    fn shard_eval_from(
-        &self,
-        i: usize,
-        fed: Option<&FedWalk>,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-        ranking: &dyn RankingFunction,
-    ) -> Result<(usize, Vec<ReturnedTuple>)> {
-        let Some(shard) = self.shards.get(i) else {
-            return Err(HdbError::Transport(format!("no such shard: {i}")));
-        };
-        if let Some(sw) = self.usable_walk(fed, i) {
-            if let Some((generation, client)) = shard.snapshot() {
-                if generation == sw.generation {
-                    match client.evaluate_from(&sw.state, child, pred, k, ranking) {
-                        Ok(ev) => return Ok((ev.count, ev.top)),
-                        Err(HdbError::Transport(_)) => shard.invalidate(generation),
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        }
-        let ev = shard.with_client(|c| c.evaluate(child, k, ranking))?;
-        Ok((ev.count, ev.top))
-    }
-
-    /// One shard's classification for an incremental probe (see
-    /// [`FederatedBackend::shard_eval_from`]).
     fn shard_classify_from(
         &self,
         i: usize,
@@ -1063,20 +1019,6 @@ impl SearchBackend for FederatedBackend {
             }
         });
         WalkState::with_payload(FedWalk { shards })
-    }
-
-    fn evaluate_from(
-        &self,
-        parent: &WalkState,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-        ranking: &dyn RankingFunction,
-    ) -> Result<Evaluation> {
-        let fed = parent.payload::<FedWalk>();
-        let partials =
-            self.try_per_shard(|i| self.shard_eval_from(i, fed, child, pred, k, ranking))?;
-        Ok(merge_partials(&self.schema, partials, k, ranking))
     }
 
     fn classify_from(
@@ -1239,17 +1181,15 @@ mod tests {
         for b in &backends {
             let walk = b.walk_state(&root);
             let fresh = b.evaluate(&child, 3, &RowIdRanking).unwrap();
-            let incr = b.evaluate_from(&walk, &child, pred, 3, &RowIdRanking).unwrap();
-            assert_eq!(fresh, incr);
             let classified = b.classify_from(&walk, &child, pred, 3).unwrap();
-            assert_eq!(classified.count, fresh.count);
+            assert_eq!(classified, Classified::from_evaluation(fresh, 3));
             // One level deeper through extend_state.
             let grand = child.and(1, 0).unwrap();
             let gpred = Predicate::new(1, 0);
             let ext = b.extend_state(&walk, &child, pred, WalkState::fallback());
             assert_eq!(
-                b.evaluate_from(&ext, &grand, gpred, 2, &RowIdRanking).unwrap(),
-                b.evaluate(&grand, 2, &RowIdRanking).unwrap()
+                b.classify_from(&ext, &grand, gpred, 2).unwrap(),
+                Classified::from_evaluation(b.evaluate(&grand, 2, &RowIdRanking).unwrap(), 2)
             );
         }
         let q = Query::all().and(1, 1).unwrap();

@@ -83,7 +83,7 @@ impl DbObs {
 }
 
 /// The accounting class of an outcome.
-pub(crate) fn outcome_kind(outcome: &QueryOutcome) -> OutcomeKind {
+fn outcome_kind(outcome: &QueryOutcome) -> OutcomeKind {
     match outcome {
         QueryOutcome::Underflow => OutcomeKind::Underflow,
         QueryOutcome::Valid(_) => OutcomeKind::Valid,
@@ -328,9 +328,9 @@ impl<B: SearchBackend> HiddenDb<B> {
     }
 
     /// Selects how [`HiddenDb::walk_session`] evaluates drill-down probes
-    /// (incremental count-only by default). All modes produce bit-identical
-    /// outcomes, query counts, and estimates; the fresh and materialising
-    /// modes exist as reference points for the equivalence tests and the
+    /// (incremental count-only by default). Both modes produce
+    /// bit-identical outcomes, query counts, and estimates; the fresh mode
+    /// exists as the reference point for the equivalence tests and the
     /// `scale03_incremental_walk` benchmark.
     #[must_use]
     pub fn with_session_mode(mut self, mode: SessionMode) -> Self {

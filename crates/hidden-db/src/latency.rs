@@ -149,17 +149,6 @@ impl<B: SearchBackend> SearchBackend for LatencyBackend<B> {
         self.inner.extend_state(parent, child, pred, recycled)
     }
 
-    fn evaluate_from(
-        &self,
-        parent: &WalkState,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-        ranking: &dyn RankingFunction,
-    ) -> Result<Evaluation> {
-        self.inner.evaluate_from(parent, child, pred, k, ranking)
-    }
-
     fn classify_from(
         &self,
         parent: &WalkState,

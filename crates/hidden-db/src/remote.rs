@@ -14,7 +14,9 @@
 //! ride concurrent connections and a serial drill-down reuses one warm
 //! socket. The incremental walk fast path maps onto server-side sessions:
 //! [`SearchBackend::walk_state`] opens a session (the server materialises
-//! the root match set) and probes reference it by `(sid, level)`.
+//! the root match set) and each [`SearchBackend::classify_from`] probe is
+//! one `WalkClassify` referencing it by `(sid, level)` — the only walk
+//! probe the wire carries.
 //!
 //! ## Pipelined extends
 //!
@@ -417,46 +419,6 @@ impl RemoteBackend {
             _ => None,
         }
     }
-
-    /// Sends one walk probe from `walk`'s node, carrying the pending
-    /// chain above it, and commits each pending node once the answer
-    /// arrives. `request` builds the probe from `(sid, parent_level,
-    /// extends)`; `reply` unwraps the expected answer (named `expected`),
-    /// handing any other response back. When the chain cannot commit
-    /// (`SessionGone`), the node re-roots and the probe goes again with
-    /// no extends; `fresh` answers whenever no session can.
-    fn walk_probe<T>(
-        &self,
-        walk: &RemoteWalk,
-        request: impl Fn(u64, u32, Vec<WalkStep>) -> Request,
-        expected: &str,
-        reply: fn(Response) -> std::result::Result<T, Response>,
-        fresh: impl FnOnce() -> Result<T>,
-    ) -> Result<T> {
-        let Some(Anchor { session, level, pendings, extends }) = anchor_of(&walk.node) else {
-            return fresh();
-        };
-        let send = |sid: u64, level: u32, extends: Vec<WalkStep>| -> Result<Option<T>> {
-            match ok_or_err(self.core.request(&request(sid, level, extends))?)? {
-                Response::SessionGone => Ok(None),
-                resp => reply(resp).map(Some).map_err(|other| unexpected(expected, &other)),
-            }
-        };
-        if let Some(answer) = send(session.sid, level, extends)? {
-            for (node, level) in pendings.iter().zip(level + 1..) {
-                node.set_state(NodeState::Committed { session: Arc::clone(&session), level });
-            }
-            return Ok(answer);
-        }
-        if !pendings.is_empty() {
-            if let Some(session) = self.re_root(&walk.node) {
-                if let Some(answer) = send(session.sid, 0, Vec::new())? {
-                    return Ok(answer);
-                }
-            }
-        }
-        fresh()
-    }
 }
 
 impl SearchBackend for RemoteBackend {
@@ -546,38 +508,11 @@ impl SearchBackend for RemoteBackend {
         })
     }
 
-    fn evaluate_from(
-        &self,
-        parent: &WalkState,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-        ranking: &dyn RankingFunction,
-    ) -> Result<Evaluation> {
-        let Some(walk) = parent.payload::<RemoteWalk>() else {
-            return self.evaluate(child, k, ranking);
-        };
-        let spec = Self::spec_of(ranking)?;
-        self.walk_probe(
-            walk,
-            |sid, parent_level, extends| Request::WalkEvaluate {
-                sid,
-                parent_level,
-                extends,
-                child: child.clone(),
-                pred,
-                k: k as u64,
-                ranking: spec,
-            },
-            "Evaluation",
-            |resp| match resp {
-                Response::Evaluation(ev) => Ok(ev),
-                other => Err(other),
-            },
-            || self.evaluate(child, k, ranking),
-        )
-    }
-
+    /// Sends one `WalkClassify` of `child` (= the parent's query ∧ `pred`)
+    /// from the parent's node, carrying the pending chain above it, and
+    /// commits each pending node once the answer arrives. When the chain
+    /// cannot commit (`SessionGone`), the node re-roots and the probe goes
+    /// again with no extends; `fresh` answers whenever no session can.
     fn classify_from(
         &self,
         parent: &WalkState,
@@ -594,22 +529,37 @@ impl SearchBackend for RemoteBackend {
         let Some(walk) = parent.payload::<RemoteWalk>() else {
             return fresh();
         };
-        self.walk_probe(
-            walk,
-            |sid, parent_level, extends| Request::WalkClassify {
+        let Some(Anchor { session, level, pendings, extends }) = anchor_of(&walk.node) else {
+            return fresh();
+        };
+        let send = |sid: u64, level: u32, extends: Vec<WalkStep>| -> Result<Option<Classified>> {
+            let req = Request::WalkClassify {
                 sid,
-                parent_level,
+                parent_level: level,
                 extends,
                 child: child.clone(),
                 pred,
                 k: k as u64,
-            },
-            "Classified",
-            |resp| match resp {
-                Response::Classified(c) => Ok(c),
-                other => Err(other),
-            },
-            fresh,
-        )
+            };
+            match ok_or_err(self.core.request(&req)?)? {
+                Response::SessionGone => Ok(None),
+                Response::Classified(c) => Ok(Some(c)),
+                other => Err(unexpected("Classified", &other)),
+            }
+        };
+        if let Some(answer) = send(session.sid, level, extends)? {
+            for (node, level) in pendings.iter().zip(level + 1..) {
+                node.set_state(NodeState::Committed { session: Arc::clone(&session), level });
+            }
+            return Ok(answer);
+        }
+        if !pendings.is_empty() {
+            if let Some(session) = self.re_root(&walk.node) {
+                if let Some(answer) = send(session.sid, 0, Vec::new())? {
+                    return Ok(answer);
+                }
+            }
+        }
+        fresh()
     }
 }

@@ -15,6 +15,10 @@
 //!   copy-AND pass into a recycled buffer, and
 //! * backtracking ([`WalkSession::retract`]) is free.
 //!
+//! `classify` is the session's only probe: a drill-down reads just a
+//! branch's outcome class plus a valid node's tuples, so no overflow
+//! page is ever ranked.
+//!
 //! **The session changes only server CPU time, never observable
 //! behaviour.** Every probe is validated, charged to the
 //! [`QueryCounter`](crate::QueryCounter), paid as a backend round trip,
@@ -23,23 +27,20 @@
 //! outcomes, and therefore whole estimator runs are **bit-identical** to
 //! the fresh path (pinned by the incremental-equivalence property
 //! tests). [`SessionMode`] keeps the fresh path selectable as a
-//! reference, and a materialising middle mode isolates what the
-//! count-only classification saves on its own.
+//! reference.
 
 use std::sync::Arc;
 
 use crate::backend::{SearchBackend, WalkState};
 use crate::counter::OutcomeKind;
 use crate::error::Result;
-use crate::interface::{
-    expensive_response, outcome_kind, HiddenDb, QueryOutcome, ReturnedTuple, TopKInterface,
-};
+use crate::interface::{expensive_response, HiddenDb, QueryOutcome, ReturnedTuple, TopKInterface};
 use crate::query::{Predicate, Query};
 use crate::schema::{AttrId, Schema, ValueId};
 
-/// How [`HiddenDb::walk_session`] evaluates drill-down probes. All modes
-/// are observationally identical (outcomes, query counts, estimates);
-/// they differ only in server CPU cost.
+/// How [`HiddenDb::walk_session`] evaluates drill-down probes. Both
+/// modes are observationally identical (outcomes, query counts,
+/// estimates); they differ only in server CPU cost.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SessionMode {
     /// Incremental evaluation with count-only probes (the default and
@@ -47,10 +48,6 @@ pub enum SessionMode {
     /// set; overflow pages are never materialised.
     #[default]
     Incremental,
-    /// Incremental evaluation, but every probe materialises its full
-    /// top-k page (isolates the count-only saving in benchmarks; feeds
-    /// the hot-response memo exactly like fresh queries do).
-    IncrementalMaterialized,
     /// Every probe is an independent fresh query — the pre-session
     /// reference path.
     Fresh,
@@ -129,8 +126,8 @@ impl ClassifiedOutcome {
 
 /// An incremental drill-down session over one interface (see the module
 /// docs). Obtain one from [`TopKInterface::walk_session`]; the walk
-/// drives it with [`WalkSession::classify`] / [`WalkSession::probe`]
-/// (charged like fresh queries) and [`WalkSession::extend`] /
+/// drives it with [`WalkSession::classify`] (charged like a fresh
+/// query) and [`WalkSession::extend`] /
 /// [`WalkSession::retract`] (free — the client merely narrows or widens
 /// what it asks next, exactly like `Query::and` on the fresh path).
 ///
@@ -194,7 +191,6 @@ impl<'a> WalkSession<'a> {
                 db,
                 states: vec![state],
                 spare: Vec::new(),
-                materialize: db.session == SessionMode::IncrementalMaterialized,
             }),
         })
     }
@@ -223,36 +219,21 @@ impl<'a> WalkSession<'a> {
         self.stack.len() - 1
     }
 
-    /// Validates a child predicate exactly as a fresh issue of the child
-    /// query would, so invalid probes error *without* being charged.
-    fn child(&self, attr: AttrId, value: ValueId) -> Result<(Query, Predicate)> {
-        let child = self.query().and(attr, value)?;
-        child.validate(self.schema)?;
-        Ok((child, Predicate::new(attr, value)))
-    }
-
-    /// Issues the child query `current ∧ attr=value` with full top-k
-    /// materialisation — observationally identical to
-    /// [`TopKInterface::query`] on that query, including the charge.
+    /// Issues the child query `current ∧ attr=value` count-only: the
+    /// outcome class, with the full page materialised only when valid.
+    /// Observationally identical to [`TopKInterface::query`] on that
+    /// query minus the overflow page, including the charge.
     ///
     /// # Errors
     /// [`crate::HdbError::InvalidQuery`] for invalid predicates (not
     /// charged), [`crate::HdbError::BudgetExhausted`] once the budget is
     /// spent.
-    pub fn probe(&mut self, attr: AttrId, value: ValueId) -> Result<QueryOutcome> {
-        let (child, pred) = self.child(attr, value)?;
-        self.core.probe(&child, pred, self.k)
-    }
-
-    /// Issues the child query `current ∧ attr=value` count-only: the
-    /// outcome class, with the full page materialised only when valid.
-    /// Charged exactly like [`WalkSession::probe`].
-    ///
-    /// # Errors
-    /// Same contract as [`WalkSession::probe`].
     pub fn classify(&mut self, attr: AttrId, value: ValueId) -> Result<ClassifiedOutcome> {
-        let (child, pred) = self.child(attr, value)?;
-        self.core.classify(&child, pred, self.k)
+        // Validated exactly as a fresh issue of the child query would be,
+        // so invalid probes error *without* being charged.
+        let child = self.query().and(attr, value)?;
+        child.validate(self.schema)?;
+        self.core.classify(&child, Predicate::new(attr, value), self.k)
     }
 
     /// Commits the walk to the branch `attr = value`. No query is issued
@@ -288,7 +269,6 @@ impl<'a> WalkSession<'a> {
 /// node state moves. Object-safe so the session type stays free of the
 /// backend type parameter.
 trait SessionCore {
-    fn probe(&mut self, child: &Query, pred: Predicate, k: usize) -> Result<QueryOutcome>;
     fn classify(&mut self, child: &Query, pred: Predicate, k: usize) -> Result<ClassifiedOutcome>;
     fn extend(&mut self, child: &Query, pred: Predicate);
     fn retract(&mut self);
@@ -301,10 +281,6 @@ struct FreshCore<'a> {
 }
 
 impl SessionCore for FreshCore<'_> {
-    fn probe(&mut self, child: &Query, _pred: Predicate, _k: usize) -> Result<QueryOutcome> {
-        self.iface.query(child)
-    }
-
     fn classify(&mut self, child: &Query, _pred: Predicate, _k: usize) -> Result<ClassifiedOutcome> {
         Ok(ClassifiedOutcome::from_outcome(self.iface.query(child)?))
     }
@@ -317,65 +293,22 @@ impl SessionCore for FreshCore<'_> {
 /// Incremental engine over a [`HiddenDb`]: mirrors
 /// `HiddenDb::query`/`respond` step for step (charge → round trip → hot
 /// memo → evaluate → memoise-if-expensive → tally), with the evaluation
-/// replaced by the backend's `evaluate_from`/`classify_from` fast path
-/// over the parent state stack. The `spare` list recycles retired state
-/// buffers — the walk-local scratch arena.
+/// replaced by the backend's `classify_from` fast path over the parent
+/// state stack. The `spare` list recycles retired state buffers — the
+/// walk-local scratch arena.
 struct DbCore<'a, B: SearchBackend> {
     db: &'a HiddenDb<B>,
     states: Vec<WalkState>,
     spare: Vec<WalkState>,
-    materialize: bool,
 }
 
 impl<B: SearchBackend> DbCore<'_, B> {
     fn parent(&self) -> &WalkState {
         self.states.last().expect("state stack holds at least the root")
     }
-
-    /// The full-materialisation response for a charged child query —
-    /// identical, including memo reads and writes, to what
-    /// `HiddenDb::respond` computes for a fresh issue of `child`.
-    fn respond_full(&self, child: &Query, pred: Predicate, k: usize) -> Result<QueryOutcome> {
-        if let Some(hit) = self.db.hot_responses.get(child) {
-            self.db.obs.memo_response_hits.inc();
-            return Ok(hit);
-        }
-        let eval = self
-            .db
-            .backend
-            .evaluate_from(self.parent(), child, pred, k, self.db.ranking.as_ref())?;
-        let expensive = expensive_response(eval.count, k);
-        let outcome = eval.into_outcome(k);
-        if expensive {
-            self.db.hot_responses.insert(child.clone(), outcome.clone());
-        }
-        Ok(outcome)
-    }
 }
 
 impl<B: SearchBackend> SessionCore for DbCore<'_, B> {
-    fn probe(&mut self, child: &Query, pred: Predicate, k: usize) -> Result<QueryOutcome> {
-        self.db.counter.charge()?;
-        // One round trip per issued query, memo hit or not — exactly the
-        // fresh path's contract.
-        self.db.backend.round_trip();
-        let span = self.db.obs.trace.open("walk_probe", 0, 0);
-        let outcome = match self.respond_full(child, pred, k) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                // Charged and sent, but no outcome class came back: the
-                // budget is spent either way, so tally the failure.
-                self.db.counter.record_outcome(OutcomeKind::Errored);
-                self.db.obs.trace.close(span, "walk_probe", 0);
-                return Err(e);
-            }
-        };
-        self.db.counter.record_outcome(outcome_kind(&outcome));
-        self.db.obs.walk_probes.inc();
-        self.db.obs.trace.close(span, "walk_probe", 0);
-        Ok(outcome)
-    }
-
     fn classify(&mut self, child: &Query, pred: Predicate, k: usize) -> Result<ClassifiedOutcome> {
         self.db.counter.charge()?;
         self.db.backend.round_trip();
@@ -384,8 +317,6 @@ impl<B: SearchBackend> SessionCore for DbCore<'_, B> {
             // Memoised responses are served exactly as to a fresh query.
             self.db.obs.memo_response_hits.inc();
             Ok(ClassifiedOutcome::from_outcome(hit))
-        } else if self.materialize {
-            Ok(ClassifiedOutcome::from_outcome(self.respond_full(child, pred, k)?))
         } else if let Some(hit) = self.db.hot_counts.get(child) {
             // A repeated count-only probe of an expensive node: served
             // from the count memo, charged like any other memo hit.
@@ -511,9 +442,9 @@ mod tests {
         walk.retract();
         current = current.without(2);
         for v in 0..2u16 {
-            let got = walk.probe(3, v).unwrap();
+            let got = walk.classify(3, v).unwrap();
             let want = fresh_db.query(&current.and(3, v).unwrap()).unwrap();
-            assert_eq!(got, want, "full probe A4={v}");
+            assert_eq!(got, ClassifiedOutcome::from_outcome(want), "probe A4={v} after retract");
         }
         // identical charging and tallies, probe for probe
         assert_eq!(session_db.queries_issued(), fresh_db.queries_issued());
@@ -527,7 +458,6 @@ mod tests {
     fn session_modes_match_fresh_queries() {
         for k in [1usize, 2, 4] {
             assert_session_matches_fresh(SessionMode::Incremental, k);
-            assert_session_matches_fresh(SessionMode::IncrementalMaterialized, k);
             assert_session_matches_fresh(SessionMode::Fresh, k);
         }
     }
@@ -593,7 +523,7 @@ mod tests {
         let db = HiddenDb::new(running_example(), 1);
         let mut walk = db.walk_session(Query::all()).unwrap();
         assert!(walk.classify(9, 0).is_err());
-        assert!(walk.probe(4, 9).is_err());
+        assert!(walk.classify(4, 9).is_err());
         walk.extend(0, 0);
         assert!(walk.classify(0, 1).is_err(), "attr 0 already constrained");
         assert_eq!(db.queries_issued(), 0);

@@ -72,25 +72,6 @@ impl Shard {
             .map(|row| (self.ids[row], self.table.tuple(row as TupleId)));
         (count, select_candidates(matches, count, k, schema, ranking))
     }
-
-    /// [`Shard::partial`] over an incremental parent state ∩ one posting.
-    pub(crate) fn partial_from(
-        &self,
-        sel: &SelState,
-        pred: Predicate,
-        k: usize,
-        schema: &Schema,
-        ranking: &dyn RankingFunction,
-    ) -> (usize, Vec<ReturnedTuple>) {
-        let posting = self.table.index().posting(pred.attr, pred.value as usize);
-        let count = sel.and_count(posting);
-        if count == 0 {
-            return (0, Vec::new());
-        }
-        let matches =
-            sel.iter_and(posting).map(|row| (self.ids[row], self.table.tuple(row as TupleId)));
-        (count, select_candidates(matches, count, k, schema, ranking))
-    }
 }
 
 /// Stable, platform-independent FNV-1a hash of a tuple's values — the
@@ -262,29 +243,6 @@ impl ShardedDb {
                 .collect(),
         }
     }
-
-    /// Collects every shard's partial evaluation, concurrently when
-    /// configured.
-    fn partials(
-        &self,
-        q: &Query,
-        k: usize,
-        ranking: &dyn RankingFunction,
-    ) -> Vec<(usize, Vec<ReturnedTuple>)> {
-        self.per_shard(|i| self.shards[i].partial(q, k, &self.schema, ranking))
-    }
-
-    /// Merges per-shard partial evaluations into the global [`Evaluation`]
-    /// — order-independent, bit-identical to the single-table result (the
-    /// shared [`merge_partials`], which the federation layer also uses).
-    fn merge(
-        &self,
-        partials: Vec<(usize, Vec<ReturnedTuple>)>,
-        k: usize,
-        ranking: &dyn RankingFunction,
-    ) -> Evaluation {
-        merge_partials(&self.schema, partials, k, ranking)
-    }
 }
 
 impl SearchBackend for ShardedDb {
@@ -305,8 +263,10 @@ impl SearchBackend for ShardedDb {
     }
 
     fn evaluate(&self, q: &Query, k: usize, ranking: &dyn RankingFunction) -> Result<Evaluation> {
-        let partials = self.partials(q, k, ranking);
-        Ok(self.merge(partials, k, ranking))
+        // Every shard's partial, concurrently when configured, merged
+        // order-independently by the shared `merge_partials`.
+        let partials = self.per_shard(|i| self.shards[i].partial(q, k, &self.schema, ranking));
+        Ok(merge_partials(&self.schema, partials, k, ranking))
     }
 
     fn exact_count(&self, q: &Query) -> Result<usize> {
@@ -356,23 +316,6 @@ impl SearchBackend for ShardedDb {
             }
             children
         })
-    }
-
-    fn evaluate_from(
-        &self,
-        parent: &WalkState,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-        ranking: &dyn RankingFunction,
-    ) -> Result<Evaluation> {
-        let Some(sels) = parent.payload::<Vec<SelState>>() else {
-            return self.evaluate(child, k, ranking);
-        };
-        let partials: Vec<(usize, Vec<ReturnedTuple>)> = self.per_shard(|i| {
-            self.shards[i].partial_from(&sels[i], pred, k, &self.schema, ranking)
-        });
-        Ok(self.merge(partials, k, ranking))
     }
 
     fn classify_from(

@@ -707,23 +707,6 @@ impl SearchBackend for PersistentBackend {
         WalkState::with_payload(GenState { generation: g.generation, inner })
     }
 
-    fn evaluate_from(
-        &self,
-        parent: &WalkState,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-        ranking: &dyn RankingFunction,
-    ) -> Result<Evaluation> {
-        let g = self.read();
-        match parent.payload::<GenState>() {
-            Some(p) if p.generation == g.generation => {
-                g.backend.evaluate_from(&p.inner, child, pred, k, ranking)
-            }
-            _ => g.backend.evaluate(child, k, ranking),
-        }
-    }
-
     fn classify_from(
         &self,
         parent: &WalkState,

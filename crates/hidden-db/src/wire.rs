@@ -6,20 +6,21 @@
 //! payload; the payload's first byte is the message tag. Every message
 //! covers exactly one [`SearchBackend`](crate::SearchBackend) operation —
 //! `schema` / `len` / `evaluate` / `exact_count` / `exact_sum` plus the
-//! incremental walk fast path (`WalkOpen` / `WalkEvaluate` /
-//! `WalkClassify` / `WalkClose`), whose server-side state is keyed by a
-//! session id so a drill-down probe stays one AND (and one round trip)
-//! across the network.
+//! incremental walk fast path (`WalkOpen` / `WalkClassify` /
+//! `WalkClose`), whose server-side state is keyed by a session id so a
+//! drill-down probe stays one AND (and one round trip) across the
+//! network. The one walk probe is count-only: a drill-down reads a
+//! branch's outcome class and a valid node's tuples, never an overflow
+//! page.
 //!
 //! Each exchange is one request frame and one logical reply:
 //!
-//! * **Walk probes carry their extends** — a [`Request::WalkEvaluate`] or
-//!   [`Request::WalkClassify`] lists the branch commitments the client
-//!   made since its last probe ([`WalkStep`]s, shallowest first). The
-//!   server pushes them onto the session's stack and probes the level the
-//!   last one pushed, all under one lock, so a drill-down step (commit a
-//!   branch, probe a child) costs one round trip however many commitments
-//!   it carries.
+//! * **Walk probes carry their extends** — a [`Request::WalkClassify`]
+//!   lists the branch commitments the client made since its last probe
+//!   ([`WalkStep`]s, shallowest first). The server pushes them onto the
+//!   session's stack and probes the level the last one pushed, all under
+//!   one lock, so a drill-down step (commit a branch, probe a child)
+//!   costs one round trip however many commitments it carries.
 //! * **Chunked page streaming** — a page-carrying response whose page
 //!   exceeds [`STREAM_TUPLES`] is shipped as a [`Response::Streamed`]
 //!   head (page stripped) followed by [`Response::PageChunk`] frames,
@@ -48,8 +49,9 @@ use crate::tuple::Tuple;
 /// Protocol version; [`Request::Hello`] / [`Response::Hello`] exchange it
 /// and a mismatch is a connect-time [`HdbError::Transport`]. Version 2
 /// added chunked page streaming; version 3 made a walk probe carry its
-/// pending extends.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// pending extends; version 4 retired the full-page walk probe (tag
+/// `0x09`), leaving [`Request::WalkClassify`] the only one.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound on a frame payload (64 MiB): anything larger is treated as
 /// a corrupt length prefix and rejected before allocation.
@@ -102,32 +104,13 @@ pub enum Request {
         /// The session root query.
         root: Query,
     },
-    /// Full top-k evaluation of `parent ∧ pred` against session state.
-    /// Any `extends` are pushed first, above `parent_level` and after
-    /// truncating deeper levels (the walk is stack-disciplined); the
-    /// probe then reads the level the last one pushed. A chain that
-    /// cannot commit answers [`Response::SessionGone`].
-    WalkEvaluate {
-        /// The session id.
-        sid: u64,
-        /// Index of the level the first extend (or, with none, the probe)
-        /// applies to.
-        parent_level: u32,
-        /// The branch commitments to push first, shallowest first.
-        extends: Vec<WalkStep>,
-        /// The child's full query (fallback path + revalidation).
-        child: Query,
-        /// The probed predicate.
-        pred: Predicate,
-        /// The interface constant `k` (must be ≥ 1).
-        k: u64,
-        /// The ranking to select the top `k` under.
-        ranking: RankingSpec,
-    },
     /// Count-only classification of `parent ∧ pred` against session
     /// state — the drill-down probe fast path: one AND on the server, one
-    /// round trip on the wire. `extends` work as in
-    /// [`Request::WalkEvaluate`].
+    /// round trip on the wire. Any `extends` are pushed first, above
+    /// `parent_level` and after truncating deeper levels (the walk is
+    /// stack-disciplined); the probe then reads the level the last one
+    /// pushed. A chain that cannot commit answers
+    /// [`Response::SessionGone`].
     WalkClassify {
         /// The session id.
         sid: u64,
@@ -676,13 +659,8 @@ impl Request {
                 e.u8(0x07);
                 enc_query(&mut e, root)?;
             }
-            Self::WalkEvaluate { sid, parent_level, extends, child, pred, k, .. }
-            | Self::WalkClassify { sid, parent_level, extends, child, pred, k } => {
-                let ranking = match self {
-                    Self::WalkEvaluate { ranking, .. } => Some(*ranking),
-                    _ => None,
-                };
-                e.u8(if ranking.is_some() { 0x09 } else { 0x0A });
+            Self::WalkClassify { sid, parent_level, extends, child, pred, k } => {
+                e.u8(0x0A);
                 e.u64(*sid);
                 e.u32(*parent_level);
                 e.seq(extends.len(), "walk step count")?;
@@ -692,9 +670,6 @@ impl Request {
                 enc_query(&mut e, child)?;
                 enc_predicate(&mut e, *pred)?;
                 e.u64(*k);
-                if let Some(ranking) = ranking {
-                    enc_ranking(&mut e, ranking)?;
-                }
             }
             Self::WalkClose { sid } => {
                 e.u8(0x0B);
@@ -723,7 +698,7 @@ impl Request {
             0x05 => Self::ExactCount { query: dec_query(&mut d)? },
             0x06 => Self::ExactSum { attr: d.u64("sum attr")?, query: dec_query(&mut d)? },
             0x07 => Self::WalkOpen { root: dec_query(&mut d)? },
-            tag @ (0x09 | 0x0A) => {
+            0x0A => {
                 let sid = d.u64("sid")?;
                 let parent_level = d.u32("parent level")?;
                 let n = d.seq_len("walk step count")?;
@@ -731,15 +706,13 @@ impl Request {
                 for _ in 0..n {
                     extends.push(dec_step(&mut d)?);
                 }
-                let child = dec_query(&mut d)?;
-                let pred = dec_predicate(&mut d)?;
-                let k = d.u64("k")?;
-                match tag {
-                    0x09 => {
-                        let ranking = dec_ranking(&mut d)?;
-                        Self::WalkEvaluate { sid, parent_level, extends, child, pred, k, ranking }
-                    }
-                    _ => Self::WalkClassify { sid, parent_level, extends, child, pred, k },
+                Self::WalkClassify {
+                    sid,
+                    parent_level,
+                    extends,
+                    child: dec_query(&mut d)?,
+                    pred: dec_predicate(&mut d)?,
+                    k: d.u64("k")?,
                 }
             }
             0x0B => Self::WalkClose { sid: d.u64("sid")? },
@@ -1180,17 +1153,21 @@ mod tests {
                 k: 1,
                 ranking: RankingSpec::Attribute { attr: 3, descending: true },
             },
+            Request::Evaluate {
+                query: q.clone(),
+                k: 3,
+                ranking: RankingSpec::SeededRandom { seed: 42 },
+            },
             Request::ExactCount { query: q.clone() },
             Request::ExactSum { attr: 2, query: q.clone() },
             Request::WalkOpen { root: Query::all() },
-            Request::WalkEvaluate {
+            Request::WalkClassify {
                 sid: 9,
                 parent_level: 0,
                 extends: Vec::new(),
                 child: q.clone(),
                 pred: Predicate::new(0, 1),
                 k: 3,
-                ranking: RankingSpec::SeededRandom { seed: 42 },
             },
             Request::WalkClassify {
                 sid: u64::MAX,
@@ -1201,14 +1178,13 @@ mod tests {
                 k: 10,
             },
             Request::WalkClose { sid: 5 },
-            Request::WalkEvaluate {
+            Request::WalkClassify {
                 sid: 11,
                 parent_level: 3,
                 extends: vec![WalkStep { pred: Predicate::new(1, 2), child: q.clone() }],
                 child: q.clone().and(2, 1).unwrap(),
                 pred: Predicate::new(2, 1),
                 k: 4,
-                ranking: RankingSpec::SeededRandom { seed: 7 },
             },
             Request::WalkClassify {
                 sid: 12,
@@ -1420,7 +1396,7 @@ mod tests {
         // every prefix of a valid message must fail cleanly, a chained
         // probe's steps included
         let child = Query::all().and(0, 1).unwrap();
-        let full = Request::WalkEvaluate {
+        let full = Request::WalkClassify {
             sid: 1,
             parent_level: 0,
             extends: vec![
@@ -1430,7 +1406,6 @@ mod tests {
             child: child.and(1, 0).unwrap().and(2, 1).unwrap(),
             pred: Predicate::new(2, 1),
             k: 2,
-            ranking: RankingSpec::RowId,
         }
         .encode()
         .unwrap();
@@ -1441,6 +1416,17 @@ mod tests {
         // unknown tags
         assert!(Request::decode(&[0x7F]).is_err());
         assert!(Response::decode(&[0x00]).is_err());
+        // the retired full-page walk probe (0x09): a well-formed body under
+        // that tag, ranking suffix included, is still an unknown tag
+        let mut retired = full.clone();
+        retired[0] = 0x09;
+        retired.push(0x00);
+        match Request::decode(&retired) {
+            Err(HdbError::Transport(msg)) => {
+                assert!(msg.contains("unknown request tag 0x09"), "{msg}");
+            }
+            other => panic!("retired tag 0x09 decoded as {other:?}"),
+        }
         // trailing garbage
         let mut bytes = Request::Len.encode().unwrap();
         bytes.push(9);

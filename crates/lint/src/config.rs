@@ -22,10 +22,12 @@
 
 use std::collections::BTreeMap;
 
-/// Parsed allowlists: rule id → (path → reason).
+/// Parsed allowlists: rule id → (path → the entry's 1-based line). The
+/// reason is checked to be a string and not kept: it is for the reader
+/// of `lint.toml`, not for the lint.
 #[derive(Clone, Debug, Default)]
 pub struct Config {
-    allow: BTreeMap<String, BTreeMap<String, String>>,
+    allow: BTreeMap<String, BTreeMap<String, u32>>,
 }
 
 impl Config {
@@ -36,13 +38,16 @@ impl Config {
         self.allow.get(rule).is_some_and(|paths| paths.contains_key(path))
     }
 
-    /// All allowlisted (path, reason) pairs for `rule`.
+    /// Every entry as `(rule, path, line)`, ordered by rule then path;
+    /// `line` is the entry's 1-based line in `lint.toml`.
     #[must_use]
-    pub fn allowed_paths(&self, rule: &str) -> Vec<(&str, &str)> {
+    pub fn entries(&self) -> Vec<(&str, &str, u32)> {
         self.allow
-            .get(rule)
-            .map(|m| m.iter().map(|(p, r)| (p.as_str(), r.as_str())).collect())
-            .unwrap_or_default()
+            .iter()
+            .flat_map(|(rule, m)| {
+                m.iter().map(move |(path, line)| (rule.as_str(), path.as_str(), *line))
+            })
+            .collect()
     }
 
     /// Parses the `lint.toml` subset described in the module docs.
@@ -53,8 +58,7 @@ impl Config {
         let mut config = Self::default();
         // Current table path, e.g. ["allow", "HDB-D01"].
         let mut table: Vec<String> = Vec::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx + 1;
+        for (lineno, raw) in (1u32..).zip(text.lines()) {
             let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
@@ -72,7 +76,7 @@ impl Config {
             };
             let key = parse_key(line[..eq].trim())
                 .map_err(|e| format!("lint.toml:{lineno}: {e}"))?;
-            let value = parse_string(line[eq + 1..].trim())
+            parse_string(line[eq + 1..].trim())
                 .map_err(|e| format!("lint.toml:{lineno}: {e}"))?;
             match table.as_slice() {
                 [allow, rule] if allow == "allow" => {
@@ -80,7 +84,7 @@ impl Config {
                         .allow
                         .entry(rule.clone())
                         .or_default()
-                        .insert(key, value);
+                        .insert(key, lineno);
                 }
                 _ => {
                     return Err(format!(
@@ -188,8 +192,11 @@ mod tests {
         assert!(!cfg.is_allowed("HDB-D01", "crates/server/src/main.rs"));
         assert!(cfg.is_allowed("HDB-P01", "crates/server/src/main.rs"));
         assert_eq!(
-            cfg.allowed_paths("HDB-D01"),
-            vec![("crates/hidden-db/src/cache.rs", "keyed lookups only")]
+            cfg.entries(),
+            vec![
+                ("HDB-D01", "crates/hidden-db/src/cache.rs", 4),
+                ("HDB-P01", "crates/server/src/main.rs", 7),
+            ]
         );
     }
 
@@ -216,9 +223,10 @@ mod tests {
 
     #[test]
     fn escapes_round_trip() {
-        let cfg =
-            Config::parse("[allow.R]\n\"p.rs\" = \"say \\\"hi\\\" and \\\\ back\"").unwrap();
-        assert_eq!(cfg.allowed_paths("R")[0].1, "say \"hi\" and \\ back");
+        let cfg = Config::parse("[allow.R]\n\"say \\\"hi\\\" and \\\\ back.rs\" = \"reason\"")
+            .unwrap();
+        assert!(cfg.is_allowed("R", "say \"hi\" and \\ back.rs"));
+        assert!(Config::parse("[allow.R]\n\"p.rs\" = \"bad \\q escape\"").is_err());
     }
 
     #[test]

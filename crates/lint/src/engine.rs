@@ -1,29 +1,42 @@
 //! Workspace walking: find `.rs` files, attribute them to crates, run
-//! the per-file rules, and run the per-crate U02 census.
+//! the per-file rules, run the per-crate U02 census, and flag allowlist
+//! entries that suppress nothing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use crate::config::Config;
 use crate::lexer;
 use crate::rules::{self, CrateSummary, Diagnostic, FileContext};
 
-/// Lints one file's source text under its workspace-relative `path`.
-///
-/// Exposed (rather than only the workspace walk) so tests can feed
-/// fixture sources through the exact production path.
+/// Lints one file's source text under its workspace-relative `path`,
+/// dropping the findings `cfg` allowlists — the same filter
+/// [`lint_workspace`] applies.
 #[must_use]
 pub fn lint_file(path: &str, source: &str, cfg: &Config) -> Vec<Diagnostic> {
     let tokens = lexer::lex(source);
     let ctx = FileContext::new(path, &tokens);
-    rules::check_file(&ctx, cfg)
+    let mut out = rules::check_file(&ctx);
+    out.retain(|d| !cfg.is_allowed(d.rule, &d.path));
+    out
 }
 
-/// Lints the whole workspace rooted at `root`.
+/// Lints the whole workspace rooted at `root` against the allowlist
+/// `cfg`, which was read from `cfg_path`.
+///
+/// Every file (and the U02 census) is linted with no allowlist, and `cfg`
+/// then sorts each finding into reported or suppressed. An entry that
+/// suppressed nothing — its rule fires nowhere under its path, or the
+/// path is gone — is reported as `HDB-L01` at its line of `cfg_path`, so
+/// the allowlist shrinks as the code it excuses is deleted.
 ///
 /// # Errors
 /// I/O failures walking the tree or reading sources.
-pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, String> {
+pub fn lint_workspace(
+    root: &Path,
+    cfg: &Config,
+    cfg_path: &str,
+) -> Result<Vec<Diagnostic>, String> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
@@ -31,6 +44,8 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, Stri
     let mut diagnostics = Vec::new();
     // crate root dir (workspace-relative) → unsafe census across src/.
     let mut crates: BTreeMap<String, CrateState> = BTreeMap::new();
+    // (rule, path) of every finding an allowlist entry suppressed.
+    let mut suppressed: BTreeSet<(&str, String)> = BTreeSet::new();
 
     for rel in &files {
         let abs = root.join(rel);
@@ -39,7 +54,9 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, Stri
         let rel_str = rel.to_string_lossy().replace('\\', "/");
         let tokens = lexer::lex(&source);
         let ctx = FileContext::new(&rel_str, &tokens);
-        diagnostics.extend(rules::check_file(&ctx, cfg));
+        for d in rules::check_file(&ctx) {
+            route(d, cfg, &mut suppressed, &mut diagnostics);
+        }
 
         // U02 census: only `src/` files count toward a crate's unsafe
         // total (tests/benches/examples are separate compilation units
@@ -63,13 +80,45 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, Stri
             unsafe_tokens: state.unsafe_tokens,
             has_forbid: state.has_forbid,
         };
-        diagnostics.extend(rules::check_crate(&summary, cfg));
+        if let Some(d) = rules::check_crate(&summary) {
+            route(d, cfg, &mut suppressed, &mut diagnostics);
+        }
+    }
+
+    for (rule, path, line) in cfg.entries() {
+        if !suppressed.contains(&(rule, path.to_string())) {
+            diagnostics.push(Diagnostic {
+                path: cfg_path.to_string(),
+                line,
+                col: 1,
+                rule: "HDB-L01",
+                message: format!(
+                    "[allow.{rule}] \"{path}\" suppresses nothing: {rule} fires nowhere under \
+                     that path; delete the entry"
+                ),
+            });
+        }
     }
 
     diagnostics.sort_by(|a, b| {
         (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule))
     });
     Ok(diagnostics)
+}
+
+/// Reports an unfiltered finding, or records it as suppressed when `cfg`
+/// allowlists its rule at its path.
+fn route(
+    d: Diagnostic,
+    cfg: &Config,
+    suppressed: &mut BTreeSet<(&str, String)>,
+    out: &mut Vec<Diagnostic>,
+) {
+    if cfg.is_allowed(d.rule, &d.path) {
+        suppressed.insert((d.rule, d.path));
+    } else {
+        out.push(d);
+    }
 }
 
 /// Per-crate running state for the U02 census.

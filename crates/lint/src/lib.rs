@@ -12,8 +12,9 @@
 //! - [`lexer`] — tokens out of Rust source, skipping strings, raw
 //!   strings, char literals, and nested block comments;
 //! - [`config`] — the `lint.toml` allowlist (minimal TOML subset);
-//! - [`rules`] — the eight `HDB-*` rules over token streams;
-//! - [`engine`] — workspace walking and per-crate aggregation.
+//! - [`rules`] — the `HDB-*` rules over token streams;
+//! - [`engine`] — workspace walking, per-crate aggregation, and the
+//!   `HDB-L01` check that every allowlist entry still suppresses a finding.
 //!
 //! Run it as `cargo run -p hdb-lint -- --workspace`.
 

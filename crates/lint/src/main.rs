@@ -84,7 +84,10 @@ fn main() {
         // No allowlist file at all: deny-by-default with zero escapes.
         Err(_) => Config::default(),
     };
-    match lint_workspace(&root, &config) {
+    // L01 points at the allowlist by its path as given, relative to the
+    // root when it lives there.
+    let shown = config_path.strip_prefix(&root).unwrap_or(&config_path).display().to_string();
+    match lint_workspace(&root, &config, &shown) {
         Ok(diags) if diags.is_empty() => {
             println!("hdb-lint: clean ({} allowlist file)", config_path.display());
         }

@@ -18,8 +18,8 @@
 //! | `HDB-U03` | no `extern` FFI declarations outside the reactor module |
 //! | `HDB-A01` | backend `evaluate*` calls only on the charge path |
 //! | `HDB-S01` | no discarded `Result`s (`let _ =`, `.ok();`) in storage code |
+//! | `HDB-L01` | every `lint.toml` entry suppresses a finding (checked by the workspace walk) |
 
-use crate::config::Config;
 use crate::lexer::{Token, TokenKind};
 
 /// One lint finding.
@@ -163,18 +163,14 @@ fn find_test_ranges(tokens: &[Token], code: &[usize]) -> Vec<(u32, u32)> {
     ranges
 }
 
-/// Emits a diagnostic unless `path` is allowlisted for `rule`.
+/// Records a `rule` finding at `tok`.
 fn emit(
     out: &mut Vec<Diagnostic>,
-    cfg: &Config,
     ctx: &FileContext<'_>,
     rule: &'static str,
     tok: &Token,
     message: String,
 ) {
-    if cfg.is_allowed(rule, ctx.path) {
-        return;
-    }
     out.push(Diagnostic {
         path: ctx.path.to_string(),
         line: tok.line,
@@ -240,19 +236,20 @@ fn in_cast_scope(path: &str) -> bool {
 // ---------------------------------------------------------------------------
 // Per-file rules
 
-/// Runs every per-file rule over one lexed file.
+/// Runs every per-file rule over one lexed file. Findings are
+/// unfiltered: the caller applies the `lint.toml` allowlist.
 #[must_use]
-pub fn check_file(ctx: &FileContext<'_>, cfg: &Config) -> Vec<Diagnostic> {
+pub fn check_file(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    rule_d01_hash_collections(ctx, cfg, &mut out);
-    rule_o01_wall_clock(ctx, cfg, &mut out);
-    rule_d03_entropy_rng(ctx, cfg, &mut out);
-    rule_p01_panic_paths(ctx, cfg, &mut out);
-    rule_p02_wire_casts(ctx, cfg, &mut out);
-    rule_u01_safety_comments(ctx, cfg, &mut out);
-    rule_u03_ffi_confinement(ctx, cfg, &mut out);
-    rule_a01_accounting(ctx, cfg, &mut out);
-    rule_s01_discarded_results(ctx, cfg, &mut out);
+    rule_d01_hash_collections(ctx, &mut out);
+    rule_o01_wall_clock(ctx, &mut out);
+    rule_d03_entropy_rng(ctx, &mut out);
+    rule_p01_panic_paths(ctx, &mut out);
+    rule_p02_wire_casts(ctx, &mut out);
+    rule_u01_safety_comments(ctx, &mut out);
+    rule_u03_ffi_confinement(ctx, &mut out);
+    rule_a01_accounting(ctx, &mut out);
+    rule_s01_discarded_results(ctx, &mut out);
     out
 }
 
@@ -260,7 +257,7 @@ pub fn check_file(ctx: &FileContext<'_>, cfg: &Config) -> Vec<Diagnostic> {
 /// `RandomState` gives every map instance its own iteration order; any
 /// fold, merge, or RNG-consuming loop over it diverges across runs.
 /// Applies to test code too — pinned test values must also reproduce.
-fn rule_d01_hash_collections(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
+fn rule_d01_hash_collections(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     if !in_determinism_scope(ctx.path) {
         return;
     }
@@ -269,7 +266,6 @@ fn rule_d01_hash_collections(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<
         if t.kind == TokenKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
             emit(
                 out,
-                cfg,
                 ctx,
                 "HDB-D01",
                 t,
@@ -289,7 +285,7 @@ fn rule_d01_hash_collections(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<
 /// code leak scheduling into results; production timing must flow
 /// through the `Clock` trait so tests can substitute `ManualClock` and
 /// stay deterministic.
-fn rule_o01_wall_clock(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
+fn rule_o01_wall_clock(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     if in_timing_scope(ctx.path) {
         return;
     }
@@ -298,7 +294,6 @@ fn rule_o01_wall_clock(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagno
         if t.kind == TokenKind::Ident && (t.text == "Instant" || t.text == "SystemTime") {
             emit(
                 out,
-                cfg,
                 ctx,
                 "HDB-O01",
                 t,
@@ -315,7 +310,7 @@ fn rule_o01_wall_clock(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagno
 
 /// HDB-D03: entropy-seeded RNG construction. All randomness flows from
 /// `StdRng::seed_from_u64` so every run is replayable from its seed.
-fn rule_d03_entropy_rng(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
+fn rule_d03_entropy_rng(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     const BANNED: &[&str] =
         &["thread_rng", "from_entropy", "from_os_rng", "OsRng", "ThreadRng", "getrandom"];
     if ctx.path.starts_with("crates/shims/") {
@@ -326,7 +321,6 @@ fn rule_d03_entropy_rng(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagn
         if t.kind == TokenKind::Ident && BANNED.contains(&t.text.as_str()) {
             emit(
                 out,
-                cfg,
                 ctx,
                 "HDB-D03",
                 t,
@@ -345,7 +339,7 @@ fn rule_d03_entropy_rng(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagn
 /// `unimplemented!` / `assert*!` and range-indexing `buf[a..b]` (a typed
 /// `HdbError` or a checked `.get(..)` is required — these functions eat
 /// untrusted bytes). Test code is exempt.
-fn rule_p01_panic_paths(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
+fn rule_p01_panic_paths(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     const PANIC_MACROS: &[&str] =
         &["panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne"];
     if !in_panic_scope(ctx.path) {
@@ -366,7 +360,6 @@ fn rule_p01_panic_paths(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagn
                 {
                     emit(
                         out,
-                        cfg,
                         ctx,
                         "HDB-P01",
                         t,
@@ -381,7 +374,6 @@ fn rule_p01_panic_paths(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagn
                     // debug CI.
                     emit(
                         out,
-                        cfg,
                         ctx,
                         "HDB-P01",
                         t,
@@ -403,7 +395,6 @@ fn rule_p01_panic_paths(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagn
                 {
                     emit(
                         out,
-                        cfg,
                         ctx,
                         "HDB-P01",
                         t,
@@ -422,7 +413,7 @@ fn rule_p01_panic_paths(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagn
 /// HDB-P02: `as` numeric casts in wire framing. `as` silently truncates;
 /// a length that does not fit must be a typed error, so framing uses
 /// checked `try_from` exclusively.
-fn rule_p02_wire_casts(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
+fn rule_p02_wire_casts(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     const NUMERIC: &[&str] = &[
         "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128",
         "isize", "f32", "f64",
@@ -441,7 +432,6 @@ fn rule_p02_wire_casts(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagno
         {
             emit(
                 out,
-                cfg,
                 ctx,
                 "HDB-P02",
                 t,
@@ -456,7 +446,7 @@ fn rule_p02_wire_casts(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagno
 /// HDB-U01: every `unsafe` token needs a comment containing `SAFETY`
 /// within the six preceding lines (doc comments count). Applies
 /// everywhere, tests included — a test's unsafe is no safer.
-fn rule_u01_safety_comments(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
+fn rule_u01_safety_comments(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     /// How far above an `unsafe` token its SAFETY comment may sit.
     const WINDOW: u32 = 6;
     for &i in &ctx.code {
@@ -472,7 +462,6 @@ fn rule_u01_safety_comments(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<D
         if !covered {
             emit(
                 out,
-                cfg,
                 ctx,
                 "HDB-U01",
                 t,
@@ -491,13 +480,12 @@ fn rule_u01_safety_comments(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<D
 /// stray binding elsewhere would scatter platform surface the
 /// determinism contract cannot see. The only legitimate site is
 /// enumerated in `lint.toml`.
-fn rule_u03_ffi_confinement(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
+fn rule_u03_ffi_confinement(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     for &i in &ctx.code {
         let t = &ctx.tokens[i];
         if t.kind == TokenKind::Ident && t.text == "extern" {
             emit(
                 out,
-                cfg,
                 ctx,
                 "HDB-U03",
                 t,
@@ -516,7 +504,7 @@ fn rule_u03_ffi_confinement(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<D
 /// (the charge path itself, backend delegation, the server's owner-side
 /// execution) are enumerated in `lint.toml`. Test code is exempt (tests
 /// legitimately compute ground truth directly).
-fn rule_a01_accounting(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
+fn rule_a01_accounting(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     const CHARGED: &[&str] = &["evaluate", "evaluate_from", "classify_from"];
     for (ci, &i) in ctx.code.iter().enumerate() {
         let t = &ctx.tokens[i];
@@ -529,7 +517,6 @@ fn rule_a01_accounting(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagno
         if ctx.punct_at(ci.wrapping_sub(1), ".") && ctx.punct_at(ci + 1, "(") {
             emit(
                 out,
-                cfg,
                 ctx,
                 "HDB-A01",
                 t,
@@ -550,7 +537,7 @@ fn rule_a01_accounting(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagno
 /// binding and the terminal `.ok();` call (both compile away the
 /// `#[must_use]` on `Result`). Handle the error or poison the store
 /// read-only; a reviewed exception goes in `lint.toml`.
-fn rule_s01_discarded_results(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
+fn rule_s01_discarded_results(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     if !in_storage_scope(ctx.path) {
         return;
     }
@@ -570,7 +557,6 @@ fn rule_s01_discarded_results(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec
         if is_let_discard {
             emit(
                 out,
-                cfg,
                 ctx,
                 "HDB-S01",
                 t,
@@ -581,7 +567,6 @@ fn rule_s01_discarded_results(ctx: &FileContext<'_>, cfg: &Config, out: &mut Vec
         } else if is_terminal_ok {
             emit(
                 out,
-                cfg,
                 ctx,
                 "HDB-S01",
                 t,
@@ -612,11 +597,8 @@ pub struct CrateSummary {
 /// `#![forbid(unsafe_code)]` in its root file, so unsafe cannot creep in
 /// without a reviewed lint change.
 #[must_use]
-pub fn check_crate(summary: &CrateSummary, cfg: &Config) -> Option<Diagnostic> {
+pub fn check_crate(summary: &CrateSummary) -> Option<Diagnostic> {
     if summary.unsafe_tokens > 0 || summary.has_forbid {
-        return None;
-    }
-    if cfg.is_allowed("HDB-U02", &summary.root_file) {
         return None;
     }
     Some(Diagnostic {

@@ -186,22 +186,21 @@ fn u01_comment_must_be_close() {
 
 #[test]
 fn u02_census_demands_forbid_when_no_unsafe() {
-    let cfg = Config::default();
     let clean = CrateSummary {
         root_file: "crates/datagen/src/lib.rs".to_string(),
         unsafe_tokens: 0,
         has_forbid: false,
     };
-    let diag = check_crate(&clean, &cfg).expect("must flag");
+    let diag = check_crate(&clean).expect("must flag");
     assert_eq!(diag.rule, "HDB-U02");
     let pinned = CrateSummary { has_forbid: true, ..clean };
-    assert!(check_crate(&pinned, &cfg).is_none());
+    assert!(check_crate(&pinned).is_none());
     let has_unsafe = CrateSummary {
         root_file: "crates/hidden-db/src/lib.rs".to_string(),
         unsafe_tokens: 3,
         has_forbid: false,
     };
-    assert!(check_crate(&has_unsafe, &cfg).is_none());
+    assert!(check_crate(&has_unsafe).is_none());
 }
 
 #[test]
@@ -367,4 +366,43 @@ fn diagnostics_carry_position_and_rule_id() {
         shown.starts_with("crates/core/src/weight.rs:1:") && shown.contains("deny[HDB-D01]"),
         "rustc-style rendering, got: {shown}"
     );
+}
+
+#[test]
+fn l01_reports_allowlist_entries_that_suppress_nothing() {
+    // Fixture tree: one live HashMap site, one clean file, and crates `a`
+    // (no forbid attribute, so U02 fires) and `b` (pinned).
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("l01_fixture");
+    let _ = std::fs::remove_dir_all(&root);
+    for (path, src) in [
+        ("crates/hidden-db/src/cache.rs", "use std::collections::HashMap;"),
+        ("crates/hidden-db/src/index.rs", "pub fn f() {}"),
+        ("crates/a/Cargo.toml", ""),
+        ("crates/a/src/lib.rs", "pub fn a() {}"),
+        ("crates/b/Cargo.toml", ""),
+        ("crates/b/src/lib.rs", "#![forbid(unsafe_code)]"),
+    ] {
+        std::fs::create_dir_all(root.join(path).parent().unwrap()).unwrap();
+        std::fs::write(root.join(path), src).unwrap();
+    }
+    let live = "[allow.HDB-D01]\n\"crates/hidden-db/src/cache.rs\" = \"live\"\n\
+                [allow.HDB-U02]\n\"crates/a/src/lib.rs\" = \"live\"\n";
+    let stale = "[allow.HDB-D01]\n\"crates/hidden-db/src/index.rs\" = \"no HashMap there\"\n\
+                 \"crates/hidden-db/src/gone.rs\" = \"no such file\"\n\
+                 \"crates/hidden-db/src\" = \"entries name files\"\n\
+                 [allow.HDB-U02]\n\"crates/b/src/lib.rs\" = \"b pins forbid\"\n";
+    let lint = |toml: &str| {
+        let cfg = Config::parse(toml).unwrap();
+        let diags = hdb_lint::lint_workspace(&root, &cfg, "ci/allow.toml").unwrap();
+        diags.into_iter().map(|d| (d.path, d.line, d.rule)).collect::<Vec<_>>()
+    };
+    assert!(lint(live).is_empty());
+    // Each stale entry is reported at its own line of the allowlist,
+    // under the path the allowlist was read from.
+    let at = |line| ("ci/allow.toml".to_string(), line, "HDB-L01");
+    assert_eq!(lint(&format!("{live}{stale}")), vec![at(6), at(7), at(8), at(10)]);
+    // Without the live entries their findings come back.
+    let bare: Vec<&str> = lint("").iter().map(|d| d.2).collect();
+    assert_eq!(bare, vec!["HDB-U02", "HDB-D01"]);
+    std::fs::remove_dir_all(&root).unwrap();
 }

@@ -29,24 +29,25 @@
 //! ## Session lifecycle
 //!
 //! `WalkOpen` materialises the root match set and returns a `sid`; a
-//! walk probe (`WalkEvaluate` / `WalkClassify`) references `(sid,
-//! parent_level)` and carries the extends the client committed since its
-//! last probe. The server pushes them above `parent_level`, truncating
-//! any deeper levels first (the walk is stack-disciplined, so a retract
-//! is simply the client extending from a shallower level), then probes
-//! the level the last one pushed — all under the session's stack lock,
-//! so a chain commits atomically against concurrent probes of the same
-//! session. Sessions die on `WalkClose`, or by LRU eviction (O(log n)
-//! via an explicit recency order) once the table exceeds its cap — an
-//! evicted session is *not* an error: a probe without extends falls back
-//! to fresh evaluation (bit-identical, one intersection slower), and one
-//! with extends answers `SessionGone` so the client re-roots.
+//! walk probe (`WalkClassify`, count-only — the protocol's one walk probe)
+//! references `(sid, parent_level)` and carries the extends the client
+//! committed since its last probe. The server pushes them above
+//! `parent_level`, truncating any deeper levels first (the walk is
+//! stack-disciplined, so a retract is simply the client extending from a
+//! shallower level), then classifies against the level the last one
+//! pushed — all under the session's stack lock, so a chain commits
+//! atomically against concurrent probes of the same session. Sessions
+//! die on `WalkClose`, or by LRU eviction (O(log n) via an explicit
+//! recency order) once the table exceeds its cap — an evicted session is
+//! *not* an error: a probe without extends falls back to fresh
+//! evaluation (bit-identical, one intersection slower), and one with
+//! extends answers `SessionGone` so the client re-roots.
 //!
 //! ## Observability
 //!
 //! The server keeps a query ledger partitioned exactly like the
 //! client-side [`QueryCounter`](hdb_interface::QueryCounter): every
-//! probe-shaped request (`Evaluate` and the two walk probes) bumps
+//! probe-shaped request (`Evaluate` and `WalkClassify`) bumps
 //! `hdb_queries_issued_total` and exactly one of
 //! `underflow`/`valid`/`overflow`/`errored`, so
 //! `issued == underflow + valid + overflow + errored` holds on every
@@ -477,15 +478,16 @@ fn validate_steps(schema: &Schema, steps: &[WalkStep]) -> Result<()> {
     })
 }
 
-/// Runs a walk probe against the level it reads. With no `extends`, that
-/// is `parent_level` itself; a missing session, a poisoned stack (some
-/// probe panicked mid-update, so its contents are suspect) or a retired
-/// level hands `probe` no state, and it evaluates fresh — bit-identical,
-/// one intersection slower. Otherwise the steps are pushed above
+/// Classifies `child` (= the read level's query ∧ `pred`) against the
+/// level a walk probe reads. With no `extends`, that is `parent_level`
+/// itself; a missing session, a poisoned stack (some probe panicked
+/// mid-update, so its contents are suspect) or a retired level leaves no
+/// state, and the probe evaluates fresh — bit-identical, one
+/// intersection slower. Otherwise the steps are pushed above
 /// `parent_level`, truncating anything deeper first (the walk is
 /// stack-disciplined, and the truncation makes a replayed chain
-/// idempotent), and `probe` reads the level the last step pushed, under
-/// the same lock. A chain that cannot commit — missing or poisoned
+/// idempotent), and the probe reads the level the last step pushed,
+/// under the same lock. A chain that cannot commit — missing or poisoned
 /// session (a poisoned one is closed), retired parent level, or a stack
 /// deeper than the schema is wide — answers `SessionGone` and commits
 /// nothing, so the client re-roots.
@@ -494,13 +496,24 @@ fn walk_probe<B: SearchBackend>(
     sid: u64,
     parent_level: u32,
     extends: Vec<WalkStep>,
-    probe: impl FnOnce(Option<&WalkState>) -> Result<Response>,
+    child: &Query,
+    pred: Predicate,
+    k: usize,
 ) -> Result<Response> {
+    let classify = |parent: Option<&WalkState>| -> Result<Response> {
+        Ok(Response::Classified(match parent {
+            Some(parent) => inner.backend.classify_from(parent, child, pred, k)?,
+            None => hdb_interface::Classified::from_evaluation(
+                inner.backend.evaluate(child, k, &hdb_interface::RowIdRanking)?,
+                k,
+            ),
+        }))
+    };
     let entry = inner.sessions.get(sid);
     let parent = parent_level as usize;
     if extends.is_empty() {
         let stack = entry.as_ref().and_then(|e| e.stack.lock().ok());
-        return probe(stack.as_ref().and_then(|s| s.get(parent)).map(|l| &l.state));
+        return classify(stack.as_ref().and_then(|s| s.get(parent)).map(|l| &l.state));
     }
     let Some(entry) = entry else { return Ok(Response::SessionGone) };
     // Depth cap: a legitimate walk commits at most one level per
@@ -523,7 +536,7 @@ fn walk_probe<B: SearchBackend>(
             inner.backend.extend_state(&top.state, &step.child, step.pred, WalkState::fallback());
         stack.push(Level { query: step.child, pred: Some(step.pred), state });
     }
-    probe(stack.last().map(|l| &l.state))
+    classify(stack.last().map(|l| &l.state))
 }
 
 /// Answers one decoded request. Total: every failure path is a typed
@@ -533,9 +546,7 @@ fn handle_request<B: SearchBackend>(inner: &Inner<B>, req: Request) -> Response 
     // Probe-shaped requests feed the ledger; `k` is captured up front
     // because the match below consumes the request.
     let probe_k = match &req {
-        Request::Evaluate { k, .. }
-        | Request::WalkEvaluate { k, .. }
-        | Request::WalkClassify { k, .. } => Some(*k),
+        Request::Evaluate { k, .. } | Request::WalkClassify { k, .. } => Some(*k),
         _ => None,
     };
     let outcome = (|| -> Result<Response> {
@@ -575,36 +586,12 @@ fn handle_request<B: SearchBackend>(inner: &Inner<B>, req: Request) -> Response 
                 let state = inner.backend.walk_state(&root);
                 Response::Session { sid: inner.sessions.open(root, state) }
             }
-            Request::WalkEvaluate { sid, parent_level, extends, child, pred, k, ranking } => {
-                validate_steps(schema, &extends)?;
-                child.validate(schema)?;
-                validate_pred(schema, pred)?;
-                validate_ranking(schema, ranking)?;
-                let k = validate_k(k)?;
-                let ranking = ranking.instantiate();
-                walk_probe(inner, sid, parent_level, extends, |parent| {
-                    Ok(Response::Evaluation(match parent {
-                        Some(parent) => {
-                            inner.backend.evaluate_from(parent, &child, pred, k, ranking.as_ref())?
-                        }
-                        None => inner.backend.evaluate(&child, k, ranking.as_ref())?,
-                    }))
-                })?
-            }
             Request::WalkClassify { sid, parent_level, extends, child, pred, k } => {
                 validate_steps(schema, &extends)?;
                 child.validate(schema)?;
                 validate_pred(schema, pred)?;
                 let k = validate_k(k)?;
-                walk_probe(inner, sid, parent_level, extends, |parent| {
-                    Ok(Response::Classified(match parent {
-                        Some(parent) => inner.backend.classify_from(parent, &child, pred, k)?,
-                        None => hdb_interface::Classified::from_evaluation(
-                            inner.backend.evaluate(&child, k, &hdb_interface::RowIdRanking)?,
-                            k,
-                        ),
-                    }))
-                })?
+                walk_probe(inner, sid, parent_level, extends, &child, pred, k)?
             }
             Request::WalkClose { sid } => {
                 inner.sessions.close(sid);
@@ -1503,6 +1490,25 @@ mod tests {
         ));
         // The same connection still serves real requests.
         assert_eq!(ask(&mut stream, &Request::Len), Response::Len(32));
+        // The retired full-page walk probe (tag 0x09, a WalkClassify body
+        // plus a row-id ranking byte) is an unknown tag now: typed error,
+        // and the connection keeps serving.
+        let sid = open(&mut stream);
+        let mut retired =
+            classify(sid, 0, Vec::new(), &Query::all(), (0, 1)).encode().unwrap();
+        retired[0] = 0x09;
+        retired.push(0x00);
+        write_frame(&mut stream, &retired).unwrap();
+        let payload = read_frame(&mut stream).unwrap().unwrap();
+        assert!(matches!(
+            Response::decode(&payload).unwrap(),
+            Response::Error(HdbError::Transport(_))
+        ));
+        assert_eq!(ask(&mut stream, &Request::Len), Response::Len(32));
+        // A version-3 client is refused with the typed mismatch error.
+        let refused = ask(&mut stream, &Request::Hello { version: 3 });
+        assert!(matches!(&refused, Response::Error(HdbError::Transport(m))
+            if m.contains("protocol version mismatch")), "{refused:?}");
         // Unframeable input (absurd length prefix) → connection dropped.
         let mut evil = TcpStream::connect(server.addr()).unwrap();
         evil.write_all(&u32::MAX.to_le_bytes()).unwrap();

@@ -279,13 +279,9 @@ fn drill_down_extend_plus_probe_costs_one_round_trip() {
     let pred2 = hdb_interface::Predicate::new(3, 2);
     let before = remote.requests_sent();
     let frames_before = server.frame_count();
-    let l_eval = local
-        .evaluate_from(&l3, &probe2, pred2, 2, &hdb_interface::RowIdRanking)
-        .unwrap();
-    let r_eval = remote
-        .evaluate_from(&r3, &probe2, pred2, 2, &hdb_interface::RowIdRanking)
-        .unwrap();
-    assert_eq!(l_eval, r_eval, "chained probe must be bit-identical to local");
+    let l_chained = local.classify_from(&l3, &probe2, pred2, 2).unwrap();
+    let r_chained = remote.classify_from(&r3, &probe2, pred2, 2).unwrap();
+    assert_eq!(l_chained, r_chained, "chained probe must be bit-identical to local");
     assert_eq!(
         remote.requests_sent(),
         before + 1,

@@ -40,17 +40,22 @@ fn encoded_requests(sid: u64, level: u32, k: u64, seed: u64) -> Vec<Vec<u8>> {
                 descending: sid.is_multiple_of(2),
             },
         },
+        Request::Evaluate { query: q.clone(), k, ranking: RankingSpec::RowId },
+        Request::Evaluate {
+            query: Query::all(),
+            k: k.max(1),
+            ranking: RankingSpec::SeededRandom { seed },
+        },
         Request::ExactCount { query: q.clone() },
         Request::ExactSum { attr: sid % 5, query: q.clone() },
         Request::WalkOpen { root: Query::all() },
-        Request::WalkEvaluate {
+        Request::WalkClassify {
             sid,
             parent_level: level,
             extends: Vec::new(),
             child: q.clone(),
             pred: Predicate::new(0, 1),
             k: k.max(1),
-            ranking: RankingSpec::SeededRandom { seed },
         },
         Request::WalkClassify {
             sid,
@@ -60,14 +65,13 @@ fn encoded_requests(sid: u64, level: u32, k: u64, seed: u64) -> Vec<Vec<u8>> {
             pred: Predicate::new(2, 0),
             k,
         },
-        Request::WalkEvaluate {
+        Request::WalkClassify {
             sid,
             parent_level: level,
             extends: steps(3),
             child: q.clone(),
             pred: Predicate::new(1, 0),
             k: k.max(1),
-            ranking: RankingSpec::RowId,
         },
         Request::WalkClose { sid },
         Request::Stats,
