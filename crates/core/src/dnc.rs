@@ -244,7 +244,9 @@ where
 /// current node (an overflowing node at global path `prefix`) over
 /// `levels`. The session enters and leaves positioned at that node;
 /// recursing below a bottom-overflow terminal is a sequence of free
-/// `extend` steps (one AND each) rather than a re-evaluated query chain.
+/// `extend` steps rather than a re-evaluated query chain. The walk that
+/// reached the terminal has just retracted that path, so each step
+/// re-commits the level the walk retired instead of running an AND pass.
 #[allow(clippy::too_many_arguments)]
 fn estimate_subtree<W, R, F>(
     sess: &mut WalkSession<'_>,

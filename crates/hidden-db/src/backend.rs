@@ -387,6 +387,12 @@ pub trait SearchBackend: Send + Sync {
     /// `child` (`child` = parent's query ∧ `pred`). `recycled` is a
     /// retired state whose buffers may be reused (the session's scratch
     /// arena); implementations are free to ignore it.
+    ///
+    /// A session may skip the call: it keeps at most one retired state
+    /// per depth, and when that state was built from the same parent
+    /// state with the same predicate, it re-commits it as is. So a state
+    /// must keep answering for its node after it is retired, at least
+    /// until a newer state is built at its depth.
     fn extend_state(
         &self,
         parent: &WalkState,

@@ -59,8 +59,8 @@ pub(crate) struct DbObs {
     pub(crate) walk_extends: Counter,
     /// Walk-session retreats toward the root.
     pub(crate) walk_retracts: Counter,
-    /// High-water mark of the walk scratch arena (retired states held for
-    /// buffer recycling).
+    /// High-water mark of the walk scratch arena: retired levels, at most
+    /// one per depth, each held for a re-commit or for its buffers.
     pub(crate) walk_scratch_high: Gauge,
     /// Span recorder for queries and walk probes — disabled unless
     /// [`HiddenDb::with_trace`] installs a ring.

@@ -12,8 +12,17 @@
 //! * probing a branch costs **one AND-count pass** over the parent set
 //!   ([`WalkSession::classify`], no bitmap and no top-k materialised),
 //! * committing to a branch ([`WalkSession::extend`]) costs one fused
-//!   copy-AND pass into a recycled buffer, and
+//!   copy-AND pass into a recycled buffer, or nothing when the branch is
+//!   the level just retracted at that depth, and
 //! * backtracking ([`WalkSession::retract`]) is free.
+//!
+//! The arena keeps the levels `retract` retires, at most one per depth.
+//! An `extend` re-commits that level as is when it was built from the
+//! current parent level with the same predicate, and otherwise builds
+//! its level with [`SearchBackend::extend_state`] in the retired level's
+//! buffers. Re-commits are common: the divide-&-conquer estimator
+//! recurses below a walk's terminal along the path that walk just
+//! retracted, and sibling walks share a prefix.
 //!
 //! `classify` is the session's only probe: a drill-down reads just a
 //! branch's outcome class plus a valid node's tuples, so no overflow
@@ -189,8 +198,9 @@ impl<'a> WalkSession<'a> {
             stack: vec![root],
             core: Box::new(DbCore {
                 db,
-                states: vec![state],
+                levels: vec![Level { state, id: 0, built_from: None }],
                 spare: Vec::new(),
+                last_id: 0,
             }),
         })
     }
@@ -237,8 +247,10 @@ impl<'a> WalkSession<'a> {
     }
 
     /// Commits the walk to the branch `attr = value`. No query is issued
-    /// — on the fresh path this is `Query::and`, here it additionally
-    /// advances the backend's incremental state by one AND pass.
+    /// — on the fresh path this is `Query::and`; here it also advances
+    /// the backend's incremental state by one AND pass, or by none when
+    /// the branch is the level [`WalkSession::retract`] last retired at
+    /// this depth, which is re-committed as is (see the module docs).
     ///
     /// # Panics
     /// Panics if `attr` is already constrained at the current node (walk
@@ -294,17 +306,31 @@ impl SessionCore for FreshCore<'_> {
 /// `HiddenDb::query`/`respond` step for step (charge → round trip → hot
 /// memo → evaluate → memoise-if-expensive → tally), with the evaluation
 /// replaced by the backend's `classify_from` fast path over the parent
-/// state stack. The `spare` list recycles retired state buffers — the
-/// walk-local scratch arena.
+/// level stack. The `spare` list holds retired levels — the walk-local
+/// scratch arena. The stack discipline keeps its top the level last
+/// retracted at the depth the next `extend` builds.
 struct DbCore<'a, B: SearchBackend> {
     db: &'a HiddenDb<B>,
-    states: Vec<WalkState>,
-    spare: Vec<WalkState>,
+    levels: Vec<Level>,
+    spare: Vec<Level>,
+    /// The id of the level built last; the root's is 0.
+    last_id: u64,
+}
+
+/// One level of a [`DbCore`]'s stack: a backend state, with what it was
+/// built from.
+struct Level {
+    state: WalkState,
+    /// Unique among the levels of one session.
+    id: u64,
+    /// The parent level's id and the predicate this level was built
+    /// with; `None` for the root.
+    built_from: Option<(u64, Predicate)>,
 }
 
 impl<B: SearchBackend> DbCore<'_, B> {
-    fn parent(&self) -> &WalkState {
-        self.states.last().expect("state stack holds at least the root")
+    fn parent(&self) -> &Level {
+        self.levels.last().expect("level stack holds at least the root")
     }
 }
 
@@ -328,7 +354,7 @@ impl<B: SearchBackend> SessionCore for DbCore<'_, B> {
             // no overflow page to feed `hot_responses`, so expensive
             // classifications go to the dedicated count memo instead —
             // all of it unobservable: memos only ever save server CPU.
-            let c = self.db.backend.classify_from(self.parent(), child, pred, k)?;
+            let c = self.db.backend.classify_from(&self.parent().state, child, pred, k)?;
             let expensive = expensive_response(c.count, k);
             let out = if c.count == 0 {
                 ClassifiedOutcome::Underflow
@@ -358,15 +384,31 @@ impl<B: SearchBackend> SessionCore for DbCore<'_, B> {
         Ok(out)
     }
 
+    /// Re-commits the retired level at this depth when it is exactly the
+    /// child asked for (same parent level, same predicate); otherwise
+    /// builds the child with `extend_state`, recycling that level's
+    /// buffers. Consuming the retired level either way keeps at most one
+    /// per depth, which is what lets a remote state, bound to a server
+    /// level that only a newer node at its depth can overwrite, answer
+    /// again.
     fn extend(&mut self, child: &Query, pred: Predicate) {
-        let recycled = self.spare.pop().unwrap_or_default();
-        let state = self.db.backend.extend_state(self.parent(), child, pred, recycled);
-        self.states.push(state);
+        let built_from = Some((self.parent().id, pred));
+        let level = match self.spare.pop() {
+            Some(retired) if retired.built_from == built_from => retired,
+            retired => {
+                let recycled = retired.map_or_else(WalkState::default, |l| l.state);
+                let parent = &self.parent().state;
+                let state = self.db.backend.extend_state(parent, child, pred, recycled);
+                self.last_id += 1;
+                Level { state, id: self.last_id, built_from }
+            }
+        };
+        self.levels.push(level);
         self.db.obs.walk_extends.inc();
     }
 
     fn retract(&mut self) {
-        let retired = self.states.pop().expect("retract below session root");
+        let retired = self.levels.pop().expect("retract below session root");
         self.spare.push(retired);
         self.db.obs.walk_retracts.inc();
         self.db.obs.walk_scratch_high.record_max(self.spare.len() as u64);
@@ -375,8 +417,11 @@ impl<B: SearchBackend> SessionCore for DbCore<'_, B> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
-    use crate::backend::EvalMode;
+    use crate::backend::{Classified, EvalMode, Evaluation, TableBackend};
+    use crate::ranking::RankingFunction;
     use crate::schema::Attribute;
     use crate::table::Table;
     use crate::tuple::Tuple;
@@ -549,6 +594,125 @@ mod tests {
         // deep extend after recycling a retracted buffer still answers
         walk.extend(1, 1);
         assert!(walk.classify(2, 1).unwrap().is_nonempty());
+    }
+
+    /// A `TableBackend` that counts its `extend_state` calls; it forwards
+    /// every method `TableBackend` implements.
+    struct CountingExtends {
+        inner: TableBackend,
+        extends: AtomicUsize,
+    }
+
+    impl CountingExtends {
+        fn extends(&self) -> usize {
+            self.extends.load(Ordering::Relaxed)
+        }
+    }
+
+    impl SearchBackend for CountingExtends {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn evaluate(
+            &self,
+            q: &Query,
+            k: usize,
+            ranking: &dyn RankingFunction,
+        ) -> Result<Evaluation> {
+            self.inner.evaluate(q, k, ranking)
+        }
+
+        fn exact_count(&self, q: &Query) -> Result<usize> {
+            self.inner.exact_count(q)
+        }
+
+        fn exact_sum(&self, attr: AttrId, q: &Query) -> Result<f64> {
+            self.inner.exact_sum(attr, q)
+        }
+
+        fn walk_state(&self, q: &Query) -> WalkState {
+            self.inner.walk_state(q)
+        }
+
+        fn extend_state(
+            &self,
+            parent: &WalkState,
+            child: &Query,
+            pred: Predicate,
+            recycled: WalkState,
+        ) -> WalkState {
+            self.extends.fetch_add(1, Ordering::Relaxed);
+            self.inner.extend_state(parent, child, pred, recycled)
+        }
+
+        fn classify_from(
+            &self,
+            parent: &WalkState,
+            child: &Query,
+            pred: Predicate,
+            k: usize,
+        ) -> Result<Classified> {
+            self.inner.classify_from(parent, child, pred, k)
+        }
+    }
+
+    /// An `extend` re-commits the level last retracted at its depth only
+    /// when that level was built from the current parent level with the
+    /// same predicate; every other extend builds its level afresh.
+    #[test]
+    fn extend_recommits_only_the_level_just_retracted() {
+        let k = 2;
+        let backend = CountingExtends {
+            inner: TableBackend::new(running_example()),
+            extends: AtomicUsize::new(0),
+        };
+        let db = HiddenDb::over(backend, k);
+        let fresh = HiddenDb::new(running_example(), k);
+        let mut walk = db.walk_session(Query::all()).unwrap();
+        // Every branch of the current node answers like a fresh query.
+        let check = |walk: &mut WalkSession<'_>, case: &str| {
+            let node = walk.query().clone();
+            for attr in (0..5usize).filter(|&a| node.value_of(a).is_none()) {
+                for v in 0..fresh.schema().fanout(attr) as u16 {
+                    let want = fresh.query(&node.and(attr, v).unwrap()).unwrap();
+                    let got = walk.classify(attr, v).unwrap();
+                    assert_eq!(got, ClassifiedOutcome::from_outcome(want), "{case}: {attr}={v}");
+                }
+            }
+        };
+        let extend = |walk: &mut WalkSession<'_>, attr: usize, v: u16, calls: usize, case| {
+            let before = db.backend().extends();
+            walk.extend(attr, v);
+            assert_eq!(db.backend().extends() - before, calls, "{case}: extend {attr}={v}");
+            check(walk, case);
+        };
+        let retract = |walk: &mut WalkSession<'_>, case| {
+            walk.retract();
+            check(walk, case);
+        };
+
+        let case = "the level just retracted";
+        extend(&mut walk, 0, 0, 1, case);
+        retract(&mut walk, case);
+        extend(&mut walk, 0, 0, 0, case);
+
+        let case = "the same branch after a sibling";
+        retract(&mut walk, case);
+        extend(&mut walk, 0, 1, 1, case);
+        retract(&mut walk, case);
+        extend(&mut walk, 0, 0, 1, case);
+
+        let case = "the same predicate under a rebuilt parent";
+        extend(&mut walk, 2, 1, 1, case);
+        retract(&mut walk, case);
+        retract(&mut walk, case);
+        extend(&mut walk, 0, 1, 1, case);
+        extend(&mut walk, 2, 1, 1, case);
     }
 
     #[test]

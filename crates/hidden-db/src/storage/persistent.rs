@@ -730,6 +730,7 @@ mod tests {
     use super::*;
     use crate::ranking::RowIdRanking;
     use crate::schema::Schema;
+    use crate::{ClassifiedOutcome, HiddenDb, TopKInterface};
 
     fn boxed(io: &MemIo) -> Box<dyn StorageIo> {
         Box::new(io.clone())
@@ -854,6 +855,22 @@ mod tests {
             .unwrap();
         assert_eq!(after, fresh);
         assert_ne!(before, after, "the ingest matched the probe, count must move");
+
+        // A session re-commits the level it just retracted even when the
+        // corpus grew in between; the level keeps its older generation,
+        // and a probe below it answers like a fresh interface.
+        let store = Arc::new(store);
+        let db = HiddenDb::over(Arc::clone(&store), 3);
+        let mut walk = db.walk_session(root).unwrap();
+        walk.extend(0, 1);
+        walk.retract();
+        store.ingest(Tuple::new(vec![1, 1, 0, 1])).unwrap();
+        walk.extend(0, 1);
+        let got = walk.classify(1, 1).unwrap();
+        let grown = HiddenDb::over(Arc::clone(&store), 3);
+        let want = grown.query(&child.and(1, 1).unwrap()).unwrap();
+        assert_eq!(got, ClassifiedOutcome::from_outcome(want));
+        assert_eq!(got.tuples().len(), 3, "the ingested tuple matches the probe");
     }
 
     #[test]

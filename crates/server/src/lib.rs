@@ -1348,6 +1348,29 @@ mod tests {
             HiddenDb::over(RemoteBackend::connect(server.addr().to_string()).unwrap(), 2);
         let mut lw = local.walk_session(Query::all()).unwrap();
         let mut rw = remote.walk_session(Query::all()).unwrap();
+        // A branch extended again right after its retract is re-committed
+        // and reads the server level its chain committed; once a sibling's
+        // chain has overwritten that level, the branch must be rebuilt.
+        for (attr, v) in [(0usize, 1u16), (1, 1), (2, 1)] {
+            lw.extend(attr, v);
+            rw.extend(attr, v);
+        }
+        for (step, a3) in (1..).zip([1u16, 1, 0, 1]) {
+            if step > 1 {
+                lw.retract();
+                rw.retract();
+                lw.extend(2, a3);
+                rw.extend(2, a3);
+            }
+            let want = lw.classify(3, 1).unwrap();
+            let ids: Vec<_> = want.tuples().iter().map(|t| t.id).collect();
+            assert_eq!(ids, if a3 == 1 { [15, 31] } else { [11, 27] }, "step {step}");
+            assert_eq!(rw.classify(3, 1).unwrap(), want, "step {step}: A3={a3}, probe A4=1");
+        }
+        for _ in 0..3 {
+            lw.retract();
+            rw.retract();
+        }
         for (attr, v) in [(0usize, 1u16), (1, 0), (2, 1)] {
             assert_eq!(
                 lw.classify(attr, v).unwrap(),
