@@ -22,35 +22,15 @@
 //! overflowing parent has `> k` tuples, the valid child at most `k`), so
 //! the left probe is free.
 
-use hdb_interface::{
-    AttrId, ClassifiedOutcome, Query, QueryOutcome, TopKInterface, ValueId, WalkSession,
-};
+use hdb_interface::{AttrId, ClassifiedOutcome, ValueId, WalkSession};
 use rand::Rng;
 
 use crate::error::Result;
 
-/// Outcome of selecting a branch at one node.
-#[derive(Clone, Debug)]
-pub struct BranchChoice {
-    /// The committed branch value.
-    pub value: ValueId,
-    /// Exact marginal probability of committing to `value` under the
-    /// supplied weights.
-    pub probability: f64,
-    /// Interface outcome of the committed branch's query (never
-    /// underflow).
-    pub outcome: QueryOutcome,
-    /// Branches discovered to underflow at this node (for weight-model
-    /// learning).
-    pub discovered_empty: Vec<ValueId>,
-    /// Queries issued at this node.
-    pub queries: u64,
-}
-
 /// Outcome of selecting a branch at one node of a [`WalkSession`]-driven
-/// walk. Unlike [`BranchChoice`], the committed branch's outcome is a
-/// count-only [`ClassifiedOutcome`]: walks never read overflow pages, so
-/// the session skips materialising them.
+/// walk. The committed branch's outcome is a count-only
+/// [`ClassifiedOutcome`]: walks never read overflow pages, so the session
+/// skips materialising them.
 #[derive(Clone, Debug)]
 pub struct SessionBranchChoice {
     /// The committed branch value.
@@ -68,17 +48,19 @@ pub struct SessionBranchChoice {
     pub queries: u64,
 }
 
-/// [`choose_branch`] over a [`WalkSession`] positioned at the overflowing
-/// node: identical query sequence, RNG consumption, and commit
-/// probabilities — each probe just costs one AND over the parent's match
-/// set instead of a from-scratch evaluation. The session's position is
+/// Selects a branch of `attr` below the overflowing node `sess` is
+/// positioned at, by smart backtracking (see the module docs). Each
+/// probe is one [`WalkSession::classify`]; the session's position is
 /// unchanged (committing is the caller's move).
 ///
 /// # Errors
 /// Propagates interface errors (notably budget exhaustion).
 ///
 /// # Panics
-/// Same contract as [`choose_branch`].
+/// Panics if `weights` length differs from the attribute fanout, if any
+/// weight is not strictly positive, or if every branch underflows — the
+/// caller must guarantee the session's node overflows, which implies a
+/// non-empty branch exists.
 pub fn choose_branch_session<R: Rng + ?Sized>(
     sess: &mut WalkSession<'_>,
     attr: AttrId,
@@ -162,16 +144,19 @@ pub fn choose_branch_session<R: Rng + ?Sized>(
     })
 }
 
-/// [`choose_branch_simple`] over a [`WalkSession`]: queries every branch
-/// up front (count-only), then picks weight-proportionally among the
-/// non-underflowing ones. Identical query sequence and RNG consumption
-/// as the fresh version.
+/// Selects a branch using *simple backtracking* (paper §3.2): query every
+/// branch of the node up front (count-only), then choose
+/// weight-proportionally among the non-underflowing ones. The commit
+/// probability is exactly `w_c / Σ weights of non-underflowing branches`.
+///
+/// Always issues one query per branch, which is the cost the paper's
+/// smart backtracking was designed to avoid on large-fanout attributes.
 ///
 /// # Errors
 /// Propagates interface errors.
 ///
 /// # Panics
-/// Same contract as [`choose_branch`].
+/// Same contract as [`choose_branch_session`].
 pub fn choose_branch_simple_session<R: Rng + ?Sized>(
     sess: &mut WalkSession<'_>,
     attr: AttrId,
@@ -218,166 +203,6 @@ pub fn choose_branch_simple_session<R: Rng + ?Sized>(
     })
 }
 
-/// Selects a branch of `attr` below the overflowing query `base`.
-///
-/// This is the fresh-query reference implementation (each probe is an
-/// independent [`TopKInterface::query`], full pages included);
-/// [`choose_branch_session`] is the incremental equivalent the
-/// estimators run on.
-///
-/// # Errors
-/// Propagates interface errors (notably budget exhaustion).
-///
-/// # Panics
-/// Panics if `weights` length differs from the attribute fanout, if any
-/// weight is not strictly positive, or if every branch underflows — the
-/// caller must guarantee `base` overflows, which implies a non-empty
-/// branch exists.
-pub fn choose_branch<I: TopKInterface, R: Rng + ?Sized>(
-    iface: &I,
-    base: &Query,
-    attr: AttrId,
-    weights: &[f64],
-    rng: &mut R,
-) -> Result<BranchChoice> {
-    let fanout = iface.schema().fanout(attr);
-    assert_eq!(weights.len(), fanout, "weight vector must match fanout");
-    assert!(
-        weights.iter().all(|&w| w > 0.0 && w.is_finite()),
-        "branch weights must be strictly positive and finite"
-    );
-    let total: f64 = weights.iter().sum();
-
-    // Per-branch knowledge gathered at this node: Some(true) = non-empty,
-    // Some(false) = underflow. Never issue the same branch twice.
-    let mut known: Vec<Option<bool>> = vec![None; fanout];
-    let mut queries = 0u64;
-
-    // -- step 1+2: initial pick, then circular right scan ---------------
-    let initial = sample_weighted(rng, weights, total);
-    let mut candidate = initial;
-    let committed_outcome = loop {
-        let q = base.and(attr, candidate as ValueId).expect("attr unconstrained in base");
-        let outcome = iface.query(&q)?;
-        queries += 1;
-        if outcome.is_underflow() {
-            known[candidate] = Some(false);
-            candidate = (candidate + 1) % fanout;
-            assert!(
-                candidate != initial,
-                "every branch of attribute {attr} underflows: base query must overflow"
-            );
-        } else {
-            known[candidate] = Some(true);
-            break outcome;
-        }
-    };
-    let committed = candidate;
-
-    // -- step 3: weight of the underflow run preceding `committed` ------
-    let mut run_weight = 0.0;
-    // Boolean shortcut: a valid committed branch under an overflowing
-    // parent implies a non-empty sibling — no query needed.
-    if fanout == 2 && committed_outcome.is_valid() && known[1 - committed].is_none() {
-        known[1 - committed] = Some(true);
-    }
-    let mut probe = (committed + fanout - 1) % fanout;
-    let mut steps = 0usize;
-    while probe != committed && steps < fanout - 1 {
-        let nonempty = match known[probe] {
-            Some(flag) => flag,
-            None => {
-                let q = base.and(attr, probe as ValueId).expect("attr unconstrained in base");
-                let outcome = iface.query(&q)?;
-                queries += 1;
-                let flag = outcome.is_nonempty();
-                known[probe] = Some(flag);
-                flag
-            }
-        };
-        if nonempty {
-            break;
-        }
-        run_weight += weights[probe];
-        probe = (probe + fanout - 1) % fanout;
-        steps += 1;
-    }
-
-    let probability = ((weights[committed] + run_weight) / total).min(1.0);
-    let discovered_empty = known
-        .iter()
-        .enumerate()
-        .filter_map(|(v, &flag)| (flag == Some(false)).then_some(v as ValueId))
-        .collect();
-
-    Ok(BranchChoice {
-        value: committed as ValueId,
-        probability,
-        outcome: committed_outcome,
-        discovered_empty,
-        queries,
-    })
-}
-
-/// Selects a branch using *simple backtracking* (paper §3.2): query every
-/// branch of the node up front, then choose weight-proportionally among
-/// the non-underflowing ones. The commit probability is exactly
-/// `w_c / Σ weights of non-underflowing branches`.
-///
-/// Always issues one query per branch (minus nothing — there is no reuse
-/// to exploit), which is the cost the paper's smart backtracking was
-/// designed to avoid on large-fanout attributes.
-///
-/// # Errors
-/// Propagates interface errors.
-///
-/// # Panics
-/// Same contract as [`choose_branch`].
-pub fn choose_branch_simple<I: TopKInterface, R: Rng + ?Sized>(
-    iface: &I,
-    base: &Query,
-    attr: AttrId,
-    weights: &[f64],
-    rng: &mut R,
-) -> Result<BranchChoice> {
-    let fanout = iface.schema().fanout(attr);
-    assert_eq!(weights.len(), fanout, "weight vector must match fanout");
-    assert!(
-        weights.iter().all(|&w| w > 0.0 && w.is_finite()),
-        "branch weights must be strictly positive and finite"
-    );
-    let mut outcomes = Vec::with_capacity(fanout);
-    let mut queries = 0u64;
-    for v in 0..fanout {
-        let q = base.and(attr, v as ValueId).expect("attr unconstrained in base");
-        outcomes.push(iface.query(&q)?);
-        queries += 1;
-    }
-    let live: Vec<usize> = (0..fanout).filter(|&v| outcomes[v].is_nonempty()).collect();
-    assert!(!live.is_empty(), "every branch of attribute {attr} underflows: base query must overflow");
-    let live_total: f64 = live.iter().map(|&v| weights[v]).sum();
-    let mut u: f64 = rng.random::<f64>() * live_total;
-    let mut committed = *live.last().expect("live non-empty");
-    for &v in &live {
-        u -= weights[v];
-        if u <= 0.0 {
-            committed = v;
-            break;
-        }
-    }
-    let discovered_empty = (0..fanout)
-        .filter(|&v| outcomes[v].is_underflow())
-        .map(|v| v as ValueId)
-        .collect();
-    Ok(BranchChoice {
-        value: committed as ValueId,
-        probability: weights[committed] / live_total,
-        outcome: outcomes.swap_remove(committed),
-        discovered_empty,
-        queries,
-    })
-}
-
 /// Draws an index proportionally to `weights` (all positive, summing to
 /// `total`).
 fn sample_weighted<R: Rng + ?Sized>(rng: &mut R, weights: &[f64], total: f64) -> usize {
@@ -394,7 +219,7 @@ fn sample_weighted<R: Rng + ?Sized>(rng: &mut R, weights: &[f64], total: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdb_interface::{Attribute, HiddenDb, Schema, Table, Tuple};
+    use hdb_interface::{Attribute, HiddenDb, Query, Schema, Table, TopKInterface, Tuple};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -424,12 +249,13 @@ mod tests {
         // wU(q1) = 2 (q4, q5 empty precede it), wU(q3) = 1 (q2).
         // Under uniform weights p(q1) = 3/5, p(q3) = 2/5.
         let db = figure3_db();
+        let mut sess = db.walk_session(Query::all()).unwrap();
         let weights = vec![1.0; 5];
         let mut hits = [0u32; 5];
         let mut rng = StdRng::seed_from_u64(42);
         let trials = 20_000;
         for _ in 0..trials {
-            let choice = choose_branch(&db, &Query::all(), 0, &weights, &mut rng).unwrap();
+            let choice = choose_branch_session(&mut sess, 0, &weights, &mut rng).unwrap();
             hits[choice.value as usize] += 1;
             let expected = match choice.value {
                 0 => 3.0 / 5.0,
@@ -450,13 +276,14 @@ mod tests {
     #[test]
     fn weighted_commit_probability_is_exact() {
         let db = figure3_db();
+        let mut sess = db.walk_session(Query::all()).unwrap();
         // weights: q1..q5 = 5,1,2,1,1 (total 10)
         let weights = vec![5.0, 1.0, 2.0, 1.0, 1.0];
         let mut rng = StdRng::seed_from_u64(7);
         let mut freq = [0u32; 5];
         let trials = 40_000;
         for _ in 0..trials {
-            let c = choose_branch(&db, &Query::all(), 0, &weights, &mut rng).unwrap();
+            let c = choose_branch_session(&mut sess, 0, &weights, &mut rng).unwrap();
             freq[c.value as usize] += 1;
             let expected = match c.value {
                 0 => (5.0 + 1.0 + 1.0) / 10.0, // q1 + run {q4, q5}
@@ -482,9 +309,10 @@ mod tests {
         )
         .unwrap();
         let db = HiddenDb::new(table, 1);
+        let mut sess = db.walk_session(Query::all()).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..50 {
-            let c = choose_branch(&db, &Query::all(), 0, &[1.0; 4], &mut rng).unwrap();
+            let c = choose_branch_session(&mut sess, 0, &[1.0; 4], &mut rng).unwrap();
             assert_eq!(c.value, 1);
             assert!((c.probability - 1.0).abs() < 1e-12);
         }
@@ -504,8 +332,9 @@ mod tests {
         )
         .unwrap();
         let db = HiddenDb::new(table, 2);
+        let mut sess = db.walk_session(Query::all()).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let c = choose_branch(&db, &Query::all(), 0, &[1.0, 1.0], &mut rng).unwrap();
+        let c = choose_branch_session(&mut sess, 0, &[1.0, 1.0], &mut rng).unwrap();
         // committed branch is valid; sibling probe skipped → exactly 1 query
         assert!(c.outcome.is_valid());
         assert_eq!(c.queries, 1);
@@ -527,9 +356,10 @@ mod tests {
         )
         .unwrap();
         let db = HiddenDb::new(table, 2);
+        let mut sess = db.walk_session(Query::all()).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let before = db.queries_issued();
-        let c = choose_branch(&db, &Query::all(), 0, &[1.0, 1.0], &mut rng).unwrap();
+        let c = choose_branch_session(&mut sess, 0, &[1.0, 1.0], &mut rng).unwrap();
         let spent = db.queries_issued() - before;
         if c.value == 0 {
             // overflowing commit: sibling must be probed → 2 queries
@@ -550,11 +380,12 @@ mod tests {
         // non-empty, {q2, q4, q5} empty, so
         // QC = 1 + [(w_U(q1)+1)² + (w_U(q3)+1)²]/w = 1 + (9 + 4)/5 = 3.6.
         let db = figure3_db();
+        let mut sess = db.walk_session(Query::all()).unwrap();
         let mut rng = StdRng::seed_from_u64(99);
         let trials = 40_000u32;
         let mut total_queries = 0u64;
         for _ in 0..trials {
-            let c = choose_branch(&db, &Query::all(), 0, &[1.0; 5], &mut rng).unwrap();
+            let c = choose_branch_session(&mut sess, 0, &[1.0; 5], &mut rng).unwrap();
             total_queries += c.queries;
         }
         let qc = total_queries as f64 / f64::from(trials);
@@ -564,9 +395,10 @@ mod tests {
     #[test]
     fn simple_backtracking_always_queries_every_branch() {
         let db = figure3_db();
+        let mut sess = db.walk_session(Query::all()).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..50 {
-            let c = choose_branch_simple(&db, &Query::all(), 0, &[1.0; 5], &mut rng).unwrap();
+            let c = choose_branch_simple_session(&mut sess, 0, &[1.0; 5], &mut rng).unwrap();
             assert_eq!(c.queries, 5);
             assert!(matches!(c.value, 0 | 2));
             assert!((c.probability - 0.5).abs() < 1e-12, "uniform over the two live branches");
@@ -577,12 +409,13 @@ mod tests {
     #[test]
     fn simple_backtracking_respects_weights() {
         let db = figure3_db();
+        let mut sess = db.walk_session(Query::all()).unwrap();
         let mut rng = StdRng::seed_from_u64(8);
         let weights = [3.0, 1.0, 1.0, 1.0, 1.0];
         let mut hits0 = 0u32;
         let trials = 20_000;
         for _ in 0..trials {
-            let c = choose_branch_simple(&db, &Query::all(), 0, &weights, &mut rng).unwrap();
+            let c = choose_branch_simple_session(&mut sess, 0, &weights, &mut rng).unwrap();
             if c.value == 0 {
                 hits0 += 1;
                 assert!((c.probability - 0.75).abs() < 1e-12);
@@ -597,10 +430,11 @@ mod tests {
     #[test]
     fn discovered_empties_are_reported() {
         let db = figure3_db();
+        let mut sess = db.walk_session(Query::all()).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let mut saw_empty = false;
         for _ in 0..50 {
-            let c = choose_branch(&db, &Query::all(), 0, &[1.0; 5], &mut rng).unwrap();
+            let c = choose_branch_session(&mut sess, 0, &[1.0; 5], &mut rng).unwrap();
             for &v in &c.discovered_empty {
                 assert!(matches!(v, 1 | 3 | 4), "branch {v} is not empty");
                 saw_empty = true;
@@ -612,35 +446,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "must overflow")]
     fn all_empty_branches_panic() {
-        // base constrains pad=1 branch where value 2's tuple doesn't reach:
-        // actually make a base with no matching tuples below any branch by
-        // querying under an underflowing base.
-        let db = figure3_db();
-        let base = Query::all().and(1, 0).unwrap(); // pad = 0: tuples (0,*),(2,*) with pad 0 → branches 0,2 non-empty
-        // instead use pad=1 with value 2 absent… tuple (0,1) exists so branch 0 non-empty.
-        // Build a truly empty situation: base pad=1 AND a5 constrained is impossible,
-        // so craft a db where base itself underflows.
-        let empty_base = base.and(0, 3).unwrap(); // a5=4 & pad=0 matches nothing — but attr 0 now constrained
-        // choose_branch over attr 0 requires it unconstrained; use a different db:
-        drop(empty_base);
+        // A session rooted at an underflowing node: every branch below it
+        // underflows too.
         let schema = Schema::new(vec![
             Attribute::categorical("c", ["a", "b", "c"]).unwrap(),
             Attribute::boolean("pad"),
         ])
         .unwrap();
         let table = Table::new(schema, vec![Tuple::new(vec![0, 0])]).unwrap();
-        let db2 = HiddenDb::new(table, 1);
+        let db = HiddenDb::new(table, 1);
         let base = Query::all().and(1, 1).unwrap(); // pad=1 matches nothing
+        let mut sess = db.walk_session(base).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let _ = choose_branch(&db2, &base, 0, &[1.0; 3], &mut rng);
-        let _ = db;
+        let _ = choose_branch_session(&mut sess, 0, &[1.0; 3], &mut rng);
     }
 
     #[test]
     #[should_panic(expected = "strictly positive")]
     fn zero_weight_rejected() {
         let db = figure3_db();
+        let mut sess = db.walk_session(Query::all()).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
-        let _ = choose_branch(&db, &Query::all(), 0, &[1.0, 0.0, 1.0, 1.0, 1.0], &mut rng);
+        let _ = choose_branch_session(&mut sess, 0, &[1.0, 0.0, 1.0, 1.0, 1.0], &mut rng);
     }
 }

@@ -15,10 +15,7 @@
 mod branch;
 mod drilldown;
 
-pub use branch::{
-    choose_branch, choose_branch_session, choose_branch_simple, choose_branch_simple_session,
-    BranchChoice, SessionBranchChoice,
-};
+pub use branch::{choose_branch_session, choose_branch_simple_session, SessionBranchChoice};
 pub use drilldown::{
     drill_down, drill_down_session, drill_down_with, Walk, WalkLevel, WalkTerminal,
 };

@@ -10,7 +10,7 @@
 //! of independently locked shards (hash of the query picks the shard), so
 //! concurrent drill-down workers hitting disjoint queries never contend
 //! on one global lock. The hidden-database simulator reuses the same
-//! structure for its server-side hot-response memo.
+//! structure for its server-side hot memo.
 //!
 //! Note the estimators in `hdb-core` deliberately do *not* put a global
 //! cache between themselves and the database when measuring query cost —
@@ -36,10 +36,9 @@ const SHARD_COUNT: usize = 16;
 
 /// A query → value memo sharded over independently locked maps.
 ///
-/// The value type defaults to [`QueryOutcome`] (the full-response memo);
-/// the hidden-database simulator also instantiates it with
-/// [`ClassifiedOutcome`](crate::ClassifiedOutcome) for its count-only
-/// memo.
+/// The value type defaults to [`QueryOutcome`] (the full-response memo
+/// of [`CachingInterface`]); the hidden-database simulator's hot memo
+/// stores an optional overflow page per expensive query.
 ///
 /// All methods take `&self`; the structure is `Sync` and safe to share
 /// across estimation worker threads.
@@ -73,10 +72,14 @@ impl<V: Clone> ShardedMemo<V> {
         self.shard(q).lock().expect("memo shard poisoned").get(q).cloned()
     }
 
-    /// Memoises `value` for `q` (last writer wins; under the
-    /// static-database model every writer stores the same answer).
+    /// Memoises `value` for `q` (last writer wins).
     pub fn insert(&self, q: Query, value: V) {
         self.shard(&q).lock().expect("memo shard poisoned").insert(q, value);
+    }
+
+    /// Memoises `value` for `q` unless `q` already holds a value.
+    pub(crate) fn insert_if_absent(&self, q: Query, value: V) {
+        self.shard(&q).lock().expect("memo shard poisoned").entry(q).or_insert(value);
     }
 
     /// Number of distinct queries stored, summed across shards.

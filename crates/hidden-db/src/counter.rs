@@ -7,6 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{HdbError, Result};
+use crate::obs::MetricsSnapshot;
 
 /// Thread-safe counter of issued queries with an optional hard budget and
 /// per-outcome tallies.
@@ -63,6 +64,34 @@ impl QueryCounter {
             self.issued.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
+    }
+
+    /// Owner-side tally of one query answered on a client's behalf (the
+    /// server's ledger): counts it as issued, without a budget check,
+    /// and classes it by its true match count under the `k` it asked
+    /// for — `None`, a query that got no answer, is errored.
+    pub fn record(&self, count: Option<u64>, k: u64) {
+        self.issued.fetch_add(1, Ordering::Relaxed);
+        self.record_outcome(match count {
+            Some(0) => OutcomeKind::Underflow,
+            Some(n) if n <= k => OutcomeKind::Valid,
+            Some(_) => OutcomeKind::Overflow,
+            None => OutcomeKind::Errored,
+        });
+    }
+
+    /// Writes the ledger into `snap` as the five `hdb_queries_*_total`
+    /// counters: `issued` and the four outcome tallies that partition it.
+    pub fn publish(&self, snap: &mut MetricsSnapshot) {
+        for (name, value) in [
+            ("hdb_queries_issued_total", self.issued()),
+            ("hdb_queries_underflow_total", self.underflow_count()),
+            ("hdb_queries_valid_total", self.valid_count()),
+            ("hdb_queries_overflow_total", self.overflow_count()),
+            ("hdb_queries_errored_total", self.errored_count()),
+        ] {
+            snap.counters.insert(name.to_string(), value);
+        }
     }
 
     /// Records the outcome class of a charged query.

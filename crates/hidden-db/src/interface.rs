@@ -14,27 +14,28 @@
 //! hash-partitioned [`ShardedDb`](crate::ShardedDb), or a simulated
 //! remote API ([`LatencyBackend`](crate::LatencyBackend)). The *logical*
 //! behaviour (outcome classification, query accounting, budgets, the
-//! server-side hot-response memo) lives here and is identical for every
-//! backend.
+//! server-side hot memo) lives here and is identical for every backend:
+//! a fresh query and a walk probe are charged, answered and tallied by
+//! one routine.
 
 use std::sync::Arc;
 
-use crate::backend::{EvalMode, SearchBackend, TableBackend};
+use crate::backend::{EvalMode, SearchBackend, TableBackend, WalkState};
 use crate::cache::ShardedMemo;
 use crate::counter::{OutcomeKind, QueryCounter};
 use crate::error::Result;
 use crate::obs::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, TraceRing};
-use crate::query::Query;
+use crate::query::{Predicate, Query};
 use crate::ranking::{RankingFunction, RowIdRanking};
 use crate::schema::Schema;
-use crate::session::{SessionMode, WalkSession};
+use crate::session::{ClassifiedOutcome, SessionMode, WalkSession};
 use crate::table::Table;
 use crate::tuple::{Tuple, TupleId};
 
-/// Whether a response is expensive enough for the server-side
-/// hot-response memo: an overflow whose match count far exceeds `k`
-/// (those few shallow tree nodes dominate top-k selection CPU).
-pub(crate) fn expensive_response(count: usize, k: usize) -> bool {
+/// Whether a query is expensive enough for the server-side hot memo: an
+/// overflow whose match count far exceeds `k` (those few shallow tree
+/// nodes dominate top-k selection CPU).
+fn expensive_response(count: usize, k: usize) -> bool {
     count > k.saturating_mul(8)
 }
 
@@ -47,13 +48,14 @@ pub(crate) struct DbObs {
     /// The registry every handle below resolves from; `HiddenDb::metrics`
     /// snapshots it.
     pub(crate) registry: MetricsRegistry,
-    /// Hot-response memo hits (expensive overflow pages served without
-    /// re-evaluation).
+    /// Hot-memo hits on an entry that holds a page (a fresh query served
+    /// without re-evaluation, or a walk probe without an AND-count).
     pub(crate) memo_response_hits: Counter,
-    /// Count-only memo hits (drill-down probes served without an
-    /// AND-count).
+    /// Walk-probe hot-memo hits on an entry without a page (no fresh
+    /// query has paid for one yet).
     pub(crate) memo_count_hits: Counter,
-    /// Charged walk-session probes.
+    /// Answered walk-session probes (one that fails after its charge is
+    /// tallied as errored, not counted here).
     pub(crate) walk_probes: Counter,
     /// Walk-session branch commitments.
     pub(crate) walk_extends: Counter,
@@ -104,7 +106,7 @@ pub struct ReturnedTuple {
 /// Result of issuing one query through the interface.
 ///
 /// Result pages are shared (`Arc`), so cloning an outcome — which the
-/// server-side hot-response memo and the client-side
+/// server-side hot memo and the client-side
 /// [`CachingInterface`](crate::CachingInterface) do on every hit — bumps
 /// a reference count instead of deep-cloning the top-k tuple vector.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -212,7 +214,7 @@ pub trait TopKInterface {
 /// [`TopKInterface`].
 ///
 /// `HiddenDb` is `Sync` whenever its backend is: query accounting is
-/// atomic and the hot-response memo is sharded-locked, so a single
+/// atomic and the hot memo is sharded-locked, so a single
 /// instance can serve every worker of the parallel estimation engine.
 ///
 /// The default backend is a single bitmap-indexed [`Table`]
@@ -233,20 +235,16 @@ pub struct HiddenDb<B: SearchBackend = TableBackend> {
     pub(crate) ranking: Arc<dyn RankingFunction>,
     pub(crate) k: usize,
     pub(crate) counter: QueryCounter,
-    /// Server-side memo of *expensive* responses (overflow queries whose
-    /// match count far exceeds `k`): those are the few shallow tree nodes
-    /// every drill-down revisits, and their top-k selection dominates the
-    /// simulator's CPU time. Purely an implementation detail of the
-    /// simulated server — every query is still charged to the counter.
-    pub(crate) hot_responses: ShardedMemo,
-    /// The count-only sibling of `hot_responses`: classifications of
-    /// *expensive* count-only probes (the same `count > 8k` rule), so a
-    /// repeated count-only probe is memo-served instead of re-running its
-    /// AND-count. Count-only probes never produce an overflow page, so
-    /// they can never feed `hot_responses`; without this memo every
-    /// repeat paid the count again (the PR 4 memo gap). Memo hits are
-    /// charged exactly like `hot_responses` hits.
-    pub(crate) hot_counts: ShardedMemo<crate::session::ClassifiedOutcome>,
+    /// Server-side memo of *expensive* queries (overflows whose match
+    /// count far exceeds `k`): the few shallow tree nodes every
+    /// drill-down revisits. An entry means "overflow", so a walk probe
+    /// that finds one skips its AND-count; it holds the ranked page once
+    /// a fresh query has paid for one, so a fresh query that finds a page
+    /// skips its top-k selection. Fresh queries and walk probes share
+    /// it, whichever saw a node first. Purely an implementation detail of
+    /// the simulated server — every query is still charged to the
+    /// counter.
+    pub(crate) hot_memo: ShardedMemo<Option<Arc<Vec<ReturnedTuple>>>>,
     /// How [`HiddenDb::walk_session`] evaluates drill-down probes
     /// (incremental count-only by default; see [`SessionMode`]).
     pub(crate) session: SessionMode,
@@ -320,8 +318,7 @@ impl<B: SearchBackend> HiddenDb<B> {
             ranking: Arc::new(RowIdRanking),
             k,
             counter: QueryCounter::unlimited(),
-            hot_responses: ShardedMemo::new(),
-            hot_counts: ShardedMemo::new(),
+            hot_memo: ShardedMemo::new(),
             session: SessionMode::default(),
             obs: DbObs::over(MetricsRegistry::new()),
         }
@@ -395,12 +392,7 @@ impl<B: SearchBackend> HiddenDb<B> {
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.obs.registry.snapshot();
-        let c = &self.counter;
-        snap.counters.insert("hdb_queries_issued_total".into(), c.issued());
-        snap.counters.insert("hdb_queries_underflow_total".into(), c.underflow_count());
-        snap.counters.insert("hdb_queries_valid_total".into(), c.valid_count());
-        snap.counters.insert("hdb_queries_overflow_total".into(), c.overflow_count());
-        snap.counters.insert("hdb_queries_errored_total".into(), c.errored_count());
+        self.counter.publish(&mut snap);
         self.backend.fill_metrics(&mut snap);
         snap
     }
@@ -418,32 +410,100 @@ impl<B: SearchBackend> HiddenDb<B> {
         &self.counter
     }
 
-    /// Distinct queries held by the server-side count-only memo
+    /// Distinct expensive queries held by the server-side hot memo, one
+    /// per query whichever path (fresh query or walk probe) saw it first
     /// (owner-side diagnostic; the memo itself is unobservable through
     /// the interface — it only saves server CPU).
     #[must_use]
     pub fn memoised_counts(&self) -> usize {
-        self.hot_counts.len()
+        self.hot_memo.len()
     }
 
-    fn respond(&self, q: &Query) -> Result<QueryOutcome> {
+    /// Charges one issued query and answers it — the one path fresh
+    /// queries and walk probes share: charge, round trip, span, `answer`,
+    /// then tally the outcome class. A failure after the charge (transport,
+    /// server-side rejection) still cost the budget — the request went out
+    /// on the wire, so the site metered it — and is tallied as errored, so
+    /// the ledger keeps partitioning `issued` exactly.
+    fn charged<T>(
+        &self,
+        span: &'static str,
+        answer: impl FnOnce() -> Result<T>,
+        kind: fn(&T) -> OutcomeKind,
+    ) -> Result<T> {
+        self.counter.charge()?;
         // Every issued query crosses to the backend's "server" exactly
         // once — remote simulations charge their round trip here, memo
         // hit or not (the memo saves server CPU, never the network hop).
         self.backend.round_trip();
-        // Serve memoised expensive responses without re-evaluating.
-        if let Some(hit) = self.hot_responses.get(q) {
+        let id = self.obs.trace.open(span, 0, 0);
+        let answered = answer();
+        self.counter.record_outcome(answered.as_ref().map_or(OutcomeKind::Errored, kind));
+        self.obs.trace.close(id, span, 0);
+        answered
+    }
+
+    /// A fresh query's answer: the memoised page of an expensive query
+    /// once a fresh query has paid for one, else a full evaluation.
+    fn respond(&self, q: &Query) -> Result<QueryOutcome> {
+        if let Some(Some(page)) = self.hot_memo.get(q) {
             self.obs.memo_response_hits.inc();
-            return Ok(hit);
+            return Ok(QueryOutcome::Overflow(page));
         }
         let eval = self.backend.evaluate(q, self.k, self.ranking.as_ref())?;
-        // Memoise expensive overflow responses (top-k over many matches).
         let expensive = expensive_response(eval.count, self.k);
         let outcome = eval.into_outcome(self.k);
-        if expensive {
-            self.hot_responses.insert(q.clone(), outcome.clone());
+        if let (true, QueryOutcome::Overflow(page)) = (expensive, &outcome) {
+            self.hot_memo.insert(q.clone(), Some(Arc::clone(page)));
         }
         Ok(outcome)
+    }
+
+    /// Charges and answers one walk probe: `child`, one predicate `pred`
+    /// below the node whose backend state is `parent`.
+    pub(crate) fn walk_probe(
+        &self,
+        parent: &WalkState,
+        child: &Query,
+        pred: Predicate,
+    ) -> Result<ClassifiedOutcome> {
+        let out = self.charged(
+            "walk_probe",
+            || self.respond_walk(parent, child, pred),
+            ClassifiedOutcome::kind,
+        )?;
+        self.obs.walk_probes.inc();
+        Ok(out)
+    }
+
+    /// A walk probe's answer: overflow on any hot-memo entry, else one
+    /// count-only AND pass, which materialises a page only when valid
+    /// (≤ k tuples, ranking-independent). An expensive miss leaves an
+    /// entry without a page; one a fresh query stored is kept.
+    fn respond_walk(
+        &self,
+        parent: &WalkState,
+        child: &Query,
+        pred: Predicate,
+    ) -> Result<ClassifiedOutcome> {
+        if let Some(page) = self.hot_memo.get(child) {
+            match page {
+                Some(_) => self.obs.memo_response_hits.inc(),
+                None => self.obs.memo_count_hits.inc(),
+            }
+            return Ok(ClassifiedOutcome::Overflow);
+        }
+        let c = self.backend.classify_from(parent, child, pred, self.k)?;
+        if expensive_response(c.count, self.k) {
+            self.hot_memo.insert_if_absent(child.clone(), None);
+        }
+        Ok(if c.count == 0 {
+            ClassifiedOutcome::Underflow
+        } else if c.count <= self.k {
+            ClassifiedOutcome::Valid(Arc::new(c.page))
+        } else {
+            ClassifiedOutcome::Overflow
+        })
     }
 }
 
@@ -458,23 +518,7 @@ impl<B: SearchBackend> TopKInterface for HiddenDb<B> {
 
     fn query(&self, q: &Query) -> Result<QueryOutcome> {
         q.validate(self.backend.schema())?;
-        self.counter.charge()?;
-        // A failure after the charge (transport, server-side rejection)
-        // still cost the budget — the request went out on the wire, so the
-        // site metered it. Tally it as an errored outcome so the ledger
-        // keeps partitioning `issued` exactly.
-        let span = self.obs.trace.open("query", 0, 0);
-        let outcome = match self.respond(q) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.counter.record_outcome(OutcomeKind::Errored);
-                self.obs.trace.close(span, "query", 0);
-                return Err(e);
-            }
-        };
-        self.counter.record_outcome(outcome_kind(&outcome));
-        self.obs.trace.close(span, "query", 0);
-        Ok(outcome)
+        self.charged("query", || self.respond(q), outcome_kind)
     }
 
     fn queries_issued(&self) -> u64 {

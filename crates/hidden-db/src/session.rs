@@ -29,21 +29,21 @@
 //! page is ever ranked.
 //!
 //! **The session changes only server CPU time, never observable
-//! behaviour.** Every probe is validated, charged to the
+//! behaviour.** Every probe is validated here, then charged to the
 //! [`QueryCounter`](crate::QueryCounter), paid as a backend round trip,
-//! and answered through the server-side hot-response memo exactly as an
-//! independently issued query would be — budgets, accounting tallies,
-//! outcomes, and therefore whole estimator runs are **bit-identical** to
-//! the fresh path (pinned by the incremental-equivalence property
-//! tests). [`SessionMode`] keeps the fresh path selectable as a
-//! reference.
+//! looked up in the server-side hot memo and tallied by the same
+//! `HiddenDb` routine an independently issued query goes through —
+//! budgets, accounting tallies, outcomes, and therefore whole estimator
+//! runs are **bit-identical** to the fresh path (pinned by the
+//! incremental-equivalence property tests). [`SessionMode`] keeps the
+//! fresh path selectable as a reference.
 
 use std::sync::Arc;
 
 use crate::backend::{SearchBackend, WalkState};
 use crate::counter::OutcomeKind;
 use crate::error::Result;
-use crate::interface::{expensive_response, HiddenDb, QueryOutcome, ReturnedTuple, TopKInterface};
+use crate::interface::{HiddenDb, QueryOutcome, ReturnedTuple, TopKInterface};
 use crate::query::{Predicate, Query};
 use crate::schema::{AttrId, Schema, ValueId};
 
@@ -124,7 +124,7 @@ impl ClassifiedOutcome {
         }
     }
 
-    fn kind(&self) -> OutcomeKind {
+    pub(crate) fn kind(&self) -> OutcomeKind {
         match self {
             Self::Underflow => OutcomeKind::Underflow,
             Self::Valid(_) => OutcomeKind::Valid,
@@ -243,7 +243,7 @@ impl<'a> WalkSession<'a> {
         // so invalid probes error *without* being charged.
         let child = self.query().and(attr, value)?;
         child.validate(self.schema)?;
-        self.core.classify(&child, Predicate::new(attr, value), self.k)
+        self.core.classify(&child, Predicate::new(attr, value))
     }
 
     /// Commits the walk to the branch `attr = value`. No query is issued
@@ -281,7 +281,7 @@ impl<'a> WalkSession<'a> {
 /// node state moves. Object-safe so the session type stays free of the
 /// backend type parameter.
 trait SessionCore {
-    fn classify(&mut self, child: &Query, pred: Predicate, k: usize) -> Result<ClassifiedOutcome>;
+    fn classify(&mut self, child: &Query, pred: Predicate) -> Result<ClassifiedOutcome>;
     fn extend(&mut self, child: &Query, pred: Predicate);
     fn retract(&mut self);
 }
@@ -293,7 +293,7 @@ struct FreshCore<'a> {
 }
 
 impl SessionCore for FreshCore<'_> {
-    fn classify(&mut self, child: &Query, _pred: Predicate, _k: usize) -> Result<ClassifiedOutcome> {
+    fn classify(&mut self, child: &Query, _pred: Predicate) -> Result<ClassifiedOutcome> {
         Ok(ClassifiedOutcome::from_outcome(self.iface.query(child)?))
     }
 
@@ -302,13 +302,12 @@ impl SessionCore for FreshCore<'_> {
     fn retract(&mut self) {}
 }
 
-/// Incremental engine over a [`HiddenDb`]: mirrors
-/// `HiddenDb::query`/`respond` step for step (charge → round trip → hot
-/// memo → evaluate → memoise-if-expensive → tally), with the evaluation
-/// replaced by the backend's `classify_from` fast path over the parent
-/// level stack. The `spare` list holds retired levels — the walk-local
-/// scratch arena. The stack discipline keeps its top the level last
-/// retracted at the depth the next `extend` builds.
+/// Incremental engine over a [`HiddenDb`]: a probe goes through the
+/// database's one charge routine, answered by the backend's
+/// `classify_from` fast path over the parent level stack. The `spare`
+/// list holds retired levels — the walk-local scratch arena. The stack
+/// discipline keeps its top the level last retracted at the depth the
+/// next `extend` builds.
 struct DbCore<'a, B: SearchBackend> {
     db: &'a HiddenDb<B>,
     levels: Vec<Level>,
@@ -335,53 +334,8 @@ impl<B: SearchBackend> DbCore<'_, B> {
 }
 
 impl<B: SearchBackend> SessionCore for DbCore<'_, B> {
-    fn classify(&mut self, child: &Query, pred: Predicate, k: usize) -> Result<ClassifiedOutcome> {
-        self.db.counter.charge()?;
-        self.db.backend.round_trip();
-        let span = self.db.obs.trace.open("walk_probe", 0, 0);
-        let computed = (|| if let Some(hit) = self.db.hot_responses.get(child) {
-            // Memoised responses are served exactly as to a fresh query.
-            self.db.obs.memo_response_hits.inc();
-            Ok(ClassifiedOutcome::from_outcome(hit))
-        } else if let Some(hit) = self.db.hot_counts.get(child) {
-            // A repeated count-only probe of an expensive node: served
-            // from the count memo, charged like any other memo hit.
-            self.db.obs.memo_count_hits.inc();
-            Ok(hit)
-        } else {
-            // Count-only: one AND-count pass; valid pages (≤ k tuples,
-            // ranking-independent) are the only materialisation. There is
-            // no overflow page to feed `hot_responses`, so expensive
-            // classifications go to the dedicated count memo instead —
-            // all of it unobservable: memos only ever save server CPU.
-            let c = self.db.backend.classify_from(&self.parent().state, child, pred, k)?;
-            let expensive = expensive_response(c.count, k);
-            let out = if c.count == 0 {
-                ClassifiedOutcome::Underflow
-            } else if c.count <= k {
-                ClassifiedOutcome::Valid(Arc::new(c.page))
-            } else {
-                ClassifiedOutcome::Overflow
-            };
-            if expensive {
-                self.db.hot_counts.insert(child.clone(), out.clone());
-            }
-            Ok(out)
-        })();
-        let out = match computed {
-            Ok(out) => out,
-            Err(e) => {
-                // Charged and sent, but the response failed: tally the
-                // spent budget as an errored outcome.
-                self.db.counter.record_outcome(OutcomeKind::Errored);
-                self.db.obs.trace.close(span, "walk_probe", 0);
-                return Err(e);
-            }
-        };
-        self.db.counter.record_outcome(out.kind());
-        self.db.obs.walk_probes.inc();
-        self.db.obs.trace.close(span, "walk_probe", 0);
-        Ok(out)
+    fn classify(&mut self, child: &Query, pred: Predicate) -> Result<ClassifiedOutcome> {
+        self.db.walk_probe(&self.parent().state, child, pred)
     }
 
     /// Re-commits the retired level at this depth when it is exactly the

@@ -45,11 +45,10 @@
 //!
 //! ## Observability
 //!
-//! The server keeps a query ledger partitioned exactly like the
-//! client-side [`QueryCounter`](hdb_interface::QueryCounter): every
-//! probe-shaped request (`Evaluate` and `WalkClassify`) bumps
-//! `hdb_queries_issued_total` and exactly one of
-//! `underflow`/`valid`/`overflow`/`errored`, so
+//! The server keeps its query ledger in a [`QueryCounter`], the type a
+//! client's `HiddenDb` charges: every probe-shaped request (`Evaluate`
+//! and `WalkClassify`) bumps `hdb_queries_issued_total` and exactly one
+//! of `underflow`/`valid`/`overflow`/`errored`, so
 //! `issued == underflow + valid + overflow + errored` holds on every
 //! scrape. A `Stats` request answers the merged snapshot (backend
 //! series, server ledger, serving counters) over the wire; an optional
@@ -95,8 +94,8 @@ use hdb_interface::wire::{
     encode_page_chunk, write_frame, FrameBuf, Request, Response, PROTOCOL_VERSION, STREAM_TUPLES,
 };
 use hdb_interface::{
-    Counter, HdbError, MetricsRegistry, MetricsSnapshot, Predicate, Query, Result, ReturnedTuple,
-    Schema, SearchBackend, SessionDump, SessionRecord, WalkState, WalkStep,
+    HdbError, MetricsSnapshot, Predicate, Query, QueryCounter, Result, ReturnedTuple, Schema,
+    SearchBackend, SessionDump, SessionRecord, WalkState, WalkStep,
 };
 
 /// The reactor token reserved for the listener; connections count up
@@ -297,49 +296,6 @@ impl Sessions {
     }
 }
 
-/// The server's query ledger: pre-resolved registry counters bumped
-/// once per probe-shaped request, strictly after its response is
-/// computed. Every recorded probe lands in `issued` plus exactly one
-/// outcome bucket, so `issued == underflow + valid + overflow +
-/// errored` is an invariant of every snapshot.
-struct Ledger {
-    issued: Counter,
-    underflow: Counter,
-    valid: Counter,
-    overflow: Counter,
-    errored: Counter,
-}
-
-impl Ledger {
-    fn new(registry: &MetricsRegistry) -> Self {
-        Self {
-            issued: registry.counter("hdb_queries_issued_total"),
-            underflow: registry.counter("hdb_queries_underflow_total"),
-            valid: registry.counter("hdb_queries_valid_total"),
-            overflow: registry.counter("hdb_queries_overflow_total"),
-            errored: registry.counter("hdb_queries_errored_total"),
-        }
-    }
-
-    /// Classifies one probe's response under the `k` it asked for.
-    /// Errors and `SessionGone` (a chained probe's no-answer road) land
-    /// in `errored`; everything else partitions on the true match count.
-    fn record(&self, k: u64, resp: &Response) {
-        let count = match resp {
-            Response::Evaluation(ev) => Some(ev.count),
-            Response::Classified(c) => Some(c.count),
-            _ => None,
-        };
-        self.issued.inc();
-        match count {
-            Some(0) => self.underflow.inc(),
-            Some(n) if n as u64 <= k => self.valid.inc(),
-            Some(_) => self.overflow.inc(),
-            None => self.errored.inc(),
-        }
-    }
-}
-
 /// Everything the serving threads share.
 struct Inner<B> {
     backend: B,
@@ -357,18 +313,18 @@ struct Inner<B> {
     frames: AtomicU64,
     /// Page-chunk bytes pushed through [`Conn::tail`] streaming.
     streamed_bytes: AtomicU64,
-    registry: MetricsRegistry,
-    ledger: Ledger,
+    /// The query ledger: one recorded probe per probe-shaped request,
+    /// unmetered (the clients hold the budgets).
+    ledger: QueryCounter,
 }
 
 impl<B: SearchBackend> Inner<B> {
     /// The merged snapshot every exposure path serves: backend-reported
-    /// series, the registry (the ledger), and the serving counters, in
-    /// one ordered map.
+    /// series, the ledger, and the serving counters, in one ordered map.
     fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         self.backend.fill_metrics(&mut snap);
-        snap.merge(self.registry.snapshot());
+        self.ledger.publish(&mut snap);
         snap.counters.insert(
             "hdb_server_dispatches_total".to_string(),
             self.dispatches.load(Ordering::Relaxed),
@@ -603,8 +559,15 @@ fn handle_request<B: SearchBackend>(inner: &Inner<B>, req: Request) -> Response 
     let resp = outcome.unwrap_or_else(Response::Error);
     // Ledger recording happens strictly after the response is computed:
     // the answer is bit-identical whether or not anyone ever scrapes.
+    // Errors and `SessionGone` (a chained probe's no-answer road) land in
+    // `errored`; everything else partitions on the true match count.
     if let Some(k) = probe_k {
-        inner.ledger.record(k, &resp);
+        let count = match &resp {
+            Response::Evaluation(ev) => Some(ev.count as u64),
+            Response::Classified(c) => Some(c.count as u64),
+            _ => None,
+        };
+        inner.ledger.record(count, k);
     }
     resp
 }
@@ -1015,8 +978,6 @@ impl Server {
                     .map_err(|e| HdbError::Transport(format!("metrics local_addr: {e}")))?,
             ),
         };
-        let registry = MetricsRegistry::new();
-        let ledger = Ledger::new(&registry);
         let inner = Arc::new(Inner {
             backend,
             sessions: Sessions::new(config.session_cap),
@@ -1029,8 +990,7 @@ impl Server {
             dispatches: AtomicU64::new(0),
             frames: AtomicU64::new(0),
             streamed_bytes: AtomicU64::new(0),
-            registry,
-            ledger,
+            ledger: QueryCounter::unlimited(),
         });
         let threads = (0..config.pool_threads.max(1))
             .map(|_| {

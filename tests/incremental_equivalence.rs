@@ -12,7 +12,8 @@ use hdb_core::{
     UnbiasedSizeEstimator,
 };
 use hdb_interface::{
-    Attribute, HiddenDb, Query, Schema, SessionMode, ShardedDb, Table, TopKInterface,
+    Attribute, ClassifiedOutcome, HiddenDb, Query, Schema, SessionMode, ShardedDb, Table,
+    TopKInterface, WalkSession,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -206,6 +207,58 @@ proptest! {
     }
 }
 
+proptest! {
+    // A case exercises the memo only when a node matches more than 8·k of
+    // the table's at most 40 rows, so this property draws more cases.
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One database, both probe paths: a random script of fresh queries
+    /// and walk-session classify/extend/retract moves, revisiting the
+    /// same nodes, answers every call like a fresh twin and ends with the
+    /// twin's ledger.
+    #[test]
+    fn interleaved_queries_and_walk_probes_match_a_fresh_twin(
+        (table, _, _) in db_strategy(),
+        k in 1usize..=2,
+        script in prop::collection::vec((0u8..4, 0usize..5, 0u16..5), 1..=60),
+    ) {
+        let schema = table.schema().clone();
+        let db = HiddenDb::new(table.clone(), k);
+        let twin = HiddenDb::new(table, k);
+        let mut sess = db.walk_session(Query::all()).unwrap();
+        for (op, attr, value) in script {
+            let node = sess.query().clone();
+            let free: Vec<usize> =
+                (0..schema.len()).filter(|&a| node.value_of(a).is_none()).collect();
+            if op == 3 || free.is_empty() {
+                if sess.depth() > 0 {
+                    sess.retract();
+                }
+                continue;
+            }
+            let attr = free[attr % free.len()];
+            let value = value % schema.fanout(attr) as u16;
+            let child = node.and(attr, value).unwrap();
+            match op {
+                0 => {
+                    prop_assert_eq!(db.query(&child).unwrap(), twin.query(&child).unwrap());
+                }
+                1 => {
+                    let want = ClassifiedOutcome::from_outcome(twin.query(&child).unwrap());
+                    prop_assert_eq!(sess.classify(attr, value).unwrap(), want);
+                }
+                _ => sess.extend(attr, value),
+            }
+        }
+        prop_assert_eq!(db.queries_issued(), twin.queries_issued());
+        let (c, t) = (db.counter(), twin.counter());
+        prop_assert_eq!(
+            (c.underflow_count(), c.valid_count(), c.overflow_count(), c.errored_count()),
+            (t.underflow_count(), t.valid_count(), t.overflow_count(), t.errored_count())
+        );
+    }
+}
+
 /// The proptest tables fit in one bitmap word, so their walk nodes never
 /// take the sparse form. At 20,000 rows (313 words) and k = 10 the deep
 /// overflowing nodes match 11–40 rows and are stored sparse, and so are
@@ -235,17 +288,18 @@ fn sessions_charge_one_count_per_issued_query_including_memo_hits() {
     let db = HiddenDb::new(table, 1);
 
     let mut sess = db.walk_session(Query::all()).unwrap();
-    // first issue: counted and memoised in the count memo (29 matches > 8·k;
-    // count-only probes have no overflow page for the full-response memo)
+    // first issue: counted and memoised as an entry without a page (29
+    // matches > 8·k; a count-only probe ranks no overflow page)
     assert_eq!(db.memoised_counts(), 0);
     assert!(sess.classify(0, 0).unwrap().is_overflow());
     assert_eq!(db.queries_issued(), 1);
     assert_eq!(db.memoised_counts(), 1);
-    // the same probe again: answered from the count memo, still charged
+    // the same probe again: answered from the memo, still charged
     assert!(sess.classify(0, 0).unwrap().is_overflow());
     assert_eq!(db.queries_issued(), 2);
     assert_eq!(db.memoised_counts(), 1, "memo-served repeat must not re-insert");
-    // a fresh query for the same node also hits the memo and is charged
+    // a fresh query for the same node is charged; it does not hit the
+    // memo, whose entry holds no page yet, so it evaluates and stores one
     assert!(db.query(&Query::all().and(0, 0).unwrap()).unwrap().is_overflow());
     assert_eq!(db.queries_issued(), 3);
     // a sibling branch charges identically
@@ -270,6 +324,67 @@ fn sessions_charge_one_count_per_issued_query_including_memo_hits() {
         c.underflow_count() + c.valid_count() + c.overflow_count() + c.errored_count(),
         db.queries_issued()
     );
+}
+
+/// Fresh queries and walk probes share one hot memo: an expensive node
+/// gets one entry whichever path saw it first, a walk probe answers
+/// overflow from any entry, and a fresh query is served from an entry
+/// only once a fresh query has stored its page there. Every call is
+/// charged once and answers like a fresh twin's.
+#[test]
+fn fresh_queries_and_walk_probes_share_one_memo() {
+    // 60 rows, k=1: each root child matches 30 rows (> 8·k), so it is
+    // expensive.
+    let tuples: Vec<hdb_interface::Tuple> = (0..60u16)
+        .map(|i| hdb_interface::Tuple::new((0..6).map(|b| (i >> b) & 1).collect()))
+        .collect();
+    let table = Table::new(Schema::boolean(6), tuples).unwrap();
+    let db = HiddenDb::new(table.clone(), 1);
+    let twin = HiddenDb::new(table, 1);
+    let node = |(attr, value): (usize, u16)| Query::all().and(attr, value).unwrap();
+    let fresh = |at| {
+        let q = node(at);
+        assert_eq!(db.query(&q).unwrap(), twin.query(&q).unwrap(), "fresh query {at:?}");
+    };
+    let probe = |sess: &mut WalkSession<'_>, at: (usize, u16)| {
+        let want = ClassifiedOutcome::from_outcome(twin.query(&node(at)).unwrap());
+        assert_eq!(sess.classify(at.0, at.1).unwrap(), want, "walk probe {at:?}");
+    };
+    // (issued, response hits, count hits, memo entries)
+    let state = || {
+        let snap = db.metrics();
+        let c = |name: &str| snap.counters[name];
+        let hits = (c("hdb_memo_response_hits_total"), c("hdb_memo_count_hits_total"));
+        (db.queries_issued(), hits.0, hits.1, db.memoised_counts())
+    };
+    let (x, y) = ((0, 0), (1, 1));
+    let mut sess = db.walk_session(Query::all()).unwrap();
+
+    // A fresh query of X stores its page; a walk probe of X hits it.
+    fresh(x);
+    assert_eq!(state(), (1, 0, 0, 1));
+    probe(&mut sess, x);
+    assert_eq!(state(), (2, 1, 0, 1));
+    // A walk probe of Y stores an entry without a page, which a repeat
+    // probe hits as a count hit.
+    probe(&mut sess, y);
+    assert_eq!(state(), (3, 1, 0, 2));
+    probe(&mut sess, y);
+    assert_eq!(state(), (4, 1, 1, 2));
+    // A fresh query of Y finds no page, so it evaluates and stores one;
+    // the next fresh query and the next walk probe hit that page.
+    fresh(y);
+    assert_eq!(state(), (5, 1, 1, 2));
+    fresh(y);
+    assert_eq!(state(), (6, 2, 1, 2));
+    probe(&mut sess, y);
+    assert_eq!(state(), (7, 3, 1, 2));
+
+    let tallies = |db: &HiddenDb| {
+        let c = db.counter();
+        (c.issued(), c.underflow_count(), c.valid_count(), c.overflow_count(), c.errored_count())
+    };
+    assert_eq!(tallies(&db), tallies(&twin));
 }
 
 /// The walk-scoped scratch arena must never leak stale state across
