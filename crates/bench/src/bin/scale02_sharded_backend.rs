@@ -1,5 +1,5 @@
-//! Scale experiment: sharded-backend evaluation (shard-count sweep) and
-//! remote-API latency hiding through the parallel engine.
+//! Scale experiment: sharded-backend evaluation (shard-count sweep), with
+//! every configuration checked bit-identical to the table backend.
 use hdb_bench::{experiments, Datasets, Scale};
 
 fn main() {

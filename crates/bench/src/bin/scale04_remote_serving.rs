@@ -1,7 +1,8 @@
 //! Scale experiment: the serving layer — a real loopback `hdb-server`
-//! behind `RemoteBackend` vs in-process evaluation vs the
-//! `LatencyBackend` prediction, with the machine-readable perf
-//! trajectory written to `BENCH_scale04.json`.
+//! behind `RemoteBackend` vs in-process evaluation vs the predicted
+//! remote cost (local incremental cost plus one measured round trip),
+//! with the machine-readable perf trajectory written to
+//! `BENCH_scale04.json`.
 use hdb_bench::{experiments, Datasets, Scale};
 
 fn main() {

@@ -21,9 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hdb_core::UnbiasedSizeEstimator;
-use hdb_interface::{
-    FederatedBackend, FleetConfig, HiddenDb, ShardPartBackend, ShardedDb, Table, Topology,
-};
+use hdb_interface::{FederatedBackend, FleetConfig, HiddenDb, ShardedDb, Table, Topology};
 use hdb_server::{RunningServer, Server};
 use hdb_stats::{Figure, Series};
 
@@ -74,7 +72,7 @@ fn fleet_config(parts: usize) -> FleetConfig {
 fn spawn_fleet(table: &Table, parts: usize) -> (Vec<RunningServer>, Topology) {
     let mut servers = Vec::new();
     let mut topo = Topology::new();
-    for (i, part) in ShardPartBackend::partition(table, parts).into_iter().enumerate() {
+    for (i, part) in ShardedDb::partition(table, parts).into_iter().enumerate() {
         let server = Server::bind(part, "127.0.0.1:0").expect("loopback bind");
         topo.add_replica(i, server.addr().to_string());
         servers.push(server);
@@ -147,7 +145,7 @@ pub fn run_federation_scale(scale: &Scale, datasets: &Datasets) {
     let reference = est.run(&local, passes).expect("unlimited interface");
 
     let (mut servers, mut topo) = spawn_fleet(table, parts);
-    let standby = ShardPartBackend::partition(table, parts)
+    let standby = ShardedDb::partition(table, parts)
         .into_iter()
         .next()
         .map(|part| Server::bind(part, "127.0.0.1:0").expect("loopback bind"))

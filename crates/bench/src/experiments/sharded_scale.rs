@@ -1,19 +1,21 @@
 //! Scale experiment for the backend abstraction (not a paper figure — an
 //! engineering experiment for the repro's own roadmap): the same
-//! estimation run over the single-table backend, hash-partitioned
-//! [`ShardedDb`] backends of growing shard counts, and a remote-API
-//! [`LatencyBackend`] at growing engine worker counts.
+//! estimation run over the single-table backend and hash-partitioned
+//! [`ShardedDb`] backends of growing shard counts, each at 1 and 2
+//! shard-evaluation workers.
 //!
 //! The backend contract guarantees bit-identical estimates whatever the
 //! substrate; this experiment asserts that on every configuration it
 //! times (an experiment must not silently record results from a broken
-//! backend) and records what sharding and latency-hiding cost or buy in
-//! *wall-clock* terms. Both figures are written under `results/`.
+//! backend) and records what sharding costs or buys in *wall-clock*
+//! terms. The figure is written under `results/`. Latency hiding over a
+//! real socket is shown by `scale04_remote_serving` and the
+//! `search_backends` example.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hdb_core::UnbiasedSizeEstimator;
-use hdb_interface::{HiddenDb, LatencyBackend, SearchBackend, ShardedDb, TableBackend};
+use hdb_interface::{HiddenDb, SearchBackend, ShardedDb};
 use hdb_stats::{Figure, Series};
 
 use crate::datasets::Datasets;
@@ -36,20 +38,18 @@ fn timed_run<B: SearchBackend>(db: &HiddenDb<B>, passes: u64) -> (u64, f64) {
     (summary.estimate.to_bits(), start.elapsed().as_secs_f64())
 }
 
-/// Runs the shard-count and latency scaling experiments.
+/// Runs the shard-count scaling experiment.
 ///
 /// # Panics
 /// Panics if any backend configuration changes the estimate — that would
 /// be a backend-equivalence regression.
 pub fn run_sharded_scale(scale: &Scale, datasets: &Datasets) {
-    note("backend scaling: shard counts (ShardedDb) and remote latency (LatencyBackend)");
+    note("backend scaling: shard counts (ShardedDb)");
     let table = datasets.bool_iid(scale);
     let truth = table.len() as f64;
     let passes = scale.trials.max(10) * 25;
 
-    // ----------------------------------------------------------------
     // Shard-count sweep: identical bits, per-shard evaluation cost.
-    // ----------------------------------------------------------------
     let (reference_bits, base_secs) = timed_run(&HiddenDb::new(table.clone(), K), passes);
     println!(
         "  table backend: {base_secs:.3}s, estimate {:.1} (truth {truth})",
@@ -78,43 +78,4 @@ pub fn run_sharded_scale(scale: &Scale, datasets: &Datasets) {
     }
     shard_fig.add(Series::from_points("wall-clock", points));
     emit(&shard_fig, "scale02_sharded_backend");
-
-    // ----------------------------------------------------------------
-    // Latency hiding: a simulated remote API at fixed per-query latency,
-    // swept over engine worker counts. Queries are the scarce resource
-    // of the hidden-web scenario; wall-clock shows what the parallel
-    // engine buys when each of them costs a round trip.
-    // ----------------------------------------------------------------
-    let latency = Duration::from_micros(200);
-    let remote_passes = (scale.trials.max(4) * 2).min(64);
-    let mut latency_fig = Figure::new(
-        format!("remote-API simulation, {}µs/query, {remote_passes} passes", latency.as_micros()),
-        "workers",
-        "seconds",
-    );
-    let mut wall = Vec::new();
-    let mut reference: Option<u64> = None;
-    for workers in [1usize, 2, 4, 8] {
-        let backend = LatencyBackend::new(TableBackend::new(table.clone()), latency);
-        let db = HiddenDb::over(backend, K);
-        let mut est = UnbiasedSizeEstimator::hd(SEED).expect("valid config");
-        let start = Instant::now();
-        let summary = est.run_parallel(&db, remote_passes, workers).expect("unlimited");
-        let secs = start.elapsed().as_secs_f64();
-        let bits = summary.estimate.to_bits();
-        match reference {
-            None => reference = Some(bits),
-            Some(r) => assert_eq!(
-                r, bits,
-                "determinism regression: workers={workers} changed the remote estimate"
-            ),
-        }
-        println!(
-            "  workers={workers}: {secs:.3}s wall, {} round trips simulated",
-            db.backend().round_trips()
-        );
-        wall.push((workers as f64, secs));
-    }
-    latency_fig.add(Series::from_points("wall-clock", wall));
-    emit(&latency_fig, "scale02_remote_latency");
 }

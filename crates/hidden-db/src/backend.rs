@@ -4,8 +4,8 @@
 //! The paper's estimators only ever observe the interface contract of
 //! §2.1 (issue a conjunctive query → underflow / valid / overflow with
 //! top-k tuples). How `Sel(q)` is computed — one in-memory table, a
-//! hash-partitioned cluster of shards, a slow remote API — is invisible
-//! to them. This module captures exactly that split:
+//! hash-partitioned cluster of shards, a server across a socket — is
+//! invisible to them. This module captures exactly that split:
 //!
 //! * [`SearchBackend`] — what a physical substrate must answer: the
 //!   schema, the corpus size, a classified top-k [`Evaluation`] of a
@@ -14,7 +14,7 @@
 //!   bitmap [`TableIndex`](crate::TableIndex) (and an optional
 //!   linear-scan reference path, [`EvalMode::Scan`]);
 //! * [`ShardedDb`](crate::ShardedDb) and
-//!   [`LatencyBackend`](crate::LatencyBackend) (sibling modules) — the
+//!   [`RemoteBackend`](crate::RemoteBackend) (sibling modules) — the
 //!   distributed and remote-API substrates.
 //!
 //! [`HiddenDb`](crate::HiddenDb) is generic over the backend; the query
@@ -187,8 +187,7 @@ const SPARSE_FILL: usize = 8;
 
 /// Owned match-set of one walk node over a single bitmap-indexed table,
 /// shared by [`TableBackend`] and the per-shard states of
-/// [`ShardedDb`](crate::ShardedDb) and
-/// [`ShardPartBackend`](crate::ShardPartBackend):
+/// [`ShardedDb`](crate::ShardedDb):
 ///
 /// * `All` until the first predicate commits (the root query of a
 ///   whole-database walk constrains nothing — no bitmap materialised);
@@ -339,13 +338,10 @@ pub trait SearchBackend: Send + Sync {
     /// [`HdbError::Transport`] if a networked substrate fails to answer.
     fn evaluate(&self, q: &Query, k: usize, ranking: &dyn RankingFunction) -> Result<Evaluation>;
 
-    /// Invoked by the interface layer once per *issued* query, before any
-    /// server-side response caching — the hook where remote-API
-    /// simulations ([`LatencyBackend`](crate::LatencyBackend)) charge
-    /// their round trip. A query's network cost is paid whether or not
-    /// the server answers it from a cache, so this runs even when the
-    /// hot-response memo hits and [`SearchBackend::evaluate`] is skipped.
-    /// The default substrate is in-process: no cost.
+    /// Never called: nothing in the workspace charges a round trip any
+    /// more. Kept as a provided no-op only because the job benchmark's
+    /// tracing wrapper (`jobbench/src/probe.rs`) overrides it; the two
+    /// go together.
     fn round_trip(&self) {}
 
     /// Contributes this substrate's metric series into `snap` — the
@@ -459,10 +455,6 @@ impl<B: SearchBackend + ?Sized> SearchBackend for Arc<B> {
 
     fn evaluate(&self, q: &Query, k: usize, ranking: &dyn RankingFunction) -> Result<Evaluation> {
         (**self).evaluate(q, k, ranking)
-    }
-
-    fn round_trip(&self) {
-        (**self).round_trip();
     }
 
     fn fill_metrics(&self, snap: &mut crate::obs::MetricsSnapshot) {

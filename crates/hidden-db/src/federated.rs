@@ -3,13 +3,14 @@
 //!
 //! [`FederatedBackend`] is [`ShardedDb`](crate::ShardedDb) with the
 //! shards moved out of the process: the corpus is hash-partitioned by the
-//! same stable FNV-1a assignment ([`ShardPartBackend::partition`] and
-//! `ShardedDb::new` share one partitioning function), but each shard
-//! lives behind its own server and is reached through a
-//! [`RemoteBackend`]. Every probe fans out across the fleet on the
-//! persistent [`WorkerPool`] and the per-shard partial results are merged
-//! with the same order-independent `(score, id)` semantics the local
-//! sharded backend uses — so a federated evaluation is **bit-identical**
+//! same stable FNV-1a assignment
+//! ([`ShardedDb::partition`](crate::ShardedDb::partition) cuts it into
+//! one-shard databases, one per server), but each shard lives behind its
+//! own server and is reached through a [`RemoteBackend`]. Every probe
+//! fans out across the fleet on the persistent [`WorkerPool`] and the
+//! per-shard partial results are merged with the same order-independent
+//! `(score, id)` semantics the local sharded backend uses — so a
+//! federated evaluation is **bit-identical**
 //! to a local `ShardedDb` over the same table, which is itself
 //! bit-identical to a single [`TableBackend`](crate::TableBackend). The
 //! estimators cannot tell how many machines they are talking to.
@@ -63,7 +64,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::backend::{checked_numeric, Classified, Evaluation, SearchBackend, SelState, WalkState};
+use crate::backend::{checked_numeric, Classified, Evaluation, SearchBackend, WalkState};
 use crate::error::{HdbError, Result};
 use crate::interface::ReturnedTuple;
 use crate::obs::MetricsSnapshot;
@@ -72,147 +73,8 @@ use crate::query::{Predicate, Query};
 use crate::ranking::{RankingFunction, RowIdRanking};
 use crate::remote::RemoteBackend;
 use crate::schema::{AttrId, Schema};
-use crate::sharded::{merge_partials, split, Shard};
-use crate::table::Table;
+use crate::sharded::merge_partials;
 use crate::tuple::TupleId;
-
-// ---------------------------------------------------------------------------
-// ShardPartBackend: one shard of a partitioned corpus, served standalone.
-
-/// A [`SearchBackend`] over **one shard** of a hash-partitioned corpus,
-/// answering with *global* tuple ids.
-///
-/// This is what each server in a federation serves. It evaluates exactly
-/// like one shard inside a [`ShardedDb`](crate::ShardedDb) — same
-/// partitioning, same per-shard candidate selection, same ascending
-/// global ids — so a [`FederatedBackend`] merging the fleet's partials
-/// reproduces the local sharded (and single-table) bits exactly.
-#[derive(Debug)]
-pub struct ShardPartBackend {
-    schema: Schema,
-    shard: Shard,
-    index: usize,
-    parts: usize,
-}
-
-/// The walk payload of a [`ShardPartBackend`]: the shard-local match-set
-/// state (a newtype so it can never be confused with another backend's
-/// payload).
-#[derive(Default)]
-struct PartWalk(SelState);
-
-impl ShardPartBackend {
-    /// Hash-partitions `table` into `parts` shard backends (`parts` is
-    /// clamped to at least 1), each holding its slice of the corpus with
-    /// global tuple ids. The assignment is identical to
-    /// [`ShardedDb::new`](crate::ShardedDb::new) with the same count —
-    /// serve these and a [`FederatedBackend`] over them is bit-identical
-    /// to the local sharded backend.
-    #[must_use]
-    pub fn partition(table: &Table, parts: usize) -> Vec<Self> {
-        let parts = parts.max(1);
-        let schema = table.schema().clone();
-        split(table, parts)
-            .into_iter()
-            .enumerate()
-            .map(|(index, shard)| Self { schema: schema.clone(), shard, index, parts })
-            .collect()
-    }
-
-    /// Which part of the partition this backend serves (0-based).
-    #[must_use]
-    pub fn part_index(&self) -> usize {
-        self.index
-    }
-
-    /// How many parts the corpus was partitioned into.
-    #[must_use]
-    pub fn part_count(&self) -> usize {
-        self.parts
-    }
-}
-
-impl SearchBackend for ShardPartBackend {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn len(&self) -> usize {
-        self.shard.table.len()
-    }
-
-    fn evaluate(&self, q: &Query, k: usize, ranking: &dyn RankingFunction) -> Result<Evaluation> {
-        let (count, top) = self.shard.partial(q, k, &self.schema, ranking);
-        Ok(Evaluation { count, top })
-    }
-
-    fn exact_count(&self, q: &Query) -> Result<usize> {
-        Ok(self.shard.table.exact_count(q))
-    }
-
-    fn exact_sum(&self, attr: AttrId, q: &Query) -> Result<f64> {
-        let a = checked_numeric(&self.schema, attr)?;
-        // Shard ids ascend, so iterating local rows in order folds the
-        // shard's contribution in ascending global id order.
-        let mut sum = 0.0;
-        for row in self.shard.table.index().selection(q).iter_ones() {
-            let v = self.shard.table.tuple(row as TupleId).value(attr);
-            sum += a.numeric_value(v).ok_or_else(|| {
-                HdbError::InvalidTuple(format!("value {v} of attribute {attr} is not numeric"))
-            })?;
-        }
-        Ok(sum)
-    }
-
-    fn walk_state(&self, q: &Query) -> WalkState {
-        WalkState::with_payload(PartWalk(SelState::from_selection(
-            self.shard.table.index().selection(q),
-        )))
-    }
-
-    fn extend_state(
-        &self,
-        parent: &WalkState,
-        child: &Query,
-        pred: Predicate,
-        recycled: WalkState,
-    ) -> WalkState {
-        let Some(walk) = parent.payload::<PartWalk>() else {
-            return self.walk_state(child);
-        };
-        let posting = self.shard.table.index().posting(pred.attr, pred.value as usize);
-        recycled.rebuild(|spare: PartWalk| PartWalk(walk.0.child(posting, spare.0)))
-    }
-
-    fn classify_from(
-        &self,
-        parent: &WalkState,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-    ) -> Result<Classified> {
-        let Some(walk) = parent.payload::<PartWalk>() else {
-            return Ok(Classified::from_evaluation(
-                self.evaluate(child, k, &RowIdRanking)?,
-                k,
-            ));
-        };
-        let posting = self.shard.table.index().posting(pred.attr, pred.value as usize);
-        let count = walk.0.and_count(posting);
-        let page = if (1..=k).contains(&count) {
-            walk.0
-                .iter_and(posting)
-                .map(|row| ReturnedTuple {
-                    id: self.shard.ids[row],
-                    tuple: self.shard.table.tuple(row as TupleId).clone(),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Ok(Classified { count, page })
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Topology
@@ -1083,6 +945,7 @@ mod tests {
     use crate::ranking::{AttributeRanking, RowIdRanking, SeededRandomRanking};
     use crate::schema::Attribute;
     use crate::sharded::ShardedDb;
+    use crate::table::Table;
     use crate::tuple::Tuple;
 
     fn table() -> Table {
@@ -1118,15 +981,13 @@ mod tests {
     fn partition_matches_sharded_db_assignment() {
         let t = table();
         for parts in [1usize, 2, 3, 7] {
-            let backends = ShardPartBackend::partition(&t, parts);
+            let backends = ShardedDb::partition(&t, parts);
             let sharded = ShardedDb::new(&t, parts);
             assert_eq!(backends.len(), parts);
             let total: usize = backends.iter().map(|b| b.len()).sum();
             assert_eq!(total, t.len());
             for (i, b) in backends.iter().enumerate() {
                 assert_eq!(b.len(), sharded.shard_len(i), "parts={parts} shard={i}");
-                assert_eq!(b.part_index(), i);
-                assert_eq!(b.part_count(), parts);
             }
         }
     }
@@ -1144,7 +1005,7 @@ mod tests {
             &SeededRandomRanking { seed: 7 },
         ];
         for parts in [1usize, 3, 5] {
-            let backends = ShardPartBackend::partition(&t, parts);
+            let backends = ShardedDb::partition(&t, parts);
             for ranking in rankings {
                 for q in all_queries(t.schema()) {
                     for k in [1usize, 3, 20] {
@@ -1174,7 +1035,7 @@ mod tests {
     fn part_walk_fast_path_and_ground_truth() {
         let t = table();
         let reference = TableBackend::new(t.clone());
-        let backends = ShardPartBackend::partition(&t, 3);
+        let backends = ShardedDb::partition(&t, 3);
         let root = Query::all();
         let child = root.and(0, 1).unwrap();
         let pred = Predicate::new(0, 1);

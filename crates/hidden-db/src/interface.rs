@@ -11,8 +11,8 @@
 //!
 //! [`HiddenDb`] implements these semantics over any physical
 //! [`SearchBackend`] — a single in-memory table by default, a
-//! hash-partitioned [`ShardedDb`](crate::ShardedDb), or a simulated
-//! remote API ([`LatencyBackend`](crate::LatencyBackend)). The *logical*
+//! hash-partitioned [`ShardedDb`](crate::ShardedDb), or a server across
+//! a socket ([`RemoteBackend`](crate::RemoteBackend)). The *logical*
 //! behaviour (outcome classification, query accounting, budgets, the
 //! server-side hot memo) lives here and is identical for every backend:
 //! a fresh query and a walk probe are charged, answered and tallied by
@@ -420,8 +420,8 @@ impl<B: SearchBackend> HiddenDb<B> {
     }
 
     /// Charges one issued query and answers it — the one path fresh
-    /// queries and walk probes share: charge, round trip, span, `answer`,
-    /// then tally the outcome class. A failure after the charge (transport,
+    /// queries and walk probes share: charge, span, `answer`, then tally
+    /// the outcome class. A failure after the charge (transport,
     /// server-side rejection) still cost the budget — the request went out
     /// on the wire, so the site metered it — and is tallied as errored, so
     /// the ledger keeps partitioning `issued` exactly.
@@ -432,10 +432,6 @@ impl<B: SearchBackend> HiddenDb<B> {
         kind: fn(&T) -> OutcomeKind,
     ) -> Result<T> {
         self.counter.charge()?;
-        // Every issued query crosses to the backend's "server" exactly
-        // once — remote simulations charge their round trip here, memo
-        // hit or not (the memo saves server CPU, never the network hop).
-        self.backend.round_trip();
         let id = self.obs.trace.open(span, 0, 0);
         let answered = answer();
         self.counter.record_outcome(answered.as_ref().map_or(OutcomeKind::Errored, kind));
@@ -686,7 +682,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<HiddenDb>();
         assert_send_sync::<HiddenDb<crate::ShardedDb>>();
-        assert_send_sync::<HiddenDb<crate::LatencyBackend<TableBackend>>>();
         assert_send_sync::<crate::cache::CachingInterface<HiddenDb>>();
         assert_send_sync::<crate::counter::QueryCounter>();
         assert_send_sync::<Table>();

@@ -22,10 +22,10 @@
 //! with several substrates shipped — the default bitmap-indexed
 //! [`TableBackend`], the hash-partitioned [`ShardedDb`] (per-shard
 //! evaluation fanned across threads, merged order-independently), the
-//! remote-API simulation [`LatencyBackend`], the networked
-//! [`RemoteBackend`] client, and the fleet-spanning
+//! networked [`RemoteBackend`] client, the fleet-spanning
 //! [`FederatedBackend`] (every shard behind its own server, with
-//! health checks and failover). All backends return
+//! health checks and failover), and the crash-safe
+//! [`PersistentBackend`]. All backends return
 //! bit-identical outcomes for the same corpus, so estimator runs are
 //! reproducible across substrates (see `docs/ARCHITECTURE.md`).
 //!
@@ -64,7 +64,6 @@ pub mod error;
 pub mod federated;
 pub mod index;
 pub mod interface;
-pub mod latency;
 pub mod obs;
 pub mod par;
 pub mod query;
@@ -83,11 +82,10 @@ pub use backend::{Classified, EvalMode, Evaluation, SearchBackend, TableBackend,
 pub use cache::{CachingInterface, ShardedMemo};
 pub use counter::QueryCounter;
 pub use error::{HdbError, Result};
-pub use federated::{FederatedBackend, FleetConfig, ShardPartBackend, Topology};
+pub use federated::{FederatedBackend, FleetConfig, Topology};
 pub use index::{Selection, TableIndex};
 pub use interface::{HiddenDb, QueryOutcome, ReturnedTuple, TopKInterface};
 pub use session::{ClassifiedOutcome, SessionMode, WalkSession};
-pub use latency::LatencyBackend;
 pub use obs::{
     Clock, Counter, Gauge, Histogram, HistogramSnapshot, ManualClock, MetricsRegistry,
     MetricsSnapshot, SpanEvent, SpanPhase, TraceRing, WallClock,

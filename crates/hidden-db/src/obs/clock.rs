@@ -15,7 +15,7 @@
 //! call sites, kept reviewable by confining the raw reads here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A monotonic nanosecond source for telemetry.
 pub trait Clock: Send + Sync + std::fmt::Debug {
@@ -80,30 +80,6 @@ impl Clock for ManualClock {
     }
 }
 
-/// Sleeps close to `d` without the OS-timer overshoot of a plain
-/// `thread::sleep` — `BENCH_scale04.json` recorded a 7× overshoot at
-/// loopback-scale latencies (~5 µs requested, ~35 µs paid). The slack on
-/// this kernel is well under 300 µs, so waits are split: a coarse
-/// `thread::sleep` up to `COARSE_MARGIN` short of the deadline, then a
-/// `yield_now` spin for the remainder. Calibrated range: waits of ≥ 1 µs
-/// land within a few µs of the request; waits below the margin skip the
-/// sleep entirely and spin-yield the whole way.
-///
-/// Lives here because it reads `Instant` — the reading only decides when
-/// to stop waiting and can never reach a query result.
-pub fn precise_wait(d: Duration) {
-    const COARSE_MARGIN: Duration = Duration::from_micros(300);
-    let start = Instant::now();
-    if let Some(coarse) = d.checked_sub(COARSE_MARGIN) {
-        if !coarse.is_zero() {
-            std::thread::sleep(coarse);
-        }
-    }
-    while start.elapsed() < d {
-        std::thread::yield_now();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,22 +105,5 @@ mod tests {
         let a = c.now_nanos();
         let b = c.now_nanos();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn calibrated_wait_does_not_grossly_overshoot() {
-        // The defect this pins: plain `thread::sleep(5µs)` paid ~7× the
-        // request (BENCH_scale04.json, remote_vs_prediction 0.137). The
-        // calibrated wait must stay within a generous 3× at a latency an
-        // order of magnitude above loopback. Bounded loosely so a noisy
-        // CI scheduler cannot flake it.
-        let d = Duration::from_micros(200);
-        let start = Instant::now();
-        for _ in 0..8 {
-            precise_wait(d);
-        }
-        let elapsed = start.elapsed();
-        assert!(elapsed >= d * 8, "waits must never undershoot: {elapsed:?}");
-        assert!(elapsed < d * 8 * 3, "7×-overshoot defect is back: {elapsed:?}");
     }
 }

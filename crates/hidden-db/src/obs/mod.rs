@@ -37,7 +37,7 @@ pub mod clock;
 pub mod registry;
 pub mod trace;
 
-pub use clock::{precise_wait, Clock, ManualClock, WallClock};
+pub use clock::{Clock, ManualClock, WallClock};
 pub use registry::{
     bucket_le, bucket_of, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
     MetricsSnapshot, HISTOGRAM_BUCKETS,

@@ -12,12 +12,9 @@
 //! Scores are a pure function of the **global** tuple id and the tuple's
 //! values — never of any physical storage detail — so every
 //! [`SearchBackend`](crate::SearchBackend) (single table, shards, remote
-//! wrapper) ranks identically. That substrate-independence is what lets
+//! server) ranks identically. That substrate-independence is what lets
 //! [`ShardedDb`](crate::ShardedDb) merge per-shard top-k candidates into
 //! the exact global top-k.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::schema::Schema;
 use crate::table::Table;
@@ -161,21 +158,6 @@ impl RankingFunction for SeededRandomRanking {
 
     fn wire_spec(&self) -> Option<RankingSpec> {
         Some(RankingSpec::SeededRandom { seed: self.seed })
-    }
-}
-
-impl SeededRandomRanking {
-    /// A ranking with a seed drawn from `rng` (convenience for tests).
-    pub fn from_rng<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        Self { seed: rng.random() }
-    }
-
-    /// A ranking seeded from a u64 via an intermediate RNG so nearby seeds
-    /// decorrelate.
-    #[must_use]
-    pub fn from_seed(seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Self { seed: rng.random() }
     }
 }
 

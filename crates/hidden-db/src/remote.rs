@@ -1,9 +1,8 @@
 //! [`RemoteBackend`]: a [`SearchBackend`] living on the other side of a
 //! TCP socket, served by the `hdb-server` crate.
 //!
-//! This is the real counterpart of the simulated
-//! [`LatencyBackend`](crate::LatencyBackend): every evaluation is one
-//! request/response exchange over the [`wire`](crate::wire) protocol, so
+//! Every evaluation is one request/response exchange over the
+//! [`wire`](crate::wire) protocol, so
 //! `HiddenDb::over(RemoteBackend::connect(addr)?, k)` puts an actual
 //! network between the paper's estimators and the corpus while the whole
 //! budget / accounting / memo / session stack runs unchanged on the
@@ -333,12 +332,6 @@ impl RemoteBackend {
     #[must_use]
     pub fn addr(&self) -> &str {
         &self.core.addr
-    }
-
-    /// Idle pooled connections right now (diagnostics).
-    #[must_use]
-    pub fn idle_connections(&self) -> usize {
-        self.core.idle.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
     /// Wire exchanges performed so far (one per frame sent — a probe

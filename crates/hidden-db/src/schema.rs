@@ -222,12 +222,6 @@ impl Schema {
         &self.attributes[id]
     }
 
-    /// Looks up an attribute id by name.
-    #[must_use]
-    pub fn attr_by_name(&self, name: &str) -> Option<AttrId> {
-        self.attributes.iter().position(|a| a.name == name)
-    }
-
     /// Fanout of attribute `id`.
     ///
     /// # Panics

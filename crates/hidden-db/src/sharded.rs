@@ -18,6 +18,12 @@
 //! estimation engine's `fan_out` uses — no ad-hoc thread spawning, and no
 //! spawn per probe: incremental walk probes (one AND per shard) ride the
 //! same pool.
+//!
+//! A federation serves the same shards out of process:
+//! [`ShardedDb::partition`] cuts the corpus into one-shard databases, one
+//! per `hdb-server`, and a [`FederatedBackend`](crate::FederatedBackend)
+//! over the fleet merges their answers with the merge this backend uses
+//! in process.
 
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -37,25 +43,22 @@ use crate::tuple::{Tuple, TupleId};
 
 /// One shard: a contiguous-by-assignment subset of the corpus with its
 /// own (lazily indexed) table and the global id of every local row.
-///
-/// Shared between [`ShardedDb`] (all shards in one process) and
-/// [`ShardPartBackend`](crate::federated::ShardPartBackend) (one shard
-/// per server in a federation) so both substrates evaluate a shard with
-/// the same code and therefore the same bits.
 #[derive(Debug)]
-pub(crate) struct Shard {
+struct Shard {
     /// Local table over the shard's tuples; row `r` here is global tuple
     /// `ids[r]`.
-    pub(crate) table: Table,
+    table: Table,
     /// Ascending global ids (partitioning preserves corpus order within a
     /// shard).
-    pub(crate) ids: Vec<TupleId>,
+    ids: Vec<TupleId>,
 }
 
 impl Shard {
     /// Evaluates `q` against this shard only: local match count plus the
-    /// shard's candidate set (all matches if ≤ k, else the shard top-k).
-    pub(crate) fn partial(
+    /// shard's candidate set (all matches in ascending id order if ≤ k,
+    /// else the shard top-k ascending by `(score, id)`), so a one-shard
+    /// merge reorders nothing.
+    fn partial(
         &self,
         q: &Query,
         k: usize,
@@ -89,12 +92,10 @@ fn shard_of(tuple: &Tuple, shards: usize) -> usize {
 
 /// Hash-partitions `table` into `shard_count` shards, preserving global
 /// tuple ids. This is **the** partitioning function: [`ShardedDb::new`]
-/// and the federation's
-/// [`ShardPartBackend::partition`](crate::federated::ShardPartBackend::partition)
-/// both call it, so a fleet of shard servers holds exactly the shards a
-/// local `ShardedDb` over the same table would — the precondition for
-/// bit-identical merges.
-pub(crate) fn split(table: &Table, shard_count: usize) -> Vec<Shard> {
+/// and [`ShardedDb::partition`] both call it, so a fleet of part servers
+/// holds exactly the shards a local `ShardedDb` over the same table
+/// would — the precondition for bit-identical merges.
+fn split(table: &Table, shard_count: usize) -> Vec<Shard> {
     let shard_count = shard_count.max(1);
     let schema = table.schema().clone();
     let mut tuples: Vec<Vec<Tuple>> = vec![Vec::new(); shard_count];
@@ -187,9 +188,28 @@ impl ShardedDb {
     #[must_use]
     pub fn new(table: &Table, shard_count: usize) -> Self {
         assert!(shard_count > 0, "a sharded corpus needs at least one shard");
-        let schema = table.schema().clone();
-        let shards = split(table, shard_count);
-        Self { schema, shards, rows: table.len(), workers: 1, pool: None }
+        Self::over_shards(table.schema().clone(), split(table, shard_count))
+    }
+
+    /// Hash-partitions `table` into `parts` one-shard databases (`parts`
+    /// is clamped to at least 1), one for each server of a federation.
+    /// Part `i` holds shard `i` of [`ShardedDb::new`]`(table, parts)`,
+    /// answers with global tuple ids, and reports the part's own rows as
+    /// its [`len`](SearchBackend::len). A
+    /// [`FederatedBackend`](crate::FederatedBackend) over servers of the
+    /// parts, in order, is bit-identical to that local `ShardedDb`.
+    #[must_use]
+    pub fn partition(table: &Table, parts: usize) -> Vec<Self> {
+        split(table, parts)
+            .into_iter()
+            .map(|shard| Self::over_shards(table.schema().clone(), vec![shard]))
+            .collect()
+    }
+
+    /// A serial database over `shards`, counting their rows.
+    fn over_shards(schema: Schema, shards: Vec<Shard>) -> Self {
+        let rows = shards.iter().map(|s| s.table.len()).sum();
+        Self { schema, shards, rows, workers: 1, pool: None }
     }
 
     /// Sets how many threads evaluate shards concurrently (default 1).

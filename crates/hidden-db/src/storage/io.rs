@@ -247,12 +247,6 @@ impl MemIo {
         self.files.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The current byte length of `path`, if present (test inspection).
-    #[must_use]
-    pub fn len_of(&self, path: &str) -> Option<usize> {
-        self.files().get(path).map(Vec::len)
-    }
-
     /// Overwrites one byte of `path` at `offset` (test corruption tool);
     /// no-op if the file is absent or shorter.
     pub fn poke(&self, path: &str, offset: usize, byte: u8) {

@@ -664,10 +664,6 @@ impl SearchBackend for PersistentBackend {
         self.read().backend.evaluate(q, k, ranking)
     }
 
-    fn round_trip(&self) {
-        self.read().backend.round_trip();
-    }
-
     fn exact_count(&self, q: &Query) -> Result<usize> {
         self.read().backend.exact_count(q)
     }

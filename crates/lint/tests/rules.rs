@@ -56,13 +56,13 @@ fn o01_flags_wall_clock_outside_timing_scope() {
 
 #[test]
 fn o01_exempts_only_the_clock_module_of_obs() {
-    // obs/clock.rs is the one production wall-clock site (WallClock,
-    // precise_wait); the rest of the obs module records pre-measured
-    // nanos and must stay clock-free like any estimator code.
+    // obs/clock.rs is the one production wall-clock site (WallClock);
+    // the rest of the obs module records pre-measured nanos and must
+    // stay clock-free like any estimator code.
     let src = "fn f() { let _t = std::time::SystemTime::now(); }";
     assert!(rules_hit("crates/hidden-db/src/obs/clock.rs", src).is_empty());
     assert_eq!(rules_hit("crates/hidden-db/src/obs/registry.rs", src), vec!["HDB-O01"]);
-    assert_eq!(rules_hit("crates/hidden-db/src/latency.rs", src), vec!["HDB-O01"]);
+    assert_eq!(rules_hit("crates/hidden-db/src/remote.rs", src), vec!["HDB-O01"]);
 }
 
 #[test]

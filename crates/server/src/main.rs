@@ -18,9 +18,10 @@
 //! `--shards > 1` serves a [`ShardedDb`] instead of a single table (the
 //! estimators cannot tell the difference — that is the point).
 //! `--shard-part I --shard-parts N` serves only part `I` of the corpus
-//! hash-partitioned `N` ways ([`ShardPartBackend`]) — run one process
-//! per part and point a `FederatedBackend` topology at the fleet; it
-//! merges their answers bit-identically to a local `ShardedDb`.
+//! hash-partitioned `N` ways (a one-shard `ShardedDb` from
+//! [`ShardedDb::partition`]) — run one process per part and point a
+//! `FederatedBackend` topology at the fleet; it merges their answers
+//! bit-identically to a local `ShardedDb`.
 //! `--data-dir DIR` serves a crash-safe [`PersistentBackend`]: first
 //! run seeds the store from the generated corpus, later runs recover
 //! (snapshot + WAL replay) and ignore `--rows`/`--attrs`; SIGTERM
@@ -45,8 +46,7 @@ use std::sync::Arc;
 use hdb_interface::reactor::TerminationSignal;
 use hdb_interface::{
     FederatedBackend, FleetConfig, HiddenDb, PersistentBackend, Query, RemoteBackend,
-    SearchBackend, ShardPartBackend, ShardedDb, SyncPolicy, Table, TableBackend, TopKInterface,
-    Topology,
+    SearchBackend, ShardedDb, SyncPolicy, Table, TableBackend, TopKInterface, Topology,
 };
 use hdb_server::{RunningServer, Server, ServerConfig};
 
@@ -428,7 +428,7 @@ fn main() {
                 // (so every fleet member agrees on it for a given seed),
                 // serve only the slice the shared hash partitioning
                 // assigns to `part`.
-                let backend = ShardPartBackend::partition(&table, parts).into_iter().nth(part);
+                let backend = ShardedDb::partition(&table, parts).into_iter().nth(part);
                 let backend = backend.unwrap_or_else(|| {
                     eprintln!("--shard-part {part} is out of range for --shard-parts {parts}");
                     std::process::exit(2);

@@ -1,6 +1,6 @@
 //! Swapping the physical substrate under a hidden database: the same
 //! estimator, the same bits — over one table, a sharded corpus, and a
-//! simulated remote API.
+//! slow remote server.
 //!
 //! The estimators only see the `TopKInterface`; `HiddenDb` is generic
 //! over a `SearchBackend`, so scenario diversity (distributed corpora,
@@ -8,11 +8,13 @@
 //!
 //! Run with `cargo run --release --example search_backends`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hdb_core::UnbiasedSizeEstimator;
 use hdb_datagen::bool_mixed;
-use hdb_interface::{HiddenDb, LatencyBackend, ShardedDb, TableBackend};
+use hdb_interface::{HiddenDb, RemoteBackend, ShardedDb, TableBackend};
+use hdb_repro::testkit::{Fault, FaultProxy, FaultSchedule};
+use hdb_server::Server;
 
 fn main() {
     let table = bool_mixed(4000, 12, 9).expect("generation");
@@ -40,24 +42,38 @@ fn main() {
         );
     }
 
-    // 3. A remote API paying 150µs per round trip: the parallel engine
-    // overlaps the waits, so wall-clock shrinks with workers while the
-    // estimate stays put.
+    // 3. A slow remote site: a loopback server behind a proxy that holds
+    // every request frame for 1 ms. The parallel engine overlaps the
+    // waits, so wall-clock shrinks with workers while the estimate stays
+    // that of the in-process run.
+    let remote_passes = 10;
+    let mut est = UnbiasedSizeEstimator::hd(master_seed).expect("valid config");
+    let local = est.run(&HiddenDb::new(table.clone(), k), remote_passes).expect("unlimited");
+    let server = Server::bind(TableBackend::new(table), "127.0.0.1:0").expect("loopback bind");
+    let proxy = FaultProxy::spawn(
+        server.addr().to_string(),
+        FaultSchedule::script_then(Vec::new(), Fault::Delay(1)),
+        FaultSchedule::clean(),
+    )
+    .expect("proxy bind");
     for workers in [1usize, 4] {
-        let remote = LatencyBackend::new(
-            TableBackend::new(table.clone()),
-            Duration::from_micros(150),
-        );
-        let db = HiddenDb::over(remote, k);
+        let db = HiddenDb::over(RemoteBackend::connect(proxy.addr()).expect("connect"), k);
         let mut est = UnbiasedSizeEstimator::hd(master_seed).expect("valid config");
         let start = Instant::now();
-        let summary = est.run_parallel(&db, 60, workers).expect("unlimited");
+        let summary = est.run_parallel(&db, remote_passes, workers).expect("unlimited");
         // timings go to stderr: stdout stays byte-identical across runs
         eprintln!(
-            "remote, {workers} worker(s): {:.3}s wall for {} simulated round trips",
+            "remote, {workers} worker(s): {:.3}s wall for {} queries delayed 1 ms each",
             start.elapsed().as_secs_f64(),
-            db.backend().round_trips()
+            summary.queries
         );
         println!("remote ({workers} workers): {:.1}", summary.estimate);
+        assert_eq!(
+            local.estimate.to_bits(),
+            summary.estimate.to_bits(),
+            "the socket is invisible to the estimate"
+        );
     }
+    drop(proxy);
+    server.shutdown();
 }

@@ -4,12 +4,9 @@
 //! same logical corpus. Random schemas, tables, seeds, shard counts
 //! (1–16), and worker counts all go through the same assertions.
 
-use std::time::Duration;
-
 use hdb_core::{AggregateSpec, EstimatorConfig, UnbiasedAggEstimator, UnbiasedSizeEstimator};
 use hdb_interface::{
-    Attribute, HiddenDb, LatencyBackend, Query, Schema, SearchBackend, ShardedDb, Table,
-    TableBackend, TopKInterface, Tuple,
+    Attribute, HiddenDb, Query, Schema, SearchBackend, ShardedDb, Table, TopKInterface, Tuple,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -149,25 +146,6 @@ proptest! {
         prop_assert_eq!(expected.estimate.to_bits(), got.estimate.to_bits());
         prop_assert_eq!(reference.history(), parallel.history());
         prop_assert_eq!(expected.queries, got.queries);
-    }
-
-    /// A zero-latency LatencyBackend is observationally identical to its
-    /// inner backend, and accounts one round trip per evaluated query.
-    #[test]
-    fn latency_wrapper_is_transparent((table, k, _) in db_strategy(), query_seed in any::<u64>()) {
-        let plain = HiddenDb::new(table.clone(), k);
-        let remote = HiddenDb::over(
-            LatencyBackend::new(TableBackend::new(table.clone()), Duration::ZERO),
-            k,
-        );
-        let queries = probe_queries(table.schema(), query_seed);
-        for q in &queries {
-            prop_assert_eq!(plain.query(q).unwrap(), remote.query(q).unwrap());
-        }
-        prop_assert_eq!(plain.queries_issued(), remote.queries_issued());
-        // every issued query pays exactly one round trip — hot-memo hits
-        // save server CPU, never the network hop
-        prop_assert_eq!(remote.backend().round_trips(), remote.queries_issued());
     }
 
     /// Hash partitioning is a partition: shard sizes sum to the corpus and

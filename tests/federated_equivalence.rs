@@ -12,7 +12,7 @@ use std::sync::Arc;
 use hdb_core::UnbiasedSizeEstimator;
 use hdb_interface::{
     Attribute, FederatedBackend, FleetConfig, HiddenDb, Query, Schema, SearchBackend,
-    SessionMode, ShardPartBackend, ShardedDb, Table, Topology, TopKInterface, Tuple,
+    SessionMode, ShardedDb, Table, Topology, TopKInterface, Tuple,
 };
 use hdb_server::{RunningServer, Server};
 use proptest::prelude::*;
@@ -50,11 +50,12 @@ fn db_strategy() -> impl Strategy<Value = (Table, usize, usize)> {
 }
 
 /// Spins up one `hdb-server` per hash partition of `table` (each serving
-/// a [`ShardPartBackend`]) and returns the fleet plus its topology.
+/// a one-shard part from [`ShardedDb::partition`]) and returns the fleet
+/// plus its topology.
 fn fleet(table: &Table, parts: usize) -> (Vec<RunningServer>, Topology) {
     let mut servers = Vec::new();
     let mut topo = Topology::new();
-    for (i, part) in ShardPartBackend::partition(table, parts).into_iter().enumerate() {
+    for (i, part) in ShardedDb::partition(table, parts).into_iter().enumerate() {
         let server = Server::bind(part, "127.0.0.1:0").expect("ephemeral bind");
         topo.add_replica(i, server.addr().to_string());
         servers.push(server);

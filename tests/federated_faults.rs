@@ -19,7 +19,7 @@ use hdb_core::UnbiasedSizeEstimator;
 use hdb_interface::wire::{read_response, write_frame, Request, Response};
 use hdb_interface::{
     FederatedBackend, FleetConfig, HdbError, HiddenDb, Predicate, Query, RankingSpec, Schema,
-    SearchBackend, ShardPartBackend, ShardedDb, Table, TopKInterface, Topology, Tuple, WalkStep,
+    SearchBackend, ShardedDb, Table, TopKInterface, Topology, Tuple, WalkStep,
 };
 use hdb_repro::testkit::{Fault, FaultProxy, FaultSchedule};
 use hdb_server::{RunningServer, Server};
@@ -36,7 +36,7 @@ fn table(rows: u16, attrs: usize) -> Table {
 fn fleet(table: &Table, parts: usize) -> (Vec<RunningServer>, Topology) {
     let mut servers = Vec::new();
     let mut topo = Topology::new();
-    for (i, part) in ShardPartBackend::partition(table, parts).into_iter().enumerate() {
+    for (i, part) in ShardedDb::partition(table, parts).into_iter().enumerate() {
         let server = Server::bind(part, "127.0.0.1:0").expect("ephemeral bind");
         topo.add_replica(i, server.addr().to_string());
         servers.push(server);
@@ -47,7 +47,7 @@ fn fleet(table: &Table, parts: usize) -> (Vec<RunningServer>, Topology) {
 /// A second, independent server for part `index` of the same
 /// partitioning — a replica with the identical corpus slice.
 fn replica_of(table: &Table, parts: usize, index: usize) -> RunningServer {
-    let part = ShardPartBackend::partition(table, parts)
+    let part = ShardedDb::partition(table, parts)
         .into_iter()
         .nth(index)
         .expect("index < parts");
