@@ -5,7 +5,9 @@
 //! incremental walk sessions, 1/2/8 client workers — plus a *prediction*
 //! of the remote cost, computed rather than run: the local incremental
 //! cost per query plus one measured round trip, so the model and the
-//! socket can be compared number to number.
+//! socket can be compared number to number. The round trip is sampled
+//! between timed chunks of the remote incremental run it predicts, so
+//! host drift moves both numbers together.
 //!
 //! Every remote run self-asserts bit-equality with the local reference
 //! (estimates and query counts); the measured trajectory goes to
@@ -34,6 +36,13 @@ const K: usize = 10;
 /// instrument, not the subject).
 const SEED: u64 = 20_260_728;
 
+/// Timed chunks the remote incremental run is split into; a set of RTT
+/// samples is taken before each chunk and after the last.
+const RTT_CHUNKS: u64 = 8;
+
+/// Round trips per RTT sample set.
+const RTT_PROBES: usize = 16;
+
 /// One measured configuration.
 struct Measured {
     name: &'static str,
@@ -58,18 +67,39 @@ fn timed_run<B: SearchBackend>(
     (summary.estimate.to_bits(), db.queries_issued(), start.elapsed().as_secs_f64())
 }
 
-/// Median round-trip time of a cheap request on a warm connection.
-fn measure_rtt(remote: &RemoteBackend) -> Duration {
-    let probes = 64;
-    let mut samples: Vec<Duration> = (0..probes)
-        .map(|_| {
-            let start = Instant::now();
-            let _ = remote.exact_count(&Query::all()).expect("server alive");
-            start.elapsed()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[probes / 2]
+/// Round-trip times of [`RTT_PROBES`] cheap requests on a warm
+/// connection.
+fn rtt_samples(remote: &RemoteBackend) -> impl Iterator<Item = Duration> + '_ {
+    (0..RTT_PROBES).map(|_| {
+        let start = Instant::now();
+        let _ = remote.exact_count(&Query::all()).expect("server alive");
+        start.elapsed()
+    })
+}
+
+/// The serial remote incremental run, timed in [`RTT_CHUNKS`] chunks of
+/// its passes with RTT samples taken between them; only the chunks are
+/// timed. The estimator continues across `run` calls, so the estimate
+/// bits and query count are those of one call over all `passes`.
+/// Returns the run, as [`timed_run`] does, and the median RTT sample.
+fn interleaved_run(
+    db: &HiddenDb<Arc<RemoteBackend>>,
+    remote: &RemoteBackend,
+    passes: u64,
+) -> ((u64, u64, f64), Duration) {
+    let mut est = UnbiasedSizeEstimator::hd(SEED).expect("valid config");
+    let mut rtts: Vec<Duration> = rtt_samples(remote).collect();
+    let mut secs = 0.0;
+    let mut estimate = f64::NAN;
+    for chunk in 0..RTT_CHUNKS {
+        let chunk_passes = passes * (chunk + 1) / RTT_CHUNKS - passes * chunk / RTT_CHUNKS;
+        let start = Instant::now();
+        estimate = est.run(db, chunk_passes).expect("unlimited interface").estimate;
+        secs += start.elapsed().as_secs_f64();
+        rtts.extend(rtt_samples(remote));
+    }
+    rtts.sort_unstable();
+    ((estimate.to_bits(), db.queries_issued(), secs), rtts[rtts.len() / 2])
 }
 
 /// Runs the serving-layer sweep.
@@ -92,8 +122,7 @@ pub fn run_remote_scale(scale: &Scale, datasets: &Datasets) {
     let remote = Arc::new(
         RemoteBackend::connect(server.addr().to_string()).expect("loopback connect"),
     );
-    let rtt = measure_rtt(&remote);
-    println!("  loopback server on {}, measured RTT ≈ {:.1} µs", server.addr(), rtt.as_secs_f64() * 1e6);
+    println!("  loopback server on {}", server.addr());
 
     let mut measured: Vec<Measured> = Vec::new();
     let mut reference: Option<(u64, u64)> = None;
@@ -134,7 +163,13 @@ pub fn run_remote_scale(scale: &Scale, datasets: &Datasets) {
         .with_session_mode(SessionMode::Fresh);
     record("remote fresh", timed_run(&remote_fresh, passes, 1), &mut reference);
     let remote_incr = HiddenDb::over(Arc::clone(&remote), K);
-    record("remote incremental", timed_run(&remote_incr, passes, 1), &mut reference);
+    let (run, rtt) = interleaved_run(&remote_incr, &remote, passes);
+    record("remote incremental", run, &mut reference);
+    println!(
+        "  measured RTT ≈ {:.1} µs (median of {} samples interleaved with that run)",
+        rtt.as_secs_f64() * 1e6,
+        (RTT_CHUNKS as usize + 1) * RTT_PROBES
+    );
     let remote_w2 = HiddenDb::over(Arc::clone(&remote), K);
     record("remote incremental ×2", timed_run(&remote_w2, passes, 2), &mut reference);
     let remote_w8 = HiddenDb::over(Arc::clone(&remote), K);

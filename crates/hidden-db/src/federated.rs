@@ -150,8 +150,6 @@ pub struct FleetConfig {
     pub backoff_cap: Duration,
     /// Per-operation socket timeout for every shard connection.
     pub io_timeout: Duration,
-    /// Idle pooled connections kept per shard client.
-    pub max_idle: usize,
     /// When set, a background thread pings serving shards and
     /// pre-reconnects dark ones at this cadence. `None` (the default)
     /// leaves failure detection entirely to the probe path.
@@ -166,7 +164,6 @@ impl Default for FleetConfig {
             backoff: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(200),
             io_timeout: Duration::from_secs(30),
-            max_idle: 8,
             health_interval: None,
         }
     }
@@ -307,8 +304,7 @@ impl ShardClient {
         for off in 0..n {
             let idx = (start + off) % n;
             let addr = replicas[idx].clone();
-            match RemoteBackend::connect_with(addr.clone(), self.cfg.max_idle, self.cfg.io_timeout)
-            {
+            match RemoteBackend::connect_with(addr.clone(), self.cfg.io_timeout) {
                 Ok(client) => {
                     if client.schema() != &self.schema || client.len() != self.expected_len {
                         last = Some(HdbError::Transport(format!(
@@ -536,7 +532,7 @@ impl FederatedBackend {
             let mut connected: Option<(usize, RemoteBackend)> = None;
             let mut last: Option<HdbError> = None;
             for (idx, addr) in replicas.iter().enumerate() {
-                match RemoteBackend::connect_with(addr.clone(), cfg.max_idle, cfg.io_timeout) {
+                match RemoteBackend::connect_with(addr.clone(), cfg.io_timeout) {
                     Ok(client) => {
                         connected = Some((idx, client));
                         break;
@@ -794,6 +790,14 @@ impl SearchBackend for FederatedBackend {
         Ok(counts.into_iter().sum())
     }
 
+    /// Fetches every shard's matching rows and sums them in ascending
+    /// global id order. Each shard's rows come back as one reply frame,
+    /// so they have to fit in
+    /// [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN) (64 MiB): a tuple
+    /// costs 8 bytes (its `u32` id and `u32` arity) plus 2 per value, so
+    /// at 40 attributes (88 bytes) that is about 760k matching tuples
+    /// per shard; past that the sum fails with a typed
+    /// [`HdbError::Transport`].
     fn exact_sum(&self, attr: AttrId, q: &Query) -> Result<f64> {
         let a = checked_numeric(&self.schema, attr)?;
         // Per shard, fetch ALL matches (k = shard corpus size forces a

@@ -49,9 +49,9 @@ use crate::query::{Predicate, Query};
 use crate::ranking::{RankingFunction, RankingSpec};
 use crate::schema::{AttrId, Schema};
 use crate::storage::WalkStep;
-use crate::wire::{read_response, write_frame, Request, Response, PROTOCOL_VERSION};
+use crate::wire::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
 
-/// Default cap on pooled idle connections.
+/// Cap on pooled idle connections per client.
 const DEFAULT_MAX_IDLE: usize = 8;
 
 /// Default per-operation I/O timeout: long enough for a paper-scale
@@ -64,7 +64,6 @@ const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 struct ClientCore {
     addr: String,
     idle: Mutex<Vec<TcpStream>>,
-    max_idle: usize,
     io_timeout: Duration,
     /// Wire exchanges performed (one per request frame sent) — the
     /// round-trip economics evidence.
@@ -91,13 +90,15 @@ impl ClientCore {
         // Vec of sockets with no cross-field invariant, so a panicked
         // holder leaves it fully usable — recover instead of unwinding.
         let mut idle = self.idle.lock().unwrap_or_else(|p| p.into_inner());
-        if idle.len() < self.max_idle {
+        if idle.len() < DEFAULT_MAX_IDLE {
             idle.push(stream);
         } // else: drop (close) the surplus connection
     }
 
-    /// One request/response exchange on an open connection. Streamed
-    /// (chunked-page) responses are reassembled transparently.
+    /// One request/response exchange on an open connection: one request
+    /// frame out, one reply frame back (at most
+    /// [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN) bytes, so the cap
+    /// bounds what a lying server can make the client allocate).
     fn roundtrip(&self, stream: &mut TcpStream, req: &Request) -> Result<Response> {
         // Assemble the frame first so the request hits the wire in one
         // write (one segment on loopback).
@@ -107,8 +108,9 @@ impl ClientCore {
         stream
             .write_all(&framed)
             .map_err(|e| HdbError::Transport(format!("write failed: {e}")))?;
-        read_response(stream)?
-            .ok_or_else(|| HdbError::Transport("server closed the connection".into()))
+        let payload = read_frame(stream)?
+            .ok_or_else(|| HdbError::Transport("server closed the connection".into()))?;
+        Response::decode(&payload)
     }
 
     /// Sends `req` on a pooled connection, falling back to a fresh one if
@@ -286,23 +288,18 @@ impl RemoteBackend {
     /// [`HdbError::Transport`] if the server is unreachable, speaks a
     /// different protocol version, or answers malformed frames.
     pub fn connect(addr: impl Into<String>) -> Result<Self> {
-        Self::connect_with(addr, DEFAULT_MAX_IDLE, DEFAULT_IO_TIMEOUT)
+        Self::connect_with(addr, DEFAULT_IO_TIMEOUT)
     }
 
-    /// [`RemoteBackend::connect`] with an explicit idle-connection cap and
-    /// per-operation I/O timeout.
+    /// [`RemoteBackend::connect`] with an explicit per-operation I/O
+    /// timeout.
     ///
     /// # Errors
     /// Same as [`RemoteBackend::connect`].
-    pub fn connect_with(
-        addr: impl Into<String>,
-        max_idle: usize,
-        io_timeout: Duration,
-    ) -> Result<Self> {
+    pub fn connect_with(addr: impl Into<String>, io_timeout: Duration) -> Result<Self> {
         let core = Arc::new(ClientCore {
             addr: addr.into(),
             idle: Mutex::new(Vec::new()),
-            max_idle: max_idle.max(1),
             io_timeout,
             requests: AtomicU64::new(0),
             retries: AtomicU64::new(0),

@@ -13,21 +13,17 @@
 //! branch's outcome class and a valid node's tuples, never an overflow
 //! page.
 //!
-//! Each exchange is one request frame and one logical reply:
-//!
-//! * **Walk probes carry their extends** — a [`Request::WalkClassify`]
-//!   lists the branch commitments the client made since its last probe
-//!   ([`WalkStep`]s, shallowest first). The server pushes them onto the
-//!   session's stack and probes the level the last one pushed, all under
-//!   one lock, so a drill-down step (commit a branch, probe a child)
-//!   costs one round trip however many commitments it carries.
-//! * **Chunked page streaming** — a page-carrying response whose page
-//!   exceeds [`STREAM_TUPLES`] is shipped as a [`Response::Streamed`]
-//!   head (page stripped) followed by [`Response::PageChunk`] frames,
-//!   the last one marked terminal, so neither side ever materialises a
-//!   single near-[`MAX_FRAME_LEN`] frame. [`write_response`] /
-//!   [`read_response`] implement both ends of the split and are what the
-//!   server and `RemoteBackend` use.
+//! Each exchange is one request frame and one reply frame, and
+//! [`MAX_FRAME_LEN`] bounds both. Walk probes carry their extends: a
+//! [`Request::WalkClassify`] lists the branch commitments the client
+//! made since its last probe ([`WalkStep`]s, shallowest first). The
+//! server pushes them onto the session's stack and probes the level the
+//! last one pushed, all under one lock, so a drill-down step (commit a
+//! branch, probe a child) costs one round trip however many commitments
+//! it carries. A reply too large for one frame is answered with a typed
+//! [`Response::Error`] instead; the paper's interface returns at most `k`
+//! tuples per query, so only an owner-side read of a whole corpus (such
+//! as a federated exact sum) comes near the cap.
 //!
 //! The protocol is deliberately *static*-schema: values are fixed-width
 //! little-endian integers, strings are `u32`-length-prefixed UTF-8, and
@@ -47,23 +43,17 @@ use crate::storage::WalkStep;
 use crate::tuple::Tuple;
 
 /// Protocol version; [`Request::Hello`] / [`Response::Hello`] exchange it
-/// and a mismatch is a connect-time [`HdbError::Transport`]. Version 2
-/// added chunked page streaming; version 3 made a walk probe carry its
-/// pending extends; version 4 retired the full-page walk probe (tag
-/// `0x09`), leaving [`Request::WalkClassify`] the only one.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// and a mismatch is a connect-time [`HdbError::Transport`]. Version 3
+/// made a walk probe carry its pending extends; version 4 retired the
+/// full-page walk probe (tag `0x09`), leaving [`Request::WalkClassify`]
+/// the only one; version 5 retired chunked page streaming (tags `0x90`
+/// and `0x91`), so every reply is one frame.
+pub const PROTOCOL_VERSION: u32 = 5;
 
-/// Upper bound on a frame payload (64 MiB): anything larger is treated as
-/// a corrupt length prefix and rejected before allocation.
+/// Upper bound on a frame payload (64 MiB), and so on any one request or
+/// reply: a larger length prefix is treated as corrupt and rejected
+/// before allocation, and [`write_frame`] refuses a larger payload.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
-
-/// Pages longer than this stream as [`Response::PageChunk`] frames of at
-/// most this many tuples each, instead of one monolithic frame.
-pub const STREAM_TUPLES: usize = 1024;
-
-/// Ceiling on tuples accumulated while reassembling a chunked stream: a
-/// lying server cannot make [`read_response`] allocate without bound.
-pub const STREAM_REASSEMBLY_CAP: usize = 1 << 24;
 
 /// One client → server message.
 #[derive(Clone, Debug, PartialEq)]
@@ -173,18 +163,8 @@ pub enum Response {
     /// Reply to [`Request::Stats`]: the server's metrics snapshot at the
     /// moment the request was dispatched.
     Stats(MetricsSnapshot),
-    /// Head of a chunked page stream: the inner page-carrying response
-    /// with its page stripped; [`Response::PageChunk`] frames follow
-    /// until one with `last` set. Only valid at the top level of a frame.
-    Streamed(Box<Response>),
-    /// One chunk of a streamed page (at most [`STREAM_TUPLES`] tuples).
-    PageChunk {
-        /// Whether this chunk completes the stream.
-        last: bool,
-        /// The chunk's tuples, in page order.
-        tuples: Vec<ReturnedTuple>,
-    },
-    /// A typed error (invalid query, unsupported request, …).
+    /// A typed error (invalid query, unsupported request, a reply too
+    /// large for one frame, …).
     Error(HdbError),
 }
 
@@ -745,15 +725,9 @@ impl Response {
     ///
     /// # Errors
     /// [`HdbError::Transport`] if a length in the message does not fit
-    /// the wire's `u32` ranges (a message that big could never be framed),
-    /// or a [`Response::Streamed`] head is not a page carrier.
+    /// the wire's `u32` ranges (a message that big could never be framed).
     pub fn encode(&self) -> Result<Vec<u8>> {
         let mut e = Enc::new();
-        self.enc_into(&mut e, true)?;
-        Ok(e.into_bytes())
-    }
-
-    fn enc_into(&self, e: &mut Enc, top: bool) -> Result<()> {
         match self {
             Self::Hello { version } => {
                 e.u8(0x81);
@@ -761,7 +735,7 @@ impl Response {
             }
             Self::Schema(s) => {
                 e.u8(0x82);
-                enc_schema(e, s)?;
+                enc_schema(&mut e, s)?;
             }
             Self::Len(n) => {
                 e.u8(0x83);
@@ -770,7 +744,7 @@ impl Response {
             Self::Evaluation(ev) => {
                 e.u8(0x84);
                 e.usize(ev.count, "evaluation count")?;
-                enc_page(e, &ev.top)?;
+                enc_page(&mut e, &ev.top)?;
             }
             Self::Count(n) => {
                 e.u8(0x85);
@@ -787,59 +761,20 @@ impl Response {
             Self::Classified(c) => {
                 e.u8(0x89);
                 e.usize(c.count, "classified count")?;
-                enc_page(e, &c.page)?;
+                enc_page(&mut e, &c.page)?;
             }
             Self::Closed => e.u8(0x8A),
             Self::SessionGone => e.u8(0x8B),
-            Self::Streamed(head) => {
-                if !top {
-                    return Err(HdbError::Transport(
-                        "unencodable message: stream heads cannot nest".into(),
-                    ));
-                }
-                if !head.carries_page() {
-                    return Err(HdbError::Transport(
-                        "unencodable message: stream head must carry a page".into(),
-                    ));
-                }
-                e.u8(0x90);
-                head.enc_into(e, false)?;
-            }
-            Self::PageChunk { last, tuples } => {
-                if !top {
-                    return Err(HdbError::Transport(
-                        "unencodable message: page chunks cannot nest".into(),
-                    ));
-                }
-                e.u8(0x91);
-                e.u8(u8::from(*last));
-                enc_page(e, tuples)?;
-            }
             Self::Error(err) => {
                 e.u8(0x8F);
-                enc_error(e, err)?;
+                enc_error(&mut e, err)?;
             }
             Self::Stats(snap) => {
                 e.u8(0x8C);
-                enc_snapshot(e, snap)?;
+                enc_snapshot(&mut e, snap)?;
             }
         }
-        Ok(())
-    }
-
-    /// Whether this response carries a tuple page — the variants eligible
-    /// to head a chunked stream.
-    fn carries_page(&self) -> bool {
-        matches!(self, Self::Evaluation(_) | Self::Classified(_))
-    }
-
-    /// The carried page, mutably (see [`Response::carries_page`]).
-    fn page_mut_check(&mut self) -> Option<&mut Vec<ReturnedTuple>> {
-        match self {
-            Self::Evaluation(ev) => Some(&mut ev.top),
-            Self::Classified(c) => Some(&mut c.page),
-            _ => None,
-        }
+        Ok(e.into_bytes())
     }
 
     /// Decodes a frame payload.
@@ -848,59 +783,32 @@ impl Response {
     /// [`HdbError::Transport`] for any malformed payload.
     pub fn decode(payload: &[u8]) -> Result<Self> {
         let mut d = Dec::new(payload);
-        let resp = Self::dec_from(&mut d, true)?;
-        d.finish()?;
-        Ok(resp)
-    }
-
-    fn dec_from(d: &mut Dec<'_>, top: bool) -> Result<Self> {
         let resp = match d.u8("response tag")? {
             0x81 => Self::Hello { version: d.u32("hello version")? },
-            0x82 => Self::Schema(dec_schema(d)?),
+            0x82 => Self::Schema(dec_schema(&mut d)?),
             0x83 => Self::Len(d.u64("len")?),
             0x84 => {
                 let count = d.usize("evaluation count")?;
-                Self::Evaluation(Evaluation { count, top: dec_page(d)? })
+                Self::Evaluation(Evaluation { count, top: dec_page(&mut d)? })
             }
             0x85 => Self::Count(d.u64("count")?),
             0x86 => Self::Sum(d.f64("sum")?),
             0x87 => Self::Session { sid: d.u64("sid")? },
             0x89 => {
                 let count = d.usize("classified count")?;
-                Self::Classified(Classified { count, page: dec_page(d)? })
+                Self::Classified(Classified { count, page: dec_page(&mut d)? })
             }
             0x8A => Self::Closed,
             0x8B => Self::SessionGone,
-            0x90 => {
-                if !top {
-                    return Err(HdbError::Transport(
-                        "malformed frame: nested stream head".into(),
-                    ));
-                }
-                let mut head = Self::dec_from(d, false)?;
-                if head.page_mut_check().is_none() {
-                    return Err(HdbError::Transport(
-                        "malformed frame: stream head does not carry a page".into(),
-                    ));
-                }
-                Self::Streamed(Box::new(head))
-            }
-            0x91 => {
-                if !top {
-                    return Err(HdbError::Transport(
-                        "malformed frame: nested page chunk".into(),
-                    ));
-                }
-                Self::PageChunk { last: d.u8("chunk terminator")? != 0, tuples: dec_page(d)? }
-            }
-            0x8C => Self::Stats(dec_snapshot(d)?),
-            0x8F => Self::Error(dec_error(d)?),
+            0x8C => Self::Stats(dec_snapshot(&mut d)?),
+            0x8F => Self::Error(dec_error(&mut d)?),
             t => {
                 return Err(HdbError::Transport(format!(
                     "malformed frame: unknown response tag {t:#04x}"
                 )))
             }
         };
+        d.finish()?;
         Ok(resp)
     }
 }
@@ -966,121 +874,11 @@ pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Encodes one [`Response::PageChunk`] frame payload straight from a
-/// borrowed tuple slice — the server's streaming path uses this to emit
-/// chunks without cloning the page into a `Response` first. The bytes
-/// are identical to `Response::PageChunk { last, tuples }.encode()`.
-///
-/// # Errors
-/// [`HdbError::Transport`] if a tuple's arity exceeds the wire's `u32`
-/// range.
-pub fn encode_page_chunk(tuples: &[ReturnedTuple], last: bool) -> Result<Vec<u8>> {
-    let mut e = Enc::new();
-    e.u8(0x91);
-    e.u8(u8::from(last));
-    enc_page(&mut e, tuples)?;
-    Ok(e.into_bytes())
-}
-
-/// Writes one logical response to `w`, splitting page-carrying responses
-/// whose page exceeds [`STREAM_TUPLES`] into a [`Response::Streamed`]
-/// head plus [`Response::PageChunk`] frames. The receiving side is
-/// [`read_response`].
-///
-/// # Errors
-/// [`HdbError::Transport`] on any I/O or encoding failure.
-pub fn write_response(w: &mut impl std::io::Write, resp: &Response) -> Result<()> {
-    match stream_parts(resp) {
-        Some((head, page)) if page.len() > STREAM_TUPLES => {
-            write_frame(w, &Response::Streamed(Box::new(head)).encode()?)?;
-            let mut chunks = page.chunks(STREAM_TUPLES).peekable();
-            while let Some(chunk) = chunks.next() {
-                write_frame(w, &encode_page_chunk(chunk, chunks.peek().is_none())?)?;
-            }
-            Ok(())
-        }
-        _ => write_frame(w, &resp.encode()?),
-    }
-}
-
-/// Splits a page-carrying response into a page-less head plus its
-/// borrowed page; `None` for responses that cannot stream.
-fn stream_parts(resp: &Response) -> Option<(Response, &[ReturnedTuple])> {
-    match resp {
-        Response::Evaluation(ev) => Some((
-            Response::Evaluation(Evaluation { count: ev.count, top: Vec::new() }),
-            &ev.top,
-        )),
-        Response::Classified(c) => Some((
-            Response::Classified(Classified { count: c.count, page: Vec::new() }),
-            &c.page,
-        )),
-        _ => None,
-    }
-}
-
-/// Reads one *logical* response from `r` (blocking), reassembling a
-/// chunked page stream back into the head response. Returns `Ok(None)` on
-/// a clean end-of-stream before any bytes, like [`read_frame`].
-///
-/// # Errors
-/// [`HdbError::Transport`] on I/O failure, malformed frames, a stream
-/// truncated before its terminal chunk, a bare [`Response::PageChunk`]
-/// outside a stream, or a stream exceeding [`STREAM_REASSEMBLY_CAP`]
-/// tuples.
-pub fn read_response(r: &mut impl std::io::Read) -> Result<Option<Response>> {
-    let Some(payload) = read_frame(r)? else { return Ok(None) };
-    let head = match Response::decode(&payload)? {
-        Response::Streamed(head) => *head,
-        Response::PageChunk { .. } => {
-            return Err(HdbError::Transport(
-                "malformed stream: page chunk without a stream head".into(),
-            ))
-        }
-        resp => return Ok(Some(resp)),
-    };
-    let mut head = head;
-    let mut page: Vec<ReturnedTuple> = Vec::new();
-    loop {
-        let Some(chunk) = read_frame(r)? else {
-            return Err(HdbError::Transport(
-                "malformed stream: connection closed before the terminal chunk".into(),
-            ));
-        };
-        match Response::decode(&chunk)? {
-            Response::PageChunk { last, tuples } => {
-                if page.len().saturating_add(tuples.len()) > STREAM_REASSEMBLY_CAP {
-                    return Err(HdbError::Transport(format!(
-                        "malformed stream: more than {STREAM_REASSEMBLY_CAP} tuples"
-                    )));
-                }
-                page.extend(tuples);
-                if last {
-                    break;
-                }
-            }
-            _ => {
-                return Err(HdbError::Transport(
-                    "malformed stream: expected a page chunk mid-stream".into(),
-                ))
-            }
-        }
-    }
-    match head.page_mut_check() {
-        Some(slot) => *slot = page,
-        None => {
-            return Err(HdbError::Transport(
-                "malformed stream: head does not carry a page".into(),
-            ))
-        }
-    }
-    Ok(Some(head))
-}
-
-/// Incremental frame accumulator for servers that poll connections with
-/// short read timeouts: bytes arrive in arbitrary chunks via
-/// [`FrameBuf::extend`], complete frames come out of
-/// [`FrameBuf::next_frame`], and partial frames persist across polls.
+/// Incremental frame accumulator for a nonblocking reader, such as a
+/// server connection read whenever its reactor reports it readable:
+/// bytes arrive in arbitrary chunks via [`FrameBuf::extend`], complete
+/// frames come out of [`FrameBuf::next_frame`], and a partial frame
+/// persists until the rest of it arrives.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
@@ -1222,12 +1020,6 @@ mod tests {
             Response::Classified(Classified { count: 2, page: page.clone() }),
             Response::Closed,
             Response::SessionGone,
-            Response::Streamed(Box::new(Response::Classified(Classified {
-                count: 9,
-                page: Vec::new(),
-            }))),
-            Response::PageChunk { last: false, tuples: page.clone() },
-            Response::PageChunk { last: true, tuples: Vec::new() },
             Response::Error(HdbError::InvalidQuery("nope".into())),
             Response::Error(HdbError::BudgetExhausted { limit: 1000 }),
             Response::Error(HdbError::Transport("boom".into())),
@@ -1277,27 +1069,6 @@ mod tests {
         assert!(Response::decode(&bytes).is_ok());
     }
 
-    #[test]
-    fn stream_heads_must_carry_a_page_and_cannot_nest() {
-        // A head without a page slot is rejected at encode and decode.
-        assert!(Response::Streamed(Box::new(Response::Closed)).encode().is_err());
-        let mut e = Enc::new();
-        e.u8(0x90);
-        e.u8(0x8A); // Closed
-        assert!(Response::decode(&e.into_bytes()).is_err());
-        // Streamed(Streamed(..)) rejected both ways.
-        let inner = Response::Classified(Classified { count: 0, page: Vec::new() });
-        let nested = Response::Streamed(Box::new(Response::Streamed(Box::new(inner))));
-        assert!(nested.encode().is_err());
-        let mut e = Enc::new();
-        e.u8(0x90);
-        e.u8(0x90);
-        e.u8(0x89);
-        e.u64(0);
-        e.u32(0);
-        assert!(Response::decode(&e.into_bytes()).is_err());
-    }
-
     fn big_page(n: usize) -> Vec<ReturnedTuple> {
         (0..n)
             .map(|i| ReturnedTuple {
@@ -1308,73 +1079,26 @@ mod tests {
     }
 
     #[test]
-    fn oversized_pages_stream_in_chunks_and_reassemble_bitwise() {
-        for (count, len) in [(0usize, 0usize), (5, 5), (STREAM_TUPLES, STREAM_TUPLES),
-            (100_000, STREAM_TUPLES + 1), (100_000, 3 * STREAM_TUPLES + 17)]
-        {
-            let resp = Response::Evaluation(Evaluation { count, top: big_page(len) });
+    fn large_pages_cross_in_one_frame() {
+        let responses = [
+            Response::Evaluation(Evaluation { count: 0, top: Vec::new() }),
+            Response::Evaluation(Evaluation { count: 100_000, top: big_page(3089) }),
+            Response::Classified(Classified { count: 5000, page: big_page(5000) }),
+        ];
+        for resp in responses {
             let mut stream = Vec::new();
-            write_response(&mut stream, &resp).unwrap();
-            if len > STREAM_TUPLES {
-                // Head frame + ceil(len / STREAM_TUPLES) chunk frames.
-                let head = Response::decode(
-                    &read_frame(&mut std::io::Cursor::new(stream.clone())).unwrap().unwrap(),
-                )
-                .unwrap();
-                assert!(matches!(head, Response::Streamed(_)), "len={len}");
+            write_frame(&mut stream, &resp.encode().unwrap()).unwrap();
+            let mut cursor = std::io::Cursor::new(stream.clone());
+            let payload = read_frame(&mut cursor).unwrap().unwrap();
+            assert_eq!(Response::decode(&payload).unwrap(), resp);
+            assert_eq!(read_frame(&mut cursor).unwrap(), None, "one frame per reply");
+            // Cut anywhere past the first byte: a typed error, never a
+            // short page silently returned.
+            for cut in [1, 4, 7, stream.len() - 1] {
+                let mut c = std::io::Cursor::new(stream[..cut].to_vec());
+                assert!(matches!(read_frame(&mut c), Err(HdbError::Transport(_))), "cut={cut}");
             }
-            let mut cursor = std::io::Cursor::new(stream);
-            assert_eq!(read_response(&mut cursor).unwrap(), Some(resp), "len={len}");
-            assert_eq!(read_response(&mut cursor).unwrap(), None);
         }
-        // A count-only classification streams too.
-        let resp = Response::Classified(Classified { count: 4000, page: big_page(4000) });
-        let mut stream = Vec::new();
-        write_response(&mut stream, &resp).unwrap();
-        assert_eq!(read_response(&mut std::io::Cursor::new(stream)).unwrap(), Some(resp));
-    }
-
-    #[test]
-    fn truncated_streams_and_bare_chunks_are_typed_errors() {
-        let resp = Response::Classified(Classified { count: 5000, page: big_page(5000) });
-        let mut stream = Vec::new();
-        write_response(&mut stream, &resp).unwrap();
-        // Cut the stream anywhere after the head frame: a typed error,
-        // never a short page silently returned.
-        let head_len = {
-            let mut c = std::io::Cursor::new(stream.clone());
-            read_frame(&mut c).unwrap().unwrap();
-            usize::try_from(c.position()).unwrap()
-        };
-        for cut in [head_len, head_len + 3, stream.len() - 1] {
-            let mut c = std::io::Cursor::new(stream[..cut].to_vec());
-            assert!(
-                matches!(read_response(&mut c), Err(HdbError::Transport(_))),
-                "cut={cut}"
-            );
-        }
-        // A PageChunk with no stream head is a protocol violation.
-        let mut bare = Vec::new();
-        write_frame(
-            &mut bare,
-            &Response::PageChunk { last: true, tuples: big_page(3) }.encode().unwrap(),
-        )
-        .unwrap();
-        assert!(read_response(&mut std::io::Cursor::new(bare)).is_err());
-        // A non-chunk frame mid-stream is a protocol violation.
-        let mut mixed = Vec::new();
-        write_frame(
-            &mut mixed,
-            &Response::Streamed(Box::new(Response::Classified(Classified {
-                count: 9,
-                page: Vec::new(),
-            })))
-            .encode()
-            .unwrap(),
-        )
-        .unwrap();
-        write_frame(&mut mixed, &Response::Closed.encode().unwrap()).unwrap();
-        assert!(read_response(&mut std::io::Cursor::new(mixed)).is_err());
     }
 
     #[test]
@@ -1416,6 +1140,21 @@ mod tests {
         // unknown tags
         assert!(Request::decode(&[0x7F]).is_err());
         assert!(Response::decode(&[0x00]).is_err());
+        // the retired page-stream head (0x90, wrapping a page carrier) and
+        // page chunk (0x91, terminator byte plus page) are unknown tags
+        let classified = Response::Classified(Classified { count: 9, page: big_page(2) });
+        let mut head = vec![0x90];
+        head.extend(classified.encode().unwrap());
+        let mut chunk = vec![0x91, 1];
+        chunk.extend(&classified.encode().unwrap()[9..]);
+        for (tag, retired) in [(0x90, head), (0x91, chunk)] {
+            match Response::decode(&retired) {
+                Err(HdbError::Transport(msg)) => {
+                    assert!(msg.contains(&format!("unknown response tag {tag:#04x}")), "{msg}");
+                }
+                other => panic!("retired tag {tag:#04x} decoded as {other:?}"),
+            }
+        }
         // the retired full-page walk probe (0x09): a well-formed body under
         // that tag, ranking suffix included, is still an unknown tag
         let mut retired = full.clone();

@@ -61,11 +61,13 @@
 //!
 //! Every decoder is total: a malformed-but-framed payload gets a typed
 //! [`Response::Error`]; an unframeable byte stream (corrupt length
-//! prefix) closes the connection. Valid pages longer than
-//! [`STREAM_TUPLES`] leave as a
-//! `Streamed` head plus bounded `PageChunk` frames, encoded one chunk at
-//! a time as the socket drains — a slow reader pins one chunk of memory,
-//! not the page. The server never panics on input.
+//! prefix) closes the connection. Every reply is one frame of at most
+//! [`MAX_FRAME_LEN`](hdb_interface::wire::MAX_FRAME_LEN) bytes: a reply
+//! that would be larger is answered with a typed [`Response::Error`]
+//! (tallied `errored` if it was a probe), and the connection keeps
+//! serving. Once a connection's output drains, its buffer shrinks back to
+//! 16 KiB, so one large reply does not stay allocated for the life of the
+//! connection. The server never panics on input.
 //!
 //! ```no_run
 //! use hdb_interface::{HiddenDb, Query, RemoteBackend, Table, Schema, TopKInterface, Tuple};
@@ -90,12 +92,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use hdb_interface::reactor::{Interest, Reactor, ReactorKind};
-use hdb_interface::wire::{
-    encode_page_chunk, write_frame, FrameBuf, Request, Response, PROTOCOL_VERSION, STREAM_TUPLES,
-};
+use hdb_interface::wire::{write_frame, FrameBuf, Request, Response, PROTOCOL_VERSION};
 use hdb_interface::{
-    HdbError, MetricsSnapshot, Predicate, Query, QueryCounter, Result, ReturnedTuple, Schema,
-    SearchBackend, SessionDump, SessionRecord, WalkState, WalkStep,
+    HdbError, MetricsSnapshot, Predicate, Query, QueryCounter, Result, Schema, SearchBackend,
+    SessionDump, SessionRecord, WalkState, WalkStep,
 };
 
 /// The reactor token reserved for the listener; connections count up
@@ -112,6 +112,10 @@ const WAIT_BACKSTOP: Duration = Duration::from_millis(500);
 /// Frames served to one connection per turn before it yields to the
 /// other ready connections (the fairness quota).
 const FRAMES_PER_TURN: usize = 64;
+/// Output-buffer capacity a connection keeps once its output drains: a
+/// walk probe's reply at `k = 10` is about 1 KiB, so this holds a run of
+/// small replies, while the capacity of a larger one is given back.
+const OUT_RETAIN: usize = 16 * 1024;
 
 /// Tuning knobs for a [`Server`].
 #[derive(Clone, Debug)]
@@ -311,8 +315,6 @@ struct Inner<B> {
     dispatches: AtomicU64,
     /// Request frames served.
     frames: AtomicU64,
-    /// Page-chunk bytes pushed through [`Conn::tail`] streaming.
-    streamed_bytes: AtomicU64,
     /// The query ledger: one recorded probe per probe-shaped request,
     /// unmetered (the clients hold the budgets).
     ledger: QueryCounter,
@@ -331,10 +333,6 @@ impl<B: SearchBackend> Inner<B> {
         );
         snap.counters
             .insert("hdb_server_frames_total".to_string(), self.frames.load(Ordering::Relaxed));
-        snap.counters.insert(
-            "hdb_server_streamed_bytes_total".to_string(),
-            self.streamed_bytes.load(Ordering::Relaxed),
-        );
         snap.counters.insert(
             "hdb_server_session_evictions_total".to_string(),
             self.sessions.evictions.load(Ordering::Relaxed),
@@ -495,9 +493,15 @@ fn walk_probe<B: SearchBackend>(
     classify(stack.last().map(|l| &l.state))
 }
 
-/// Answers one decoded request. Total: every failure path is a typed
-/// [`Response::Error`] (or the graceful `SessionGone`), never a panic.
-fn handle_request<B: SearchBackend>(inner: &Inner<B>, req: Request) -> Response {
+/// Answers one decoded request, appending the reply to `out` as one
+/// frame. Total: every failure path is a typed [`Response::Error`] (or
+/// the graceful `SessionGone`), never a panic. Fails only if not even an
+/// error frame could be encoded; the connection must then drop.
+fn handle_request<B: SearchBackend>(
+    inner: &Inner<B>,
+    req: Request,
+    out: &mut Vec<u8>,
+) -> Result<()> {
     let schema = inner.backend.schema();
     // Probe-shaped requests feed the ledger; `k` is captured up front
     // because the match below consumes the request.
@@ -556,11 +560,12 @@ fn handle_request<B: SearchBackend>(inner: &Inner<B>, req: Request) -> Response 
             Request::Stats => Response::Stats(inner.metrics_snapshot()),
         })
     })();
-    let resp = outcome.unwrap_or_else(Response::Error);
-    // Ledger recording happens strictly after the response is computed:
-    // the answer is bit-identical whether or not anyone ever scrapes.
-    // Errors and `SessionGone` (a chained probe's no-answer road) land in
-    // `errored`; everything else partitions on the true match count.
+    let resp = enqueue_response(out, outcome.unwrap_or_else(Response::Error))?;
+    // Ledger recording happens strictly after the reply is encoded: the
+    // answer is bit-identical whether or not anyone ever scrapes. Errors,
+    // `SessionGone` (a chained probe's no-answer road) and replies too
+    // large for a frame land in `errored`; everything else partitions on
+    // the true match count.
     if let Some(k) = probe_k {
         let count = match &resp {
             Response::Evaluation(ev) => Some(ev.count as u64),
@@ -569,16 +574,26 @@ fn handle_request<B: SearchBackend>(inner: &Inner<B>, req: Request) -> Response 
         };
         inner.ledger.record(count, k);
     }
-    resp
+    Ok(())
 }
 
-/// An in-flight chunked page stream: the page is held un-encoded and
-/// chunked into the output buffer one [`STREAM_TUPLES`] slice at a time,
-/// each only after the previous chunk drained — a slow reader pins one
-/// chunk, not the page.
-struct PageTail {
-    page: Vec<ReturnedTuple>,
-    next: usize,
+/// Appends `resp` to `out` as one frame and returns the reply that went
+/// out. A reply that cannot be one frame — over
+/// [`MAX_FRAME_LEN`](hdb_interface::wire::MAX_FRAME_LEN) bytes, or a
+/// length beyond the wire's `u32` ranges — goes out as its typed error
+/// instead, so the connection keeps serving. Failure means not even the
+/// error could be framed, and the connection must drop.
+fn enqueue_response(out: &mut Vec<u8>, resp: Response) -> Result<Response> {
+    // `write_frame` checks the cap before writing a byte, so a refused
+    // reply leaves `out` as it was.
+    match resp.encode().and_then(|payload| write_frame(out, &payload)) {
+        Ok(()) => Ok(resp),
+        Err(e) => {
+            let err = Response::Error(e);
+            write_frame(out, &err.encode()?)?;
+            Ok(err)
+        }
+    }
 }
 
 /// One connection's serving state. Lives in the connection table while
@@ -591,19 +606,11 @@ struct Conn {
     /// Encoded-but-unsent response frames.
     out: Vec<u8>,
     out_pos: usize,
-    /// A page mid-stream; no new frame is served until it completes.
-    tail: Option<PageTail>,
 }
 
 impl Conn {
     fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            buf: FrameBuf::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            tail: None,
-        }
+        Self { stream, buf: FrameBuf::new(), out: Vec::new(), out_pos: 0 }
     }
 }
 
@@ -629,58 +636,8 @@ fn flush(conn: &mut Conn) -> FlushState {
     }
     conn.out.clear();
     conn.out_pos = 0;
+    conn.out.shrink_to(OUT_RETAIN);
     FlushState::Drained
-}
-
-/// Encodes `resp` into the connection's output buffer. Pages longer
-/// than [`STREAM_TUPLES`] are split: the head frame goes out now, the
-/// page parks in [`Conn::tail`] and streams chunk by chunk as the
-/// socket drains. Failure means the connection must drop (the stream
-/// would desynchronise).
-fn enqueue_response(conn: &mut Conn, mut resp: Response) -> Result<()> {
-    let page = match &mut resp {
-        Response::Evaluation(ev) if ev.top.len() > STREAM_TUPLES => {
-            Some(std::mem::take(&mut ev.top))
-        }
-        Response::Classified(c) if c.page.len() > STREAM_TUPLES => {
-            Some(std::mem::take(&mut c.page))
-        }
-        _ => None,
-    };
-    let payload = match page {
-        Some(page) => {
-            let head = Response::Streamed(Box::new(resp)).encode()?;
-            conn.tail = Some(PageTail { page, next: 0 });
-            head
-        }
-        // An unencodable response (a length beyond the wire's u32
-        // ranges) degrades to its typed error; if even that cannot
-        // encode, the caller drops the connection.
-        None => match resp.encode() {
-            Ok(payload) => payload,
-            Err(e) => Response::Error(e).encode()?,
-        },
-    };
-    write_frame(&mut conn.out, &payload)
-}
-
-/// Appends the next pending page chunk to the output buffer and
-/// returns its encoded byte length. `Ok(_)` leaves `conn.tail` set iff
-/// more chunks remain.
-fn enqueue_chunk(conn: &mut Conn, mut tail: PageTail) -> Result<u64> {
-    let end = tail.page.len().min(tail.next.saturating_add(STREAM_TUPLES));
-    let chunk = tail
-        .page
-        .get(tail.next..end)
-        .ok_or_else(|| HdbError::Transport("page stream cursor out of range".into()))?;
-    let last = end == tail.page.len();
-    let payload = encode_page_chunk(chunk, last)?;
-    write_frame(&mut conn.out, &payload)?;
-    if !last {
-        tail.next = end;
-        conn.tail = Some(tail);
-    }
-    Ok(payload.len() as u64)
 }
 
 enum ReadState {
@@ -730,9 +687,8 @@ fn park<B>(inner: &Inner<B>, token: u64, conn: Conn, interest: Interest) {
     }
 }
 
-/// One turn over a connection: flush, stream pending chunks, serve up
-/// to the fairness quota of frames, read until the socket blocks, then
-/// park.
+/// One turn over a connection: flush, serve up to the fairness quota of
+/// frames, read until the socket blocks, then park.
 fn turn<B: SearchBackend>(inner: &Inner<B>, token: u64, mut conn: Conn) {
     if inner.shutdown.load(Ordering::Acquire) {
         close_conn(inner, conn);
@@ -745,16 +701,6 @@ fn turn<B: SearchBackend>(inner: &Inner<B>, token: u64, mut conn: Conn) {
             FlushState::Blocked => return park(inner, token, conn, Interest::WRITE),
             FlushState::Gone => return close_conn(inner, conn),
         }
-        // A page mid-stream owns the connection: its chunks must be the
-        // next frames out (the client reassembles them positionally),
-        // and encoding one chunk per drained buffer bounds memory.
-        if let Some(tail) = conn.tail.take() {
-            match enqueue_chunk(&mut conn, tail) {
-                Ok(bytes) => inner.streamed_bytes.fetch_add(bytes, Ordering::Relaxed),
-                Err(_) => return close_conn(inner, conn),
-            };
-            continue;
-        }
         if served >= FRAMES_PER_TURN {
             // Fairness: yield to the other ready connections. Its send
             // buffer has room unless the peer stopped reading, so the
@@ -762,30 +708,29 @@ fn turn<B: SearchBackend>(inner: &Inner<B>, token: u64, mut conn: Conn) {
             // already ready.
             return park(inner, token, conn, Interest::READ_WRITE);
         }
-        let resp = match conn.buf.next_frame() {
-            Ok(Some(payload)) => Some(match Request::decode(&payload) {
-                Ok(req) => handle_request(inner, req),
-                // Malformed but correctly framed: the stream stays
-                // synchronised, so answer a typed error and keep serving.
-                Err(e) => Response::Error(e),
-            }),
-            Ok(None) => None,
+        match conn.buf.next_frame() {
+            Ok(Some(payload)) => {
+                let answered = match Request::decode(&payload) {
+                    Ok(req) => handle_request(inner, req, &mut conn.out),
+                    // Malformed but correctly framed: the stream stays
+                    // synchronised, so answer a typed error and keep
+                    // serving.
+                    Err(e) => enqueue_response(&mut conn.out, Response::Error(e)).map(drop),
+                };
+                if answered.is_err() {
+                    return close_conn(inner, conn);
+                }
+                inner.frames.fetch_add(1, Ordering::Relaxed);
+                served += 1;
+            }
+            Ok(None) => match read_more(&mut conn) {
+                ReadState::More => {}
+                ReadState::Blocked => return park(inner, token, conn, Interest::READ),
+                ReadState::Gone => return close_conn(inner, conn),
+            },
             // Corrupt length prefix: the byte stream can never
             // resynchronise — drop the connection.
             Err(_) => return close_conn(inner, conn),
-        };
-        if let Some(resp) = resp {
-            if enqueue_response(&mut conn, resp).is_err() {
-                return close_conn(inner, conn);
-            }
-            inner.frames.fetch_add(1, Ordering::Relaxed);
-            served += 1;
-            continue;
-        }
-        match read_more(&mut conn) {
-            ReadState::More => {}
-            ReadState::Blocked => return park(inner, token, conn, Interest::READ),
-            ReadState::Gone => return close_conn(inner, conn),
         }
     }
 }
@@ -989,7 +934,6 @@ impl Server {
             next_token: AtomicU64::new(FIRST_CONN_TOKEN),
             dispatches: AtomicU64::new(0),
             frames: AtomicU64::new(0),
-            streamed_bytes: AtomicU64::new(0),
             ledger: QueryCounter::unlimited(),
         });
         let threads = (0..config.pool_threads.max(1))
@@ -1174,7 +1118,7 @@ impl Drop for RunningServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdb_interface::wire::read_frame;
+    use hdb_interface::wire::{read_frame, MAX_FRAME_LEN};
     use hdb_interface::{
         Clock as _, HiddenDb, Query, RemoteBackend, Table, TableBackend, TopKInterface, Tuple,
     };
@@ -1488,8 +1432,8 @@ mod tests {
             Response::Error(HdbError::Transport(_))
         ));
         assert_eq!(ask(&mut stream, &Request::Len), Response::Len(32));
-        // A version-3 client is refused with the typed mismatch error.
-        let refused = ask(&mut stream, &Request::Hello { version: 3 });
+        // A version-4 client is refused with the typed mismatch error.
+        let refused = ask(&mut stream, &Request::Hello { version: 4 });
         assert!(matches!(&refused, Response::Error(HdbError::Transport(m))
             if m.contains("protocol version mismatch")), "{refused:?}");
         // Unframeable input (absurd length prefix) → connection dropped.
@@ -1515,6 +1459,82 @@ mod tests {
         );
         assert!(matches!(resp, Response::Error(HdbError::InvalidQuery(_))));
         server.shutdown();
+    }
+
+    /// A backend whose one tuple is too wide for a frame: its values
+    /// alone take [`MAX_FRAME_LEN`] bytes on the wire.
+    struct TooWide(Schema);
+
+    impl SearchBackend for TooWide {
+        fn schema(&self) -> &Schema {
+            &self.0
+        }
+
+        fn len(&self) -> usize {
+            1
+        }
+
+        fn evaluate(
+            &self,
+            _: &Query,
+            _: usize,
+            _: &dyn hdb_interface::RankingFunction,
+        ) -> Result<hdb_interface::Evaluation> {
+            let tuple = Tuple::new(vec![0; MAX_FRAME_LEN / 2]);
+            let top = vec![hdb_interface::ReturnedTuple { id: 0, tuple }];
+            Ok(hdb_interface::Evaluation { count: 1, top })
+        }
+
+        fn exact_count(&self, _: &Query) -> Result<usize> {
+            Ok(1)
+        }
+
+        fn exact_sum(&self, _: hdb_interface::AttrId, _: &Query) -> Result<f64> {
+            Ok(0.0)
+        }
+    }
+
+    /// A reply over the frame cap is answered with a typed error frame
+    /// and tallied `errored`; the same connection then keeps serving.
+    #[test]
+    fn a_reply_over_the_frame_cap_is_a_typed_error_and_the_connection_serves_on() {
+        let server = Server::bind(TooWide(Schema::boolean(1)), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let ranking = hdb_interface::RankingSpec::RowId;
+        match ask(&mut stream, &Request::Evaluate { query: Query::all(), k: 1, ranking }) {
+            Response::Error(HdbError::Transport(msg)) => {
+                assert!(msg.contains(&format!("{MAX_FRAME_LEN}-byte cap")), "{msg}");
+            }
+            other => panic!("expected a typed error frame, got {other:?}"),
+        }
+        assert_eq!(ask(&mut stream, &Request::Len), Response::Len(1));
+        let snap = server.metrics();
+        assert_eq!(ledger_of(&snap), (1, 1), "ledger must partition");
+        assert_eq!(snap.counters.get("hdb_queries_errored_total"), Some(&1));
+        server.shutdown();
+    }
+
+    /// Flushing a large reply gives its buffer capacity back, so one big
+    /// reply does not stay allocated for the life of the connection.
+    #[test]
+    fn a_drained_output_buffer_gives_back_a_large_reply() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let reader = std::thread::spawn(move || {
+            let mut sink = Vec::new();
+            peer.read_to_end(&mut sink).map(|_| sink.len())
+        });
+        let mut conn = Conn::new(listener.accept().unwrap().0);
+        let large = 64 * OUT_RETAIN;
+        write_frame(&mut conn.out, &vec![7; large]).unwrap();
+        assert!(matches!(flush(&mut conn), FlushState::Drained));
+        assert!(
+            conn.out.capacity() <= OUT_RETAIN,
+            "a drained buffer kept {} bytes of capacity",
+            conn.out.capacity()
+        );
+        drop(conn);
+        assert_eq!(reader.join().unwrap().unwrap(), 4 + large);
     }
 
     #[test]

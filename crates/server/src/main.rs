@@ -31,8 +31,10 @@
 //! replicas, tuned by the fleet flags (`--retries`, `--backoff-ms`,
 //! `--backoff-cap-ms`, `--io-timeout-ms`, `--health-interval-ms`).
 //! `--self-test` binds an ephemeral port, connects a [`RemoteBackend`]
-//! client to itself, verifies a query + walk-session round trip against
-//! the local backend bit-for-bit, and exits — the CI smoke path.
+//! client to itself, verifies a query + walk-session round trip and a
+//! whole-corpus reply (a root evaluate with `k` = the corpus size, one
+//! frame) against the local backend bit-for-bit, and exits — the CI
+//! smoke path.
 //! `--probe HOST:PORT` runs as a one-shot *client* instead: connect to
 //! an already-running server, issue a handful of probes (so its query
 //! ledger is non-trivial), print the count, and exit — CI uses it to
@@ -220,8 +222,17 @@ fn self_test(opts: &Opts) {
     .expect("ephemeral bind");
     println!("self-test server on {}", server.addr());
 
-    let remote = RemoteBackend::connect(server.addr().to_string()).expect("connect");
+    let remote = Arc::new(RemoteBackend::connect(server.addr().to_string()).expect("connect"));
     assert_eq!(remote.len(), table.len());
+
+    // The whole corpus as one reply: a root query at k = m crosses in
+    // one frame and matches the in-process table bit for bit.
+    let m = table.len();
+    let whole = HiddenDb::over(Arc::clone(&remote), m).query(&Query::all());
+    let whole = whole.expect("whole-corpus reply");
+    assert!(whole.is_valid(), "k = m must return every tuple");
+    assert_eq!(whole, HiddenDb::new(table.clone(), m).query(&Query::all()).unwrap());
+
     let k = 10;
     let local_db = HiddenDb::new(table.clone(), k);
     let remote_db = HiddenDb::over(remote, k);
@@ -260,7 +271,10 @@ fn self_test(opts: &Opts) {
     assert_eq!(a.queries, b.queries);
 
     server.shutdown();
-    println!("self-test OK: queries, walk sessions, and estimator runs are bit-identical");
+    println!(
+        "self-test OK: queries, walk sessions, a {m}-tuple reply and estimator runs are \
+         bit-identical"
+    );
 }
 
 /// One-shot client probe: connect to a running server, issue a handful

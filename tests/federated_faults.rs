@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hdb_core::UnbiasedSizeEstimator;
-use hdb_interface::wire::{read_response, write_frame, Request, Response};
+use hdb_interface::wire::{read_frame, write_frame, Request, Response};
 use hdb_interface::{
     FederatedBackend, FleetConfig, HdbError, HiddenDb, Predicate, Query, RankingSpec, Schema,
     SearchBackend, ShardedDb, Table, TopKInterface, Topology, Tuple, WalkStep,
@@ -268,12 +268,15 @@ fn batch_replay_is_idempotent_on_the_server() {
         use std::io::Write as _;
         stream.write_all(&framed).unwrap();
     }
+    fn reply(stream: &mut std::net::TcpStream) -> Response {
+        Response::decode(&read_frame(stream).unwrap().unwrap()).unwrap()
+    }
     let hello = Request::Hello { version: hdb_interface::wire::PROTOCOL_VERSION };
     send(&mut stream, &hello);
-    let _ = read_response(&mut stream).unwrap().unwrap();
+    let _ = reply(&mut stream);
 
     send(&mut stream, &Request::WalkOpen { root: Query::all() });
-    let sid = match read_response(&mut stream).unwrap().unwrap() {
+    let sid = match reply(&mut stream) {
         Response::Session { sid } => sid,
         other => panic!("expected Session, got {other:?}"),
     };
@@ -297,7 +300,7 @@ fn batch_replay_is_idempotent_on_the_server() {
 
     let mut exchange = |req: &Request| {
         send(&mut stream, req);
-        read_response(&mut stream).unwrap().unwrap()
+        reply(&mut stream)
     };
     let first = exchange(&chained);
     let second = exchange(&chained); // the blind replay
@@ -316,12 +319,12 @@ fn batch_replay_is_idempotent_on_the_server() {
         pred: Predicate::new(2, 1),
         k: 2,
     });
-    let after = match read_response(&mut stream).unwrap().unwrap() {
+    let after = match reply(&mut stream) {
         Response::Classified(c) => c,
         other => panic!("expected Classified, got {other:?}"),
     };
     send(&mut stream, &Request::Evaluate { query: probe, k: 2, ranking: RankingSpec::RowId });
-    let fresh = match read_response(&mut stream).unwrap().unwrap() {
+    let fresh = match reply(&mut stream) {
         Response::Evaluation(ev) => ev,
         other => panic!("expected Evaluation, got {other:?}"),
     };

@@ -308,28 +308,28 @@ fn drill_down_extend_plus_probe_costs_one_round_trip() {
     assert_eq!(remote.requests_sent(), before + 1);
 }
 
-/// A valid page far larger than one stream chunk crosses the wire in
-/// bounded `PageChunk` frames and reassembles bit-identically — on both
-/// a fast reader (the pooled client) and a deliberately slow one.
+/// A valid page of the whole corpus crosses the wire as one reply frame
+/// and decodes bit-identically — on both a fast reader (the pooled
+/// client) and a deliberately slow one.
 #[test]
-fn oversized_pages_stream_in_chunks_and_survive_slow_readers() {
+fn oversized_pages_cross_in_one_frame_and_survive_slow_readers() {
     let schema = Schema::boolean(12);
     let table = hdb_datagen::uniform_table(&schema, 2500, 99).unwrap();
     let local = TableBackend::new(table.clone());
     let (server, remote) = serve(&table, 1);
 
-    // 2500 tuples > STREAM_TUPLES: the response must stream, and the
-    // client must hand back the identical evaluation.
+    // A 2500-tuple page is one frame of about 80 KB, far more than one
+    // socket write; the client must hand back the identical evaluation.
     let k = table.len();
     let l_eval = local.evaluate(&Query::all(), k, &hdb_interface::RowIdRanking).unwrap();
     let r_eval = remote.evaluate(&Query::all(), k, &hdb_interface::RowIdRanking).unwrap();
     assert_eq!(l_eval.top.len(), 2500);
-    assert_eq!(l_eval, r_eval, "streamed page must reassemble bit-identically");
+    assert_eq!(l_eval, r_eval, "a whole-corpus page must cross bit-identically");
 
     // Slow writer: the same request trickled a byte at a time; slow
     // reader: responses consumed through a 7-byte-per-read window. The
     // server must tolerate both sides stalling mid-frame.
-    use hdb_interface::wire::{read_response, write_frame, Request, Response};
+    use hdb_interface::wire::{read_frame, write_frame, Request, Response};
     struct Trickle<R>(R);
     impl<R: std::io::Read> std::io::Read for Trickle<R> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
@@ -350,9 +350,10 @@ fn oversized_pages_stream_in_chunks_and_survive_slow_readers() {
         stream.flush().unwrap();
     }
     let mut slow = Trickle(stream);
-    match read_response(&mut slow).unwrap() {
-        Some(Response::Evaluation(ev)) => assert_eq!(ev, l_eval),
-        other => panic!("expected a streamed Evaluation, got {other:?}"),
+    let payload = read_frame(&mut slow).unwrap().expect("one reply frame");
+    match Response::decode(&payload).unwrap() {
+        Response::Evaluation(ev) => assert_eq!(ev, l_eval),
+        other => panic!("expected an Evaluation, got {other:?}"),
     }
 }
 
@@ -430,7 +431,7 @@ fn lying_server_surfaces_typed_transport_errors() {
 #[test]
 fn unreachable_address_is_a_typed_connect_error() {
     // Port 1 on loopback: nothing listens there.
-    match RemoteBackend::connect_with("127.0.0.1:1", 1, Duration::from_secs(2)) {
+    match RemoteBackend::connect_with("127.0.0.1:1", Duration::from_secs(2)) {
         Err(HdbError::Transport(msg)) => assert!(msg.contains("connect"), "{msg}"),
         other => panic!("expected a typed connect error, got {other:?}"),
     }

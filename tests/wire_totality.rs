@@ -6,10 +6,9 @@
 //! survive a lying server. This is the executable counterpart of the
 //! `HDB-P01`/`HDB-P02` lint rules (see `docs/ARCHITECTURE.md`).
 
-use hdb_interface::wire::{
-    encode_page_chunk, read_frame, read_response, write_frame, write_response, FrameBuf, Request,
-    Response, MAX_FRAME_LEN, STREAM_TUPLES,
-};
+use std::io::Read as _;
+
+use hdb_interface::wire::{read_frame, write_frame, FrameBuf, Request, Response, MAX_FRAME_LEN};
 use hdb_interface::{Evaluation, Predicate, Query, RankingSpec, ReturnedTuple, Tuple, WalkStep};
 use proptest::prelude::*;
 
@@ -79,7 +78,7 @@ fn encoded_requests(sid: u64, level: u32, k: u64, seed: u64) -> Vec<Vec<u8>> {
     reqs.iter().map(|r| r.encode().expect("valid request encodes")).collect()
 }
 
-/// A synthetic page of `n` tuples for stream tests.
+/// A synthetic page of `n` tuples for large-reply tests.
 fn page_of(n: usize) -> Vec<ReturnedTuple> {
     (0..n)
         .map(|i| ReturnedTuple {
@@ -186,70 +185,70 @@ proptest! {
         while let Ok(Some(_)) = read_frame(&mut cursor) {}
     }
 
-    /// A page bigger than one chunk streams out as head + `PageChunk`
-    /// frames and reassembles bit-identically through `read_response`,
-    /// for page sizes straddling the chunk boundary.
+    /// A reply carrying a large page is exactly one frame and decodes
+    /// bit-identically, for pages from empty to a few thousand tuples.
     #[test]
-    fn chunked_page_streams_reassemble_bitwise(extra in 0usize..=(2 * STREAM_TUPLES + 3)) {
+    fn large_pages_cross_in_one_frame_bitwise(extra in 0usize..=2051) {
         let page = page_of(extra);
         let resp = Response::Evaluation(Evaluation { count: page.len(), top: page });
         let mut bytes = Vec::new();
-        write_response(&mut bytes, &resp).expect("stream encodes");
-        // Count the frames: big pages must actually take the chunked
-        // path (head + one frame per STREAM_TUPLES chunk), small ones
-        // must stay a single whole frame.
-        let mut frames = 0usize;
-        let mut counter = std::io::Cursor::new(bytes.clone());
-        while let Some(_f) = read_frame(&mut counter).expect("well-formed frames") {
-            frames += 1;
-        }
-        let expected = if extra > STREAM_TUPLES { 1 + extra.div_ceil(STREAM_TUPLES) } else { 1 };
-        prop_assert_eq!(frames, expected, "page of {} tuples", extra);
+        write_frame(&mut bytes, &resp.encode().expect("reply encodes")).expect("frames");
         let mut cursor = std::io::Cursor::new(bytes);
-        let got = read_response(&mut cursor).expect("reassembles").expect("not EOF");
-        prop_assert_eq!(got, resp);
-        prop_assert!(read_response(&mut cursor).expect("clean EOF").is_none());
+        let payload = read_frame(&mut cursor).expect("well-formed frame").expect("not EOF");
+        prop_assert_eq!(Response::decode(&payload).expect("decodes"), resp);
+        prop_assert!(read_frame(&mut cursor).expect("clean EOF").is_none(), "one frame per reply");
     }
 
-    /// Truncating a chunked stream anywhere — mid-head, between chunks,
-    /// mid-chunk — yields a typed error or a clean EOF, never a panic
-    /// and never a silently short page.
+    /// Truncating a large reply frame anywhere — mid-header or
+    /// mid-page — yields a clean EOF (nothing sent) or a typed error,
+    /// never a panic and never a silently short page.
     #[test]
-    fn chunked_stream_truncation_is_total(
-        extra in 1usize..=(STREAM_TUPLES / 2),
+    fn reply_frame_truncation_is_total(
+        extra in 1usize..=512,
         cut_salt in any::<usize>(),
     ) {
-        let page = page_of(STREAM_TUPLES + extra);
-        let full_len = page.len();
-        let resp = Response::Evaluation(Evaluation { count: full_len, top: page });
+        let page = page_of(1024 + extra);
+        let resp = Response::Evaluation(Evaluation { count: page.len(), top: page });
         let mut bytes = Vec::new();
-        write_response(&mut bytes, &resp).expect("stream encodes");
+        write_frame(&mut bytes, &resp.encode().expect("reply encodes")).expect("frames");
         let cut = cut_salt % bytes.len();
-        let mut cursor = std::io::Cursor::new(&bytes[..cut]);
-        // Only a cut that truncates *nothing meaningful* may still
-        // produce a response — and then it must be whole. Any other
-        // outcome (clean EOF, typed error) is fine; a panic is not.
-        if let Ok(Some(got)) = read_response(&mut cursor) {
-            prop_assert_eq!(got, resp.clone());
+        let got = read_frame(&mut std::io::Cursor::new(&bytes[..cut]));
+        match got {
+            Ok(None) => prop_assert_eq!(cut, 0),
+            Ok(Some(_)) => prop_assert!(false, "a {cut}-byte prefix read as a whole frame"),
+            Err(_) => {}
         }
     }
 
-    /// Interleaving garbage after a valid stream, or handing the decoder
-    /// a stream whose chunks arrive in odd piecewise writes, stays total.
+    /// A large reply read through a socket that hands over a few bytes
+    /// at a time, with garbage after it, decodes whole; whatever trails
+    /// it stays total.
     #[test]
     fn piecewise_stream_reads_are_total(
         extra in 0usize..=64,
+        piece in 1usize..=9,
         garbage in prop::collection::vec(any::<u8>(), 0..=32),
     ) {
-        let page = page_of(STREAM_TUPLES + extra);
+        /// A reader that returns at most `.1` bytes per read.
+        struct Trickle<R>(R, usize);
+        impl<R: std::io::Read> std::io::Read for Trickle<R> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = buf.len().min(self.1);
+                self.0.read(&mut buf[..n])
+            }
+        }
+        let page = page_of(1024 + extra);
         let resp = Response::Evaluation(Evaluation { count: page.len(), top: page });
         let mut bytes = Vec::new();
-        write_response(&mut bytes, &resp).expect("stream encodes");
+        write_frame(&mut bytes, &resp.encode().expect("reply encodes")).expect("frames");
         bytes.extend_from_slice(&garbage);
-        let mut cursor = std::io::Cursor::new(bytes);
-        prop_assert_eq!(read_response(&mut cursor).expect("reassembles"), Some(resp));
-        // Whatever trails the stream is someone else's frame: total.
-        while let Ok(Some(_)) = read_response(&mut cursor) {}
+        let mut slow = Trickle(std::io::Cursor::new(bytes), piece);
+        let payload = read_frame(&mut slow).expect("whole frame").expect("not EOF");
+        prop_assert_eq!(Response::decode(&payload).expect("decodes"), resp);
+        // Whatever trails the reply is someone else's frame: total.
+        while let Ok(Some(p)) = read_frame(&mut slow) {
+            let _ = Response::decode(&p);
+        }
     }
 }
 
@@ -277,36 +276,10 @@ fn stats_snapshot_round_trips_and_truncates_cleanly() {
     }
 }
 
-/// A `PageChunk` with no preceding `Streamed` head is a protocol error,
-/// surfaced typed — chunks are only valid inside a stream.
-#[test]
-fn orphan_page_chunk_is_a_typed_error() {
-    let chunk = encode_page_chunk(&page_of(3), true).expect("chunk encodes");
-    let mut bytes = Vec::new();
-    write_frame(&mut bytes, &chunk).expect("frames");
-    let mut cursor = std::io::Cursor::new(bytes);
-    assert!(read_response(&mut cursor).is_err(), "orphan chunk must be rejected");
-}
-
-/// A stream head followed by a non-chunk frame is a typed error: the
-/// server guarantees chunk contiguity, so anything else means a broken
-/// or hostile peer.
-#[test]
-fn interrupted_stream_is_a_typed_error() {
-    let head = Response::Streamed(Box::new(Response::Evaluation(Evaluation {
-        count: 2,
-        top: Vec::new(),
-    })));
-    let mut bytes = Vec::new();
-    write_frame(&mut bytes, &head.encode().expect("encodes")).expect("frames");
-    let intruder = Response::Len(7).encode().expect("encodes");
-    write_frame(&mut bytes, &intruder).expect("frames");
-    let mut cursor = std::io::Cursor::new(bytes);
-    assert!(read_response(&mut cursor).is_err(), "non-chunk mid-stream must be rejected");
-}
-
 /// A length prefix past [`MAX_FRAME_LEN`] is a corrupt frame, rejected
-/// before any payload allocation.
+/// before any payload allocation, and a payload past it cannot be
+/// written; a frame of exactly the cap passes the writer and both
+/// readers.
 #[test]
 fn oversized_length_prefix_is_a_typed_error() {
     let mut buf = FrameBuf::new();
@@ -319,4 +292,22 @@ fn oversized_length_prefix_is_a_typed_error() {
     stream.extend_from_slice(&[0u8; 8]);
     let mut cursor = std::io::Cursor::new(stream);
     assert!(read_frame(&mut cursor).is_err(), "oversize prefix must be rejected");
+    let over = vec![0u8; MAX_FRAME_LEN + 1];
+    assert!(write_frame(&mut std::io::sink(), &over).is_err(), "oversize payload must be refused");
+    drop(over);
+
+    // Exactly at the cap. The zeroed payload is never written to and
+    // the writer's output goes to a sink, so only the readers allocate
+    // the frame.
+    let at_cap = vec![0u8; MAX_FRAME_LEN];
+    let header = u32::try_from(MAX_FRAME_LEN).expect("the cap fits a u32").to_le_bytes();
+    write_frame(&mut std::io::sink(), &at_cap).expect("a frame at the cap is written");
+    let mut framed = header.as_slice().chain(at_cap.as_slice());
+    let read = read_frame(&mut framed).expect("a frame at the cap is read");
+    assert_eq!(read.map(|p| p.len()), Some(MAX_FRAME_LEN));
+    let mut buf = FrameBuf::new();
+    buf.extend(&header);
+    buf.extend(&at_cap);
+    let popped = buf.next_frame().expect("a frame at the cap is reassembled");
+    assert_eq!(popped.map(|p| p.len()), Some(MAX_FRAME_LEN));
 }
