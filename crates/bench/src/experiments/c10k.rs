@@ -22,7 +22,9 @@ use std::time::{Duration, Instant};
 
 use hdb_core::UnbiasedSizeEstimator;
 use hdb_interface::reactor::ReactorKind;
-use hdb_interface::{HiddenDb, Query, RemoteBackend, SearchBackend, Table, TableBackend};
+use hdb_interface::{
+    FleetConfig, HiddenDb, Query, RemoteBackend, SearchBackend, Table, TableBackend,
+};
 use hdb_server::{Server, ServerConfig};
 use hdb_stats::{Figure, Series};
 
@@ -50,20 +52,18 @@ struct ClientResult {
     exchanges: u64,
 }
 
-/// Connects with retry: under thousands of simultaneous connects the
-/// listener backlog can momentarily overflow, which is load, not failure.
+/// Connects with a patient retry budget: under thousands of simultaneous
+/// connects the listener backlog can momentarily overflow, which is load,
+/// not failure.
 fn connect_patiently(addr: &str) -> RemoteBackend {
-    let mut delay = Duration::from_millis(5);
-    for _ in 0..60 {
-        match RemoteBackend::connect(addr.to_string()) {
-            Ok(remote) => return remote,
-            Err(_) => {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(Duration::from_millis(100));
-            }
-        }
-    }
-    panic!("could not connect to {addr} after 60 attempts");
+    let patient = FleetConfig {
+        retries: 59,
+        backoff: Duration::from_millis(5),
+        backoff_cap: Duration::from_millis(100),
+        ..FleetConfig::default()
+    };
+    RemoteBackend::connect_with([addr], patient)
+        .unwrap_or_else(|e| panic!("could not connect to {addr} after 60 attempts: {e}"))
 }
 
 /// Runs the C10K sweep.

@@ -4,10 +4,12 @@
 //! the *same* corpus behind a real loopback `hdb-server`, fresh vs
 //! incremental walk sessions, 1/2/8 client workers — plus a *prediction*
 //! of the remote cost, computed rather than run: the local incremental
-//! cost per query plus one measured round trip, so the model and the
-//! socket can be compared number to number. The round trip is sampled
-//! between timed chunks of the remote incremental run it predicts, so
-//! host drift moves both numbers together.
+//! cost per query plus one measured round trip per wire exchange, so the
+//! model and the socket can be compared number to number. Memo hits and
+//! deferred extends send fewer exchanges than queries, so the exchanges
+//! per query are counted over the remote incremental run the prediction
+//! is for. The round trip is sampled between timed chunks of that run,
+//! so host drift moves both numbers together.
 //!
 //! Every remote run self-asserts bit-equality with the local reference
 //! (estimates and query counts); the measured trajectory goes to
@@ -79,27 +81,31 @@ fn rtt_samples(remote: &RemoteBackend) -> impl Iterator<Item = Duration> + '_ {
 
 /// The serial remote incremental run, timed in [`RTT_CHUNKS`] chunks of
 /// its passes with RTT samples taken between them; only the chunks are
-/// timed. The estimator continues across `run` calls, so the estimate
-/// bits and query count are those of one call over all `passes`.
-/// Returns the run, as [`timed_run`] does, and the median RTT sample.
+/// timed, and only their wire exchanges counted. The estimator continues
+/// across `run` calls, so the estimate bits and query count are those of
+/// one call over all `passes`. Returns the run, as [`timed_run`] does,
+/// the median RTT sample and the run's wire exchanges.
 fn interleaved_run(
     db: &HiddenDb<Arc<RemoteBackend>>,
     remote: &RemoteBackend,
     passes: u64,
-) -> ((u64, u64, f64), Duration) {
+) -> ((u64, u64, f64), Duration, u64) {
     let mut est = UnbiasedSizeEstimator::hd(SEED).expect("valid config");
     let mut rtts: Vec<Duration> = rtt_samples(remote).collect();
     let mut secs = 0.0;
+    let mut exchanges = 0;
     let mut estimate = f64::NAN;
     for chunk in 0..RTT_CHUNKS {
         let chunk_passes = passes * (chunk + 1) / RTT_CHUNKS - passes * chunk / RTT_CHUNKS;
+        let sent = remote.requests_sent();
         let start = Instant::now();
         estimate = est.run(db, chunk_passes).expect("unlimited interface").estimate;
         secs += start.elapsed().as_secs_f64();
+        exchanges += remote.requests_sent() - sent;
         rtts.extend(rtt_samples(remote));
     }
     rtts.sort_unstable();
-    ((estimate.to_bits(), db.queries_issued(), secs), rtts[rtts.len() / 2])
+    ((estimate.to_bits(), db.queries_issued(), secs), rtts[rtts.len() / 2], exchanges)
 }
 
 /// Runs the serving-layer sweep.
@@ -163,10 +169,12 @@ pub fn run_remote_scale(scale: &Scale, datasets: &Datasets) {
         .with_session_mode(SessionMode::Fresh);
     record("remote fresh", timed_run(&remote_fresh, passes, 1), &mut reference);
     let remote_incr = HiddenDb::over(Arc::clone(&remote), K);
-    let (run, rtt) = interleaved_run(&remote_incr, &remote, passes);
+    let (run, rtt, exchanges) = interleaved_run(&remote_incr, &remote, passes);
+    let exchanges_per_query = exchanges as f64 / run.1 as f64;
     record("remote incremental", run, &mut reference);
     println!(
-        "  measured RTT ≈ {:.1} µs (median of {} samples interleaved with that run)",
+        "  measured RTT ≈ {:.1} µs (median of {} samples interleaved with that run), \
+         {exchanges_per_query:.4} wire exchanges per query",
         rtt.as_secs_f64() * 1e6,
         (RTT_CHUNKS as usize + 1) * RTT_PROBES
     );
@@ -182,13 +190,14 @@ pub fn run_remote_scale(scale: &Scale, datasets: &Datasets) {
             .unwrap_or_else(|| panic!("config `{name}` measured"))
     };
     // The prediction of remote cost: the local incremental evaluation
-    // plus one measured round trip per issued query.
-    let predicted_us = by_name("local incremental").us_per_query + rtt.as_secs_f64() * 1e6;
+    // plus one measured round trip per wire exchange.
+    let predicted_us =
+        by_name("local incremental").us_per_query + exchanges_per_query * rtt.as_secs_f64() * 1e6;
     let remote_us = by_name("remote incremental").us_per_query;
     let vs_prediction = remote_us / predicted_us;
     println!(
         "  prediction check: remote incremental runs at {vs_prediction:.2}× the predicted \
-         {predicted_us:.2} µs/query (local incremental + RTT)"
+         {predicted_us:.2} µs/query (local incremental + RTT per exchange)"
     );
 
     let mut fig = Figure::new(
@@ -216,6 +225,7 @@ pub fn run_remote_scale(scale: &Scale, datasets: &Datasets) {
          \"rows\": {rows},\n  \"attributes\": {attrs},\n  \"k\": {K},\n  \"passes\": {passes},\n  \
          \"seed\": {SEED},\n  \"estimate_bits\": {bits},\n  \"queries_per_config\": {queries},\n  \
          \"loopback_rtt_us\": {rtt_us:.3},\n  \
+         \"exchanges_per_query\": {exchanges_per_query:.4},\n  \
          \"local_fresh_us_per_query\": {local_fresh:.4},\n  \
          \"local_incremental_us_per_query\": {local_incr:.4},\n  \
          \"predicted_remote_us_per_query\": {predicted_us:.4},\n  \

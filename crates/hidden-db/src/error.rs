@@ -26,7 +26,11 @@ pub enum HdbError {
     },
     /// A networked backend failed to answer: the connection dropped, a
     /// wire frame was malformed, or the server reported a protocol-level
-    /// problem. Never raised by in-process substrates.
+    /// problem. Never raised by in-process substrates. Whether a failed
+    /// request is sent again is decided where it is known whether a reply
+    /// came back — the retry loop in [`remote`](crate::remote) — not by
+    /// this variant: a `Transport` error the server sent as an error
+    /// frame is an answer and is never retried.
     Transport(String),
     /// A durable-storage operation (WAL append, fsync, snapshot write)
     /// failed at the I/O layer. The store's durability is no longer

@@ -18,49 +18,57 @@
 //! ## Fleet layer: topology, health, failover
 //!
 //! A [`Topology`] maps each shard to an ordered list of replica
-//! addresses. Servers can be added ([`FederatedBackend::add_replica`])
-//! and drained ([`FederatedBackend::drain`]) while the backend is
-//! serving: draining the active replica invalidates its connection and
-//! the next probe fails over to the survivors. Each shard's client moves
-//! through a small state machine:
+//! addresses, and each shard's [`RemoteBackend`] holds that list as its
+//! rotation: the shard client owns the one retry loop and decides when,
+//! and to which replica, a request is sent again (see the
+//! [`remote`](crate::remote) module docs). This module only fans out and
+//! merges. Servers can be added ([`FederatedBackend::add_replica`]) and
+//! drained ([`FederatedBackend::drain`]) while the backend is serving:
+//! draining the replica in use moves the rotation on, and the next probe
+//! goes to a survivor. Each shard client moves through a small state
+//! machine:
 //!
 //! ```text
-//!        connect ok                 Transport error
-//! (down) ──────────► (serving) ───────────────────► (down, generation+1)
-//!    ▲                                                    │
-//!    └──────── retry sweep over replicas, bounded ◄───────┘
-//!              exponential backoff between attempts
+//!        handshake ok                  exchange fails
+//! (unchecked) ──────────► (serving) ─────────────────► (next replica, unchecked)
+//!    ▲                                                        │
+//!    └──── next attempt, after a doubling backoff, ◄──────────┘
+//!          at most FleetConfig::retries of them
 //! ```
 //!
 //! A probe that exhausts its retry budget surfaces as
 //! [`HdbError::Transport`]; the owning
 //! [`HiddenDb`](crate::HiddenDb) then tallies the charged query as
 //! `Errored`, keeping the accounting partition
-//! `issued == underflow + valid + overflow + errored` exact. An optional
-//! background health checker ([`FleetConfig::health_interval`]) pings
-//! serving shards and pre-warms reconnects for dark ones; it paces on a
-//! condition-variable timed wait (woken instantly at shutdown) and never
-//! reads a clock, so results can never depend on timing.
+//! `issued == underflow + valid + overflow + errored` exact. An error
+//! frame is the server's answer: it surfaces at once, sent once. An
+//! optional background health checker ([`FleetConfig::health_interval`])
+//! pings every shard, so a dead replica fails over between probes; it
+//! paces on a condition-variable timed wait (woken instantly at
+//! shutdown) and never reads a clock, so results can never depend on
+//! timing.
 //!
 //! ## Why failover cannot change results
 //!
 //! Three invariants make the failover paths bit-identical rather than
 //! merely "close":
 //!
-//! 1. every replica of shard `i` serves the **same** shard (validated at
-//!    connect time: schema equality and shard corpus size);
+//! 1. every replica of shard `i` serves the **same** shard (validated by
+//!    the handshake before a replica serves: schema equality and shard
+//!    corpus size);
 //! 2. incremental walk probes and fresh evaluation return identical
 //!    bits for the same query (the [`SearchBackend`] contract), so a
 //!    failed-over shard answering "fresh" merges with siblings that
 //!    answered incrementally;
-//! 3. walk states are tagged with the **generation** of the shard
-//!    connection that produced them. After a failover the generation has
-//!    moved on, so a stale state can never be replayed against a new
-//!    server (where its session id might coincidentally exist) — the
-//!    probe simply evaluates fresh on the new connection.
+//! 3. the server checks every walk probe against the level it names: a
+//!    probe's query must be that level's query plus the probe's
+//!    predicate. After a failover, a session id the new server handed
+//!    out to some other walk therefore cannot answer — the probe
+//!    evaluates fresh or, carrying extends, gets `SessionGone` and the
+//!    shard client re-roots on the new server.
 
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -132,26 +140,31 @@ impl Topology {
 // ---------------------------------------------------------------------------
 // FleetConfig
 
-/// Tuning for a [`FederatedBackend`]: fan-out width, failover budget,
-/// backoff pacing, socket limits, and the optional health checker.
+/// Tuning for a fleet client: fan-out width, failover budget, backoff
+/// pacing, socket limits, and the optional health checker. Every
+/// [`RemoteBackend`] runs its retry loop by `retries`, `backoff`,
+/// `backoff_cap` and `io_timeout` ([`RemoteBackend::connect`] uses the
+/// defaults); a [`FederatedBackend`] hands them to each shard's client and
+/// reads `workers` and `health_interval` itself.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Threads evaluating shards concurrently (as
     /// [`ShardedDb::with_workers`](crate::ShardedDb::with_workers):
     /// `workers - 1` persistent pool threads plus the caller).
     pub workers: usize,
-    /// Extra connect-and-probe attempts after the first before a probe
-    /// gives up with [`HdbError::Transport`]. Each attempt sweeps the
-    /// shard's replica rotation once.
+    /// Attempts after the first before a request gives up with
+    /// [`HdbError::Transport`]. Each attempt sweeps the replica rotation
+    /// once for a replica that connects, then sends the request once.
+    /// Only an attempt that got no reply is retried.
     pub retries: usize,
-    /// Delay before the first retry; doubles per attempt.
+    /// Wait before the first retry; doubles per attempt.
     pub backoff: Duration,
-    /// Ceiling for the doubled backoff delay.
+    /// Ceiling for the doubled backoff wait.
     pub backoff_cap: Duration,
-    /// Per-operation socket timeout for every shard connection.
+    /// Per-operation socket timeout for every connection.
     pub io_timeout: Duration,
-    /// When set, a background thread pings serving shards and
-    /// pre-reconnects dark ones at this cadence. `None` (the default)
+    /// When set, a background thread pings every shard at this cadence,
+    /// failing dead replicas over between probes. `None` (the default)
     /// leaves failure detection entirely to the probe path.
     pub health_interval: Option<Duration>,
 }
@@ -225,7 +238,7 @@ impl FleetConfig {
     /// block.
     #[must_use]
     pub fn cli_help() -> &'static str {
-        "  --retries N             extra failover attempts per probe (default 3)\n  \
+        "  --retries N             extra failover attempts per request (default 3)\n  \
          --backoff-ms MS         delay before the first retry, doubling per attempt (default 10)\n  \
          --backoff-cap-ms MS     ceiling for the doubled backoff delay (default 200)\n  \
          --io-timeout-ms MS      per-operation socket timeout (default 30000)\n  \
@@ -234,175 +247,25 @@ impl FleetConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Per-shard client: connection slot + generation + failover sweep.
-
-/// The connection slot of one shard: the current client (if any) and a
-/// monotonically increasing generation. Every reconnect and every
-/// invalidation bumps the generation, so walk states tagged with an old
-/// generation can never be replayed against a newer connection.
-struct Slot {
-    client: Option<Arc<RemoteBackend>>,
-    generation: u64,
-}
-
-/// One shard of the fleet: replica rotation, connection slot, and the
-/// typed-error retry/failover sweep.
-struct ShardClient {
-    index: usize,
-    /// Shard corpus size learned at bring-up; every replica must agree.
-    expected_len: usize,
-    /// Full corpus schema; every replica must agree.
-    schema: Schema,
-    replicas: Mutex<Vec<String>>,
-    /// Start index of the next reconnect sweep (bumped on failover so the
-    /// sweep begins at the next replica, not the one that just died).
-    cursor: AtomicUsize,
-    slot: Mutex<Slot>,
-    failovers: AtomicU64,
-    cfg: Arc<FleetConfig>,
-}
-
-impl ShardClient {
-    /// The current client and its generation, without touching the
-    /// network.
-    fn snapshot(&self) -> Option<(u64, Arc<RemoteBackend>)> {
-        let slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
-        slot.client.as_ref().map(|c| (slot.generation, Arc::clone(c)))
-    }
-
-    /// Drops the connection of `generation` (if still current) so the
-    /// next acquire reconnects — possibly to a different replica. The
-    /// generation guard makes concurrent invalidations of the same dead
-    /// client count as one failover.
-    fn invalidate(&self, generation: u64) {
-        let mut slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
-        if slot.generation == generation && slot.client.is_some() {
-            slot.client = None;
-            slot.generation += 1;
-            self.failovers.fetch_add(1, Ordering::Relaxed);
-            self.cursor.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// The current client, connecting if the slot is empty: one sweep
-    /// over the replica rotation, validating that the replica serves
-    /// this shard (schema + shard corpus size) before installing it.
-    fn acquire(&self) -> Result<(u64, Arc<RemoteBackend>)> {
-        if let Some(got) = self.snapshot() {
-            return Ok(got);
-        }
-        let replicas = self.replicas.lock().unwrap_or_else(|p| p.into_inner()).clone();
-        if replicas.is_empty() {
-            return Err(HdbError::Transport(format!(
-                "shard {}: no replicas configured",
-                self.index
-            )));
-        }
-        let n = replicas.len();
-        let start = self.cursor.load(Ordering::Relaxed);
-        let mut last: Option<HdbError> = None;
-        for off in 0..n {
-            let idx = (start + off) % n;
-            let addr = replicas[idx].clone();
-            match RemoteBackend::connect_with(addr.clone(), self.cfg.io_timeout) {
-                Ok(client) => {
-                    if client.schema() != &self.schema || client.len() != self.expected_len {
-                        last = Some(HdbError::Transport(format!(
-                            "shard {} replica {addr} serves a different corpus \
-                             ({} rows vs the expected {})",
-                            self.index,
-                            client.len(),
-                            self.expected_len,
-                        )));
-                        continue;
-                    }
-                    self.cursor.store(idx, Ordering::Relaxed);
-                    let client = Arc::new(client);
-                    let mut slot = self.slot.lock().unwrap_or_else(|p| p.into_inner());
-                    if let Some(existing) = &slot.client {
-                        // A concurrent acquire won the race; use its client.
-                        return Ok((slot.generation, Arc::clone(existing)));
-                    }
-                    slot.generation += 1;
-                    slot.client = Some(Arc::clone(&client));
-                    return Ok((slot.generation, client));
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| {
-            HdbError::Transport(format!("shard {}: no replica reachable", self.index))
-        }))
-    }
-
-    /// Runs `op` against a live client with the shard's full failover
-    /// budget: on a Transport error the connection is invalidated and the
-    /// next attempt (after bounded exponential backoff) sweeps the
-    /// replica rotation for a survivor. Non-transport errors are typed
-    /// answers, not connectivity, and surface immediately. Exhausting the
-    /// budget surfaces the last Transport error — the owning `HiddenDb`
-    /// tallies that probe as `Errored`.
-    fn with_client<T>(&self, op: impl Fn(&RemoteBackend) -> Result<T>) -> Result<T> {
-        let mut delay = self.cfg.backoff;
-        let mut last = HdbError::Transport(format!("shard {}: never attempted", self.index));
-        for attempt in 0..=self.cfg.retries {
-            if attempt > 0 {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(self.cfg.backoff_cap);
-            }
-            let (generation, client) = match self.acquire() {
-                Ok(got) => got,
-                Err(e) => {
-                    last = e;
-                    continue;
-                }
-            };
-            match op(&client) {
-                Ok(v) => return Ok(v),
-                Err(HdbError::Transport(e)) => {
-                    self.invalidate(generation);
-                    last = HdbError::Transport(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last)
-    }
-
-    /// The address currently serving this shard, if any.
-    fn current_addr(&self) -> Option<String> {
-        self.snapshot().map(|(_, c)| c.addr().to_string())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Walk states
 
-/// One shard's slice of a federated walk state: the remote state plus the
-/// connection generation that produced it. A generation mismatch at probe
-/// time means the shard failed over since — the state is ignored and the
-/// probe evaluates fresh (bit-identical), because a stale session id must
-/// never be presented to a different server.
-struct ShardWalk {
-    generation: u64,
-    state: WalkState,
-}
-
 /// The payload a [`FederatedBackend`] stores in a [`WalkState`]: one
-/// [`ShardWalk`] per shard, in shard order.
+/// shard walk per shard, in shard order.
 struct FedWalk {
-    shards: Vec<ShardWalk>,
+    shards: Vec<WalkState>,
 }
 
 // ---------------------------------------------------------------------------
 // Health checker
 
-/// Background health checks: a thread that pings serving shards and
-/// pre-warms reconnects for dark ones. Pacing is a condition-variable
-/// timed wait — the thread is parked for the whole interval and woken
-/// instantly at shutdown, instead of polling a stop flag in sleep
-/// slices — and it never reads a clock or touches results, only
-/// connection slots.
+/// Background health checks: a thread that pings every shard once per
+/// tick. A ping to a dead replica fails over inside the shard client's
+/// retry loop and leaves a checked connection to the survivor in its
+/// pool, so the next probe does not pay the reconnect. Pacing is a
+/// condition-variable timed wait — the thread is parked for the whole
+/// interval and woken instantly at shutdown, instead of polling a stop
+/// flag in sleep slices — and it never reads a clock or touches results,
+/// only connections.
 struct HealthChecker {
     /// `(stopped, wakeup)`: Drop sets the flag and notifies, ending the
     /// thread's timed wait immediately.
@@ -414,7 +277,7 @@ struct HealthChecker {
 }
 
 impl HealthChecker {
-    fn spawn(shards: Vec<Arc<ShardClient>>, interval: Duration) -> Option<Self> {
+    fn spawn(shards: Vec<Arc<RemoteBackend>>, interval: Duration) -> Option<Self> {
         let state = Arc::new((Mutex::new(false), Condvar::new()));
         let probes = Arc::new(AtomicU64::new(0));
         let shared = Arc::clone(&state);
@@ -424,18 +287,9 @@ impl HealthChecker {
             .spawn(move || loop {
                 for shard in &shards {
                     tally.fetch_add(1, Ordering::Relaxed);
-                    match shard.snapshot() {
-                        Some((generation, client)) => {
-                            if client.ping().is_err() {
-                                shard.invalidate(generation);
-                            }
-                        }
-                        None => {
-                            // Dark shard: try to restore coverage so the
-                            // next probe doesn't pay the reconnect.
-                            let _ = shard.acquire();
-                        }
-                    }
+                    // A failed ping has already failed over as far as
+                    // the retry budget reached; the next tick goes on.
+                    let _ = shard.ping();
                 }
                 let (stopped, wakeup) = &*shared;
                 let guard = stopped.lock().unwrap_or_else(|p| p.into_inner());
@@ -480,7 +334,8 @@ impl Drop for HealthChecker {
 pub struct FederatedBackend {
     schema: Schema,
     len: usize,
-    shards: Vec<Arc<ShardClient>>,
+    /// One client per shard, each holding that shard's replica rotation.
+    shards: Vec<Arc<RemoteBackend>>,
     workers: usize,
     /// Persistent helper threads for per-probe shard fan-out; `None` when
     /// `workers == 1`.
@@ -518,58 +373,22 @@ impl FederatedBackend {
     /// # Errors
     /// Same as [`FederatedBackend::connect`].
     pub fn connect_with(topology: Topology, cfg: FleetConfig) -> Result<Self> {
-        if topology.shards.is_empty() {
-            return Err(HdbError::Transport("federated topology has no shards".into()));
-        }
         let workers = cfg.workers.max(1);
-        let cfg = Arc::new(cfg);
-        let mut shards: Vec<Arc<ShardClient>> = Vec::with_capacity(topology.shards.len());
-        let mut schema: Option<Schema> = None;
+        let mut shards: Vec<Arc<RemoteBackend>> = Vec::with_capacity(topology.shards.len());
         for (index, replicas) in topology.shards.into_iter().enumerate() {
-            if replicas.is_empty() {
-                return Err(HdbError::Transport(format!("shard {index} has no replicas")));
+            let client = RemoteBackend::connect_with(replicas, cfg.clone())?;
+            if shards.first().is_some_and(|first| first.schema() != client.schema()) {
+                return Err(HdbError::Transport(format!(
+                    "shard {index} replica {} disagrees on the corpus schema",
+                    client.addr(),
+                )));
             }
-            let mut connected: Option<(usize, RemoteBackend)> = None;
-            let mut last: Option<HdbError> = None;
-            for (idx, addr) in replicas.iter().enumerate() {
-                match RemoteBackend::connect_with(addr.clone(), cfg.io_timeout) {
-                    Ok(client) => {
-                        connected = Some((idx, client));
-                        break;
-                    }
-                    Err(e) => last = Some(e),
-                }
-            }
-            let Some((idx, client)) = connected else {
-                return Err(last.unwrap_or_else(|| {
-                    HdbError::Transport(format!("shard {index}: no replica reachable"))
-                }));
-            };
-            match &schema {
-                None => schema = Some(client.schema().clone()),
-                Some(s) if s == client.schema() => {}
-                Some(_) => {
-                    return Err(HdbError::Transport(format!(
-                        "shard {index} replica {} disagrees on the corpus schema",
-                        client.addr(),
-                    )))
-                }
-            }
-            shards.push(Arc::new(ShardClient {
-                index,
-                expected_len: client.len(),
-                schema: client.schema().clone(),
-                replicas: Mutex::new(replicas),
-                cursor: AtomicUsize::new(idx),
-                slot: Mutex::new(Slot { client: Some(Arc::new(client)), generation: 1 }),
-                failovers: AtomicU64::new(0),
-                cfg: Arc::clone(&cfg),
-            }));
+            shards.push(Arc::new(client));
         }
-        let Some(schema) = schema else {
+        let Some(schema) = shards.first().map(|s| s.schema().clone()) else {
             return Err(HdbError::Transport("federated topology has no shards".into()));
         };
-        let len = shards.iter().map(|s| s.expected_len).sum();
+        let len = shards.iter().map(|s| s.len()).sum();
         let pool = (workers > 1 && shards.len() > 1)
             .then(|| Arc::new(WorkerPool::new(workers - 1)));
         let health = cfg
@@ -587,7 +406,7 @@ impl FederatedBackend {
     /// Rows held by shard `i` (0 when out of range).
     #[must_use]
     pub fn shard_len(&self, i: usize) -> usize {
-        self.shards.get(i).map_or(0, |s| s.expected_len)
+        self.shards.get(i).map_or(0, |s| s.len())
     }
 
     /// The configured evaluation worker count.
@@ -596,19 +415,20 @@ impl FederatedBackend {
         self.workers
     }
 
-    /// Total failovers so far (connections invalidated after a Transport
-    /// error or a drain of the serving replica).
+    /// Total failovers so far: serving replicas abandoned after a failed
+    /// exchange or a drain ([`RemoteBackend::failover_count`] summed over
+    /// the shards).
     #[must_use]
     pub fn failover_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.failovers.load(Ordering::Relaxed)).sum()
+        self.shards.iter().map(|s| s.failover_count()).sum()
     }
 
-    /// Per-shard serving state: `true` when the shard currently holds a
-    /// live connection (a `false` shard reconnects on the next probe or
-    /// health tick).
+    /// Per-shard serving state ([`RemoteBackend::serving`]): `false`
+    /// from a failure until the shard's next request or health tick has
+    /// checked a survivor.
     #[must_use]
     pub fn shard_health(&self) -> Vec<bool> {
-        self.shards.iter().map(|s| s.snapshot().is_some()).collect()
+        self.shards.iter().map(|s| s.serving()).collect()
     }
 
     /// Shards visited by the background health checker so far (0 when
@@ -619,10 +439,17 @@ impl FederatedBackend {
         self.health.as_ref().map_or(0, HealthChecker::probe_count)
     }
 
-    /// The address currently serving shard `i`, if any.
+    /// The address shard `i`'s requests go to (`None` when out of range).
     #[must_use]
     pub fn shard_addr(&self, i: usize) -> Option<String> {
-        self.shards.get(i).and_then(|s| s.current_addr())
+        self.shards.get(i).map(|s| s.addr())
+    }
+
+    fn shard(&self, i: usize) -> Result<&RemoteBackend> {
+        self.shards
+            .get(i)
+            .map(AsRef::as_ref)
+            .ok_or_else(|| HdbError::Transport(format!("no such shard: {i}")))
     }
 
     /// Registers `addr` as an additional replica of `shard` — the live
@@ -632,42 +459,20 @@ impl FederatedBackend {
     /// # Errors
     /// [`HdbError::Transport`] when `shard` is out of range.
     pub fn add_replica(&self, shard: usize, addr: impl Into<String>) -> Result<()> {
-        let Some(client) = self.shards.get(shard) else {
-            return Err(HdbError::Transport(format!("no such shard: {shard}")));
-        };
-        let addr = addr.into();
-        let mut replicas = client.replicas.lock().unwrap_or_else(|p| p.into_inner());
-        if !replicas.iter().any(|a| a == &addr) {
-            replicas.push(addr);
-        }
+        self.shard(shard)?.add_replica(addr);
         Ok(())
     }
 
-    /// Removes `addr` from `shard`'s rotation. If it was the serving
-    /// replica its connection is invalidated, so the next probe fails
-    /// over to the survivors — the drain half of a topology handoff.
-    /// Returns whether the address was present.
+    /// Removes `addr` from `shard`'s rotation ([`RemoteBackend::drain`]):
+    /// if it was the serving replica, the next probe fails over to the
+    /// survivors — the drain half of a topology handoff. Returns whether
+    /// the address was present.
     ///
     /// # Errors
-    /// [`HdbError::Transport`] when `shard` is out of range.
+    /// [`HdbError::Transport`] when `shard` is out of range or `addr` is
+    /// its last replica.
     pub fn drain(&self, shard: usize, addr: &str) -> Result<bool> {
-        let Some(client) = self.shards.get(shard) else {
-            return Err(HdbError::Transport(format!("no such shard: {shard}")));
-        };
-        let removed = {
-            let mut replicas = client.replicas.lock().unwrap_or_else(|p| p.into_inner());
-            let before = replicas.len();
-            replicas.retain(|a| a != addr);
-            replicas.len() != before
-        };
-        if removed {
-            if let Some((generation, current)) = client.snapshot() {
-                if current.addr() == addr {
-                    client.invalidate(generation);
-                }
-            }
-        }
-        Ok(removed)
+        self.shard(shard)?.drain(addr)
     }
 
     /// Runs one closure per shard — on the persistent pool when one is
@@ -707,43 +512,6 @@ impl FederatedBackend {
             }
         }
     }
-
-    /// The walk slice for shard `i` from a federated parent state, if the
-    /// parent has one for this shard and its generation is still current.
-    fn usable_walk<'a>(&self, fed: Option<&'a FedWalk>, i: usize) -> Option<&'a ShardWalk> {
-        let fed = fed?;
-        let sw = fed.shards.get(i)?;
-        (sw.generation > 0).then_some(sw)
-    }
-
-    /// One shard's classification for an incremental probe: the walk
-    /// fast path when the shard connection still matches the state's
-    /// generation, failover + fresh evaluation otherwise.
-    fn shard_classify_from(
-        &self,
-        i: usize,
-        fed: Option<&FedWalk>,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-    ) -> Result<Classified> {
-        let Some(shard) = self.shards.get(i) else {
-            return Err(HdbError::Transport(format!("no such shard: {i}")));
-        };
-        if let Some(sw) = self.usable_walk(fed, i) {
-            if let Some((generation, client)) = shard.snapshot() {
-                if generation == sw.generation {
-                    match client.classify_from(&sw.state, child, pred, k) {
-                        Ok(c) => return Ok(c),
-                        Err(HdbError::Transport(_)) => shard.invalidate(generation),
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        }
-        let ev = shard.with_client(|c| c.evaluate(child, k, &RowIdRanking))?;
-        Ok(Classified::from_evaluation(ev, k))
-    }
 }
 
 impl SearchBackend for FederatedBackend {
@@ -771,22 +539,14 @@ impl SearchBackend for FederatedBackend {
 
     fn evaluate(&self, q: &Query, k: usize, ranking: &dyn RankingFunction) -> Result<Evaluation> {
         let partials = self.try_per_shard(|i| {
-            let Some(shard) = self.shards.get(i) else {
-                return Err(HdbError::Transport(format!("no such shard: {i}")));
-            };
-            let ev = shard.with_client(|c| c.evaluate(q, k, ranking))?;
+            let ev = self.shard(i)?.evaluate(q, k, ranking)?;
             Ok((ev.count, ev.top))
         })?;
         Ok(merge_partials(&self.schema, partials, k, ranking))
     }
 
     fn exact_count(&self, q: &Query) -> Result<usize> {
-        let counts = self.try_per_shard(|i| {
-            let Some(shard) = self.shards.get(i) else {
-                return Err(HdbError::Transport(format!("no such shard: {i}")));
-            };
-            shard.with_client(|c| c.exact_count(q))
-        })?;
+        let counts = self.try_per_shard(|i| self.shard(i)?.exact_count(q))?;
         Ok(counts.into_iter().sum())
     }
 
@@ -806,11 +566,8 @@ impl SearchBackend for FederatedBackend {
         // float addition is not associative and this sum must be
         // bit-identical to the single-table (and local-sharded) one.
         let pages = self.try_per_shard(|i| {
-            let Some(shard) = self.shards.get(i) else {
-                return Err(HdbError::Transport(format!("no such shard: {i}")));
-            };
-            let all = shard.expected_len.max(1);
-            let ev = shard.with_client(|c| c.evaluate(q, all, &RowIdRanking))?;
+            let shard = self.shard(i)?;
+            let ev = shard.evaluate(q, shard.len().max(1), &RowIdRanking)?;
             if ev.count != ev.top.len() {
                 return Err(HdbError::Transport(format!(
                     "shard {i} returned {} of {} matches for an exact sum",
@@ -840,13 +597,8 @@ impl SearchBackend for FederatedBackend {
     }
 
     fn walk_state(&self, q: &Query) -> WalkState {
-        let shards = self.per_shard(|i| match self.shards.get(i).and_then(|s| s.snapshot()) {
-            Some((generation, client)) => {
-                ShardWalk { generation, state: client.walk_state(q) }
-            }
-            // Dark shard: no session; probes through this slice fail over
-            // and evaluate fresh (generation 0 never matches a slot).
-            None => ShardWalk { generation: 0, state: WalkState::fallback() },
+        let shards = self.per_shard(|i| {
+            self.shards.get(i).map_or_else(WalkState::fallback, |s| s.walk_state(q))
         });
         WalkState::with_payload(FedWalk { shards })
     }
@@ -861,28 +613,11 @@ impl SearchBackend for FederatedBackend {
         let Some(fed) = parent.payload::<FedWalk>() else {
             return self.walk_state(child);
         };
-        let shards = self.per_shard(|i| {
-            let parent_walk = fed.shards.get(i);
-            match self.shards.get(i).and_then(|s| s.snapshot()) {
-                Some((generation, client)) => match parent_walk {
-                    // Still the connection that produced the parent state:
-                    // zero-RTT lazy extend (the RemoteBackend pends it).
-                    Some(sw) if sw.generation == generation => ShardWalk {
-                        generation,
-                        state: client.extend_state(
-                            &sw.state,
-                            child,
-                            pred,
-                            WalkState::fallback(),
-                        ),
-                    },
-                    // The shard failed over since: re-root a session at
-                    // the child on the new connection so the subtree
-                    // below stays incremental.
-                    _ => ShardWalk { generation, state: client.walk_state(child) },
-                },
-                None => ShardWalk { generation: 0, state: WalkState::fallback() },
+        let shards = self.per_shard(|i| match (self.shards.get(i), fed.shards.get(i)) {
+            (Some(shard), Some(walk)) => {
+                shard.extend_state(walk, child, pred, WalkState::fallback())
             }
+            _ => WalkState::fallback(),
         });
         WalkState::with_payload(FedWalk { shards })
     }
@@ -895,8 +630,10 @@ impl SearchBackend for FederatedBackend {
         k: usize,
     ) -> Result<Classified> {
         let fed = parent.payload::<FedWalk>();
-        let parts =
-            self.try_per_shard(|i| self.shard_classify_from(i, fed, child, pred, k))?;
+        let parts = self.try_per_shard(|i| {
+            let walk = fed.and_then(|f| f.shards.get(i));
+            self.shard(i)?.classify_from(walk.unwrap_or(&WalkState::fallback()), child, pred, k)
+        })?;
         let count: usize = parts.iter().map(|c| c.count).sum();
         let page = if (1..=k).contains(&count) {
             // Valid globally ⇒ every shard count ≤ k, so every non-empty

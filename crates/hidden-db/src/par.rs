@@ -233,14 +233,11 @@ struct GateSlot {
 
 /// A persistent pool of worker threads.
 ///
-/// Two entry points share the queue:
-///
-/// * [`WorkerPool::execute`] runs an owned (`'static`) job;
-/// * [`WorkerPool::fan_out`] runs a *scoped* fan-out over borrowed data —
-///   how [`ShardedDb`](crate::ShardedDb) evaluates shards per probe
-///   without paying a thread spawn per AND (the calling thread always
-///   participates, so a busy pool degrades to in-thread execution, never
-///   to a deadlock).
+/// [`WorkerPool::fan_out`] runs a *scoped* fan-out over borrowed data —
+/// how [`ShardedDb`](crate::ShardedDb) evaluates shards per probe without
+/// paying a thread spawn per AND. Its helpers ride the pool's job queue
+/// as owned jobs, and the calling thread always participates, so a busy
+/// pool degrades to in-thread execution, never to a deadlock.
 ///
 /// Dropping the pool finishes the jobs currently running, discards any
 /// still queued, and joins the threads.
@@ -315,7 +312,7 @@ impl WorkerPool {
 
     /// Enqueues an owned job; some pool thread runs it eventually. Jobs
     /// are claimed in FIFO order.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+    fn execute(&self, job: impl FnOnce() + Send + 'static) {
         let mut q = self.inner.queue.lock().expect("pool queue poisoned");
         if q.shutdown {
             return; // racing a drop: the job is discarded, like the rest of the queue

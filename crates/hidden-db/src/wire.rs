@@ -598,9 +598,8 @@ impl Request {
     /// The one exception is [`Request::WalkOpen`]: every send allocates a
     /// **fresh** session id, so a blind replay leaks a session and — far
     /// worse — leaves the client unsure *which* sid its later messages
-    /// commit into. The retry paths in `remote` consult this method and
-    /// refuse to replay such requests; callers route them through the
-    /// single-attempt API instead.
+    /// commit into. The retry loop in `remote` consults this method and
+    /// never sends such a request again once it was written.
     #[must_use]
     pub fn replayable(&self) -> bool {
         !matches!(self, Self::WalkOpen { .. })

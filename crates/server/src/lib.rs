@@ -36,7 +36,11 @@
 //! stack-disciplined, so a retract is simply the client extending from a
 //! shallower level), then classifies against the level the last one
 //! pushed — all under the session's stack lock, so a chain commits
-//! atomically against concurrent probes of the same session. Sessions
+//! atomically against concurrent probes of the same session. Each step's
+//! query, and the probe's, must be the query below it plus its
+//! predicate; a probe that names a level it does not extend (another
+//! walk's sid, say after a restart) is treated like a missing session,
+//! so it can never be answered from another walk's state. Sessions
 //! die on `WalkClose`, or by LRU eviction (O(log n) via an explicit
 //! recency order) once the table exceeds its cap — an evicted session is
 //! *not* an error: a probe without extends falls back to fresh
@@ -432,19 +436,28 @@ fn validate_steps(schema: &Schema, steps: &[WalkStep]) -> Result<()> {
     })
 }
 
+/// Whether `child` is `below` with `pred` appended — how every walk
+/// builds a child (`Query::and` appends).
+fn extends_level(below: &Query, pred: Predicate, child: &Query) -> bool {
+    child.predicates().split_last() == Some((&pred, below.predicates()))
+}
+
 /// Classifies `child` (= the read level's query ∧ `pred`) against the
 /// level a walk probe reads. With no `extends`, that is `parent_level`
 /// itself; a missing session, a poisoned stack (some probe panicked
-/// mid-update, so its contents are suspect) or a retired level leaves no
-/// state, and the probe evaluates fresh — bit-identical, one
-/// intersection slower. Otherwise the steps are pushed above
-/// `parent_level`, truncating anything deeper first (the walk is
-/// stack-disciplined, and the truncation makes a replayed chain
-/// idempotent), and the probe reads the level the last step pushed,
-/// under the same lock. A chain that cannot commit — missing or poisoned
-/// session (a poisoned one is closed), retired parent level, or a stack
-/// deeper than the schema is wide — answers `SessionGone` and commits
-/// nothing, so the client re-roots.
+/// mid-update, so its contents are suspect), a retired level, or a level
+/// whose query `child` does not extend by `pred` (the sid is some other
+/// walk's, say one handed out by a restarted server) leaves no state,
+/// and the probe evaluates fresh — bit-identical, one intersection
+/// slower. Otherwise the steps are pushed above `parent_level`,
+/// truncating anything deeper first (the walk is stack-disciplined, and
+/// the truncation makes a replayed chain idempotent), and the probe
+/// reads the level the last step pushed, under the same lock. A chain
+/// that cannot commit — missing or poisoned session (a poisoned one is
+/// closed), retired parent level, a stack deeper than the schema is
+/// wide, or a step or probe that does not extend the query below it by
+/// its predicate — answers `SessionGone` and commits nothing, so the
+/// client re-roots.
 fn walk_probe<B: SearchBackend>(
     inner: &Inner<B>,
     sid: u64,
@@ -467,7 +480,8 @@ fn walk_probe<B: SearchBackend>(
     let parent = parent_level as usize;
     if extends.is_empty() {
         let stack = entry.as_ref().and_then(|e| e.stack.lock().ok());
-        return classify(stack.as_ref().and_then(|s| s.get(parent)).map(|l| &l.state));
+        let level = stack.as_ref().and_then(|s| s.get(parent));
+        return classify(level.filter(|l| extends_level(&l.query, pred, child)).map(|l| &l.state));
     }
     let Some(entry) = entry else { return Ok(Response::SessionGone) };
     // Depth cap: a legitimate walk commits at most one level per
@@ -480,7 +494,18 @@ fn walk_probe<B: SearchBackend>(
         inner.sessions.close(sid);
         return Ok(Response::SessionGone);
     };
-    if parent >= stack.len() {
+    // The whole chain must hang off the level it names, and the probe
+    // off the chain's last step, before anything is truncated.
+    let Some(mut below) = stack.get(parent).map(|l| &l.query) else {
+        return Ok(Response::SessionGone);
+    };
+    for step in &extends {
+        if !extends_level(below, step.pred, &step.child) {
+            return Ok(Response::SessionGone);
+        }
+        below = &step.child;
+    }
+    if !extends_level(below, pred, child) {
         return Ok(Response::SessionGone);
     }
     stack.truncate(parent + 1);
@@ -1347,6 +1372,36 @@ mod tests {
         rec.steps
     }
 
+    /// A probe naming a level whose query its child does not extend —
+    /// another walk's, as after a server restart hands the sid out again
+    /// — is never answered from that level: without extends it is
+    /// evaluated fresh, with extends it gets `SessionGone`, and the
+    /// session it named keeps its stack.
+    #[test]
+    fn a_probe_naming_another_walks_level_is_not_answered_from_it() {
+        let server = serve();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let sid = open(&mut stream);
+        let one = step(&Query::all(), 4, 1);
+        let two = step(&one.child, 3, 0);
+        let commit = classify(sid, 0, vec![one.clone(), two.clone()], &two.child, (2, 1));
+        assert!(matches!(ask(&mut stream, &commit), Response::Classified(_)));
+        // Another walk, three levels deep: 0=1, 1=0, 2=1.
+        let theirs = Query::all().and(0, 1).unwrap().and(1, 0).unwrap().and(2, 1).unwrap();
+        let probed = theirs.and(3, 1).unwrap();
+        let want = hdb_interface::Classified::from_evaluation(
+            TableBackend::new(table()).evaluate(&probed, 2, &hdb_interface::RowIdRanking).unwrap(),
+            2,
+        );
+        assert_eq!(want.page.iter().map(|t| t.id).collect::<Vec<_>>(), [13, 29]);
+        let fresh = classify(sid, 1, Vec::new(), &theirs, (3, 1));
+        assert_eq!(ask(&mut stream, &fresh), Response::Classified(want));
+        let chained = classify(sid, 1, vec![step(&theirs, 3, 1)], &probed, (4, 0));
+        assert_eq!(ask(&mut stream, &chained), Response::SessionGone);
+        assert_eq!(exported_steps(&server, sid), vec![one, two]);
+        server.shutdown();
+    }
+
     #[test]
     fn lru_eviction_follows_recency_not_sid_order() {
         let server = serve_with(ServerConfig { session_cap: 2, ..Default::default() });
@@ -1552,31 +1607,34 @@ mod tests {
             },
         );
         assert!(matches!(resp, Response::Error(HdbError::InvalidQuery(_))), "{resp:?}");
-        // A client extending past one-level-per-attribute (the wire child
-        // query need not be consistent with the claimed level) must hit
-        // the depth cap instead of inflating the state stack unboundedly.
+        // A client extending past one-level-per-attribute must be stopped
+        // instead of inflating the state stack unboundedly. Every step
+        // must extend the level below it (the server's level check), and
+        // a query constrains each attribute once, so a walk commits at
+        // most one level per attribute: here four, each probed with the
+        // fifth attribute still free.
         let sid = open(&mut stream);
         let root = Query::all();
-        let zero = step(&root, 0, 0);
-        let mut capped = false;
-        for level in 0..10u32 {
-            match ask(&mut stream, &classify(sid, level, vec![zero.clone()], &root, (1, 0))) {
-                Response::Classified(_) => {}
-                Response::SessionGone => {
-                    assert!(level >= 5, "cap must allow legitimate depths, hit at {level}");
-                    capped = true;
-                    break;
-                }
-                other => panic!("unexpected {other:?}"),
+        let mut below = root.clone();
+        for level in 0..4u32 {
+            let next = step(&below, level as usize, 0);
+            match ask(&mut stream, &classify(sid, level, vec![next.clone()], &next.child, (4, 0))) {
+                Response::Classified(_) => below = next.child,
+                other => panic!("cap must allow legitimate depths, hit at {level}: {other:?}"),
             }
         }
-        assert!(capped, "extend depth must be capped at the schema width");
-        // A single chain deeper than the schema is wide is refused whole,
-        // before any push.
-        let fresh = open(&mut stream);
-        let chain = vec![zero; 6];
-        assert_eq!(ask(&mut stream, &classify(fresh, 0, chain, &root, (1, 0))), Response::SessionGone);
-        assert_eq!(exported_steps(&server, fresh), Vec::new());
+        // A chain that does not extend the level it names, or that runs
+        // deeper than the schema is wide, is refused whole, before any
+        // push.
+        let zero = step(&root, 0, 0);
+        for (level, chain) in [(4, vec![zero.clone()]), (0, vec![zero; 6])] {
+            assert_eq!(
+                ask(&mut stream, &classify(sid, level, chain, &root, (1, 0))),
+                Response::SessionGone,
+                "extend depth must be capped at the schema width"
+            );
+        }
+        assert_eq!(exported_steps(&server, sid).len(), 4);
         server.shutdown();
     }
 

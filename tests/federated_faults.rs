@@ -12,17 +12,19 @@
 //! wire at exact frame boundaries. Every test is seeded and
 //! deterministic.
 
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use hdb_core::UnbiasedSizeEstimator;
 use hdb_interface::wire::{read_frame, write_frame, Request, Response};
 use hdb_interface::{
-    FederatedBackend, FleetConfig, HdbError, HiddenDb, Predicate, Query, RankingSpec, Schema,
-    SearchBackend, ShardedDb, Table, TopKInterface, Topology, Tuple, WalkStep,
+    AttrId, Evaluation, FederatedBackend, FleetConfig, HdbError, HiddenDb, Predicate, Query,
+    RankingFunction, RankingSpec, RemoteBackend, Schema, SearchBackend, ShardedDb, Table,
+    TableBackend, TopKInterface, Topology, Tuple, TupleId, WalkStep,
 };
 use hdb_repro::testkit::{Fault, FaultProxy, FaultSchedule};
-use hdb_server::{RunningServer, Server};
+use hdb_server::{RunningServer, Server, ServerConfig};
 
 /// A small deterministic boolean corpus.
 fn table(rows: u16, attrs: usize) -> Table {
@@ -64,6 +66,12 @@ fn test_cfg() -> FleetConfig {
         io_timeout: Duration::from_millis(250),
         ..FleetConfig::default()
     }
+}
+
+/// One raw-wire exchange on `stream`.
+fn ask(stream: &mut TcpStream, req: &Request) -> Response {
+    write_frame(stream, &req.encode().unwrap()).unwrap();
+    Response::decode(&read_frame(stream).unwrap().unwrap()).unwrap()
 }
 
 fn assert_ledger_partition<B: SearchBackend>(db: &HiddenDb<B>) {
@@ -126,8 +134,9 @@ fn killing_a_shard_mid_estimation_fails_over_bit_identically() {
 }
 
 /// The deterministic variant: probe, kill, probe. Walk states rooted on
-/// the dead primary carry a stale connection generation, so the failover
-/// path must re-root on the replica and still answer bit-identically.
+/// the dead primary name sessions the replica never opened, so the
+/// replica evaluates them fresh or the shard client re-roots there, and
+/// the answers stay bit-identical.
 #[test]
 fn walk_probes_survive_a_primary_kill_between_probes() {
     let t = table(48, 6);
@@ -150,7 +159,7 @@ fn walk_probes_survive_a_primary_kill_between_probes() {
     servers.remove(0).shutdown(); // shard 0's sessions die with it
 
     // Same session, same walk — the probes after the kill must come back
-    // identical through the replica (stale generation → fresh evaluation).
+    // identical through the replica (unknown session → fresh evaluation).
     for attr in 1..t.schema().len() {
         assert_eq!(
             lw.classify(attr, 1).unwrap(),
@@ -162,8 +171,72 @@ fn walk_probes_survive_a_primary_kill_between_probes() {
     assert_ledger_partition(&fed_db);
 }
 
-/// A garbled response frame is a typed decode failure, which the fleet
-/// treats like any transport fault: invalidate, fail over to the direct
+/// The replica a shard fails over to already holds a session under the
+/// fleet walk's sid — another client's walk, opened over raw wire — and
+/// the fleet's probes after the kill name that sid. The server's level
+/// check must keep every answer bit-identical to a local `ShardedDb`,
+/// and leave the other walk's session as it was.
+#[test]
+fn failover_onto_a_replica_reusing_the_sid_stays_bit_identical() {
+    let t = table(64, 6);
+    let (mut servers, mut topo) = fleet(&t, 1);
+    let standby = replica_of(&t, 1, 0);
+    topo.add_replica(0, standby.addr().to_string());
+
+    // Another walk commits four levels under sid 1 on the standby.
+    let mut other = TcpStream::connect(standby.addr()).unwrap();
+    let open = Request::WalkOpen { root: Query::all() };
+    assert_eq!(ask(&mut other, &open), Response::Session { sid: 1 });
+    let mut steps = Vec::new();
+    let mut below = Query::all();
+    for (attr, value) in [(1usize, 0u16), (2, 1), (3, 0), (4, 1)] {
+        below = below.and(attr, value).unwrap();
+        steps.push(WalkStep { pred: Predicate::new(attr, value), child: below.clone() });
+    }
+    let commit = Request::WalkClassify {
+        sid: 1,
+        parent_level: 0,
+        extends: steps.clone(),
+        child: below.and(5, 0).unwrap(),
+        pred: Predicate::new(5, 0),
+        k: 2,
+    };
+    assert!(matches!(ask(&mut other, &commit), Response::Classified(_)));
+
+    let federated = FederatedBackend::connect_with(topo, test_cfg()).unwrap();
+    let fed_db = HiddenDb::over(federated, 2);
+    let local = HiddenDb::over(ShardedDb::new(&t, 1), 2);
+    // The fleet's walk opens sid 1 on the primary and commits four
+    // levels of its own there.
+    let mut lw = local.walk_session(Query::all()).unwrap();
+    let mut fw = fed_db.walk_session(Query::all()).unwrap();
+    for (attr, value) in [(0usize, 1u16), (1, 1), (2, 0), (3, 1)] {
+        lw.extend(attr, value);
+        fw.extend(attr, value);
+        assert_eq!(lw.classify(5, 1).unwrap(), fw.classify(5, 1).unwrap());
+    }
+    servers.remove(0).shutdown();
+
+    // From the committed level 4 with no extends, then from level 3
+    // carrying a fresh extend: both name sid 1 on the standby.
+    for value in [0, 1] {
+        assert_eq!(lw.classify(4, value).unwrap(), fw.classify(4, value).unwrap());
+    }
+    lw.retract();
+    fw.retract();
+    lw.extend(3, 0);
+    fw.extend(3, 0);
+    for (attr, value) in [(4, 1), (4, 0), (5, 1)] {
+        assert_eq!(lw.classify(attr, value).unwrap(), fw.classify(attr, value).unwrap());
+    }
+    assert_eq!(local.queries_issued(), fed_db.queries_issued());
+    assert_ledger_partition(&fed_db);
+    let kept = standby.export_sessions().sessions.into_iter().find(|r| r.sid == 1).unwrap();
+    assert_eq!(kept.steps, steps, "the other walk's session must keep its stack");
+}
+
+/// A garbled response frame is a reply that did not decode, which the
+/// retry loop treats like no reply at all: fail over to the direct
 /// replica, re-probe — bit-identically.
 #[test]
 fn garbled_frame_fails_over_to_replica_bit_identically() {
@@ -196,12 +269,11 @@ fn garbled_frame_fails_over_to_replica_bit_identically() {
 }
 
 /// A connection reset before the reply to a walk probe carrying two
-/// extends forces `RemoteBackend`'s stale-retry to re-send the whole
-/// probe — which must be safe, because extends replay idempotently. The
-/// probe's answer stays bit-identical and the server's session holds the
-/// two steps once.
+/// extends makes the retry loop re-send the whole probe — which must be
+/// safe, because extends replay idempotently. The probe's answer stays
+/// bit-identical and the server's session holds the two steps once.
 #[test]
-fn mid_batch_reset_replays_idempotently() {
+fn reset_before_a_probes_reply_replays_its_extends_idempotently() {
     let t = table(64, 6);
     let (servers, _topo) = fleet(&t, 1);
 
@@ -254,10 +326,9 @@ fn mid_batch_reset_replays_idempotently() {
 /// probe carrying two extends, sent twice on one session, returns
 /// byte-identical responses both times (truncate-to-parent-then-push
 /// makes the second application a no-op), and the session's stack holds
-/// the two steps once. This is the idempotence `RemoteBackend`'s
-/// stale-retry relies on.
+/// the two steps once. This is the idempotence the retry loop relies on.
 #[test]
-fn batch_replay_is_idempotent_on_the_server() {
+fn probe_with_extends_replays_idempotently_on_the_server() {
     let t = table(64, 6);
     let (servers, _topo) = fleet(&t, 1);
     let mut stream = std::net::TcpStream::connect(servers[0].addr()).unwrap();
@@ -509,4 +580,122 @@ fn seeded_chaos_schedules_end_bit_identical_or_typed() {
         assert_ledger_partition(&fed_db);
         proxy.shutdown();
     }
+}
+
+/// A corpus whose evaluations never answer usefully. With no delay,
+/// each fails with a transport error the server sends back as an error
+/// frame; with a delay, each first sleeps that long, so a client whose
+/// `io_timeout` is shorter never sees a reply.
+struct Stubborn {
+    inner: TableBackend,
+    delay: Option<Duration>,
+}
+
+impl SearchBackend for Stubborn {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn evaluate(
+        &self,
+        _: &Query,
+        _: usize,
+        _: &dyn RankingFunction,
+    ) -> hdb_interface::Result<Evaluation> {
+        match self.delay {
+            None => Err(HdbError::Transport("the backend refused".into())),
+            Some(delay) => {
+                std::thread::sleep(delay);
+                Ok(Evaluation { count: 0, top: Vec::new() })
+            }
+        }
+    }
+
+    fn exact_count(&self, q: &Query) -> hdb_interface::Result<usize> {
+        self.inner.exact_count(q)
+    }
+
+    fn exact_sum(&self, attr: AttrId, q: &Query) -> hdb_interface::Result<f64> {
+        self.inner.exact_sum(attr, q)
+    }
+}
+
+fn issued(server: &RunningServer) -> u64 {
+    server.metrics().counters.get("hdb_queries_issued_total").copied().unwrap_or(0)
+}
+
+/// Retries are spent only where another attempt could be answered. A
+/// ranking with no wire spec fails on the client before a byte is sent,
+/// and an error frame is the server's answer: each surfaces typed at
+/// once, with no failover, the first having reached no server and the
+/// second having been evaluated once.
+#[test]
+fn answers_and_client_side_errors_are_never_retried() {
+    struct Opaque;
+    impl RankingFunction for Opaque {
+        fn score(&self, _s: &Schema, id: TupleId, _t: &Tuple) -> f64 {
+            -f64::from(id)
+        }
+    }
+    let t = table(16, 4);
+    let (servers, topo) = fleet(&t, 1);
+    let federated = FederatedBackend::connect_with(topo, test_cfg()).unwrap();
+    let frames = servers[0].frame_count();
+    let db = HiddenDb::over(federated, 2).with_ranking(Arc::new(Opaque));
+    match db.query(&Query::all()) {
+        Err(HdbError::Transport(msg)) => assert!(msg.contains("wire spec"), "{msg}"),
+        other => panic!("expected a typed Transport error, got {other:?}"),
+    }
+    assert_eq!(db.backend().failover_count(), 0);
+    assert_eq!(servers[0].frame_count(), frames, "no frame may reach the server");
+
+    let refusing = Stubborn { inner: TableBackend::new(t), delay: None };
+    let server = Server::bind(refusing, "127.0.0.1:0").unwrap();
+    let topo = Topology::from_primaries([server.addr().to_string()]);
+    let db = HiddenDb::over(FederatedBackend::connect_with(topo, test_cfg()).unwrap(), 2);
+    match db.query(&Query::all()) {
+        Err(HdbError::Transport(msg)) => assert!(msg.contains("the backend refused"), "{msg}"),
+        other => panic!("expected the server's typed error, got {other:?}"),
+    }
+    assert_eq!(db.backend().failover_count(), 0);
+    assert_ledger_partition(&db);
+    let snap = server.metrics();
+    assert_eq!(issued(&server), 1, "an error frame must be asked for once");
+    assert_eq!(snap.counters.get("hdb_queries_errored_total"), Some(&1));
+}
+
+/// A request that never gets a reply is sent exactly `retries + 1`
+/// times: each probe outlasts the client's I/O timeout, so every attempt
+/// reaches the server's ledger and none comes back.
+#[test]
+fn a_request_that_never_gets_a_reply_is_sent_retries_plus_one_times() {
+    let delay = Some(Duration::from_millis(300));
+    let slow = Stubborn { inner: TableBackend::new(table(16, 4)), delay };
+    let config = ServerConfig { pool_threads: 4, ..ServerConfig::default() };
+    let server = Server::bind_with(slow, "127.0.0.1:0", config).unwrap();
+    let cfg = FleetConfig {
+        retries: 2,
+        backoff: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(2),
+        io_timeout: Duration::from_millis(100),
+        ..FleetConfig::default()
+    };
+    let remote = RemoteBackend::connect_with([server.addr().to_string()], cfg).unwrap();
+    let db = HiddenDb::over(remote, 2);
+    assert!(matches!(db.query(&Query::all()), Err(HdbError::Transport(_))));
+    assert_eq!(db.backend().retries_sent(), 2);
+    // The client has given up, so it sends nothing more; the server
+    // records each probe once its evaluation ends.
+    for _ in 0..500 {
+        if issued(&server) >= 3 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    std::thread::sleep(Duration::from_millis(400));
+    assert_eq!(issued(&server), 3, "retries + 1 sends");
 }

@@ -13,9 +13,9 @@ use std::time::Duration;
 
 use hdb_core::UnbiasedSizeEstimator;
 use hdb_interface::{
-    Attribute, AttributeRanking, HdbError, HiddenDb, Query, RankingFunction, RemoteBackend,
-    Schema, SearchBackend, SeededRandomRanking, SessionMode, ShardedDb, Table, TableBackend,
-    TopKInterface, Tuple, TupleId,
+    Attribute, AttributeRanking, FleetConfig, HdbError, HiddenDb, Query, RankingFunction,
+    RemoteBackend, Schema, SearchBackend, SeededRandomRanking, SessionMode, ShardedDb, Table,
+    TableBackend, TopKInterface, Tuple, TupleId,
 };
 use hdb_server::{RunningServer, Server};
 use proptest::prelude::*;
@@ -431,7 +431,8 @@ fn lying_server_surfaces_typed_transport_errors() {
 #[test]
 fn unreachable_address_is_a_typed_connect_error() {
     // Port 1 on loopback: nothing listens there.
-    match RemoteBackend::connect_with("127.0.0.1:1", Duration::from_secs(2)) {
+    let cfg = FleetConfig { io_timeout: Duration::from_secs(2), ..FleetConfig::default() };
+    match RemoteBackend::connect_with(["127.0.0.1:1"], cfg) {
         Err(HdbError::Transport(msg)) => assert!(msg.contains("connect"), "{msg}"),
         other => panic!("expected a typed connect error, got {other:?}"),
     }
