@@ -401,11 +401,7 @@ impl UnbiasedAggEstimator {
     ///
     /// The bitwise guarantee extends to `queries_spent` for interfaces
     /// whose per-query charge is history-independent (a plain
-    /// [`HiddenDb`](hdb_interface::HiddenDb) charges every issued query);
-    /// a concurrently raced cache such as
-    /// [`CachingInterface`](hdb_interface::CachingInterface) may charge a
-    /// racing duplicate miss, so there only the estimate and history are
-    /// scheduling-independent.
+    /// [`HiddenDb`](hdb_interface::HiddenDb) charges every issued query).
     ///
     /// # Errors
     /// Interface errors propagate, with two cases:
@@ -446,12 +442,8 @@ impl UnbiasedAggEstimator {
     /// interfaces whose per-query charge is history-independent it is a
     /// deterministic function of `(seed, query_budget, workers)`, because
     /// the spend compared at each barrier is the sum of deterministic
-    /// per-pass costs, not a mid-flight racy read. (Under a concurrently
-    /// raced cache such as
-    /// [`CachingInterface`](hdb_interface::CachingInterface), duplicate
-    /// misses can perturb the spend and hence the wave count.) Every
-    /// individual pass value is deterministic in its pass index
-    /// regardless.
+    /// per-pass costs, not a mid-flight racy read. Every individual pass
+    /// value is deterministic in its pass index regardless.
     ///
     /// # Errors
     /// Same contract as [`UnbiasedAggEstimator::run_parallel`]; a

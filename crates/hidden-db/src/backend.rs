@@ -18,11 +18,10 @@
 //!   distributed and remote-API substrates.
 //!
 //! [`HiddenDb`](crate::HiddenDb) is generic over the backend; the query
-//! accounting ([`QueryCounter`](crate::QueryCounter)), budgets, and the
-//! client-side [`CachingInterface`](crate::CachingInterface) therefore
-//! work unchanged over every substrate. Backends must agree **bit for
-//! bit**: for the same logical corpus, every implementation returns
-//! identical [`Evaluation`]s, which is what keeps estimator runs
+//! accounting ([`QueryCounter`](crate::QueryCounter)) and budgets
+//! therefore work unchanged over every substrate. Backends must agree
+//! **bit for bit**: for the same logical corpus, every implementation
+//! returns identical [`Evaluation`]s, which is what keeps estimator runs
 //! reproducible when the substrate is swapped (pinned by the
 //! backend-equivalence property tests).
 

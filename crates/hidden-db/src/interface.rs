@@ -106,9 +106,8 @@ pub struct ReturnedTuple {
 /// Result of issuing one query through the interface.
 ///
 /// Result pages are shared (`Arc`), so cloning an outcome — which the
-/// server-side hot memo and the client-side
-/// [`CachingInterface`](crate::CachingInterface) do on every hit — bumps
-/// a reference count instead of deep-cloning the top-k tuple vector.
+/// hot memo does on every hit — bumps a reference count instead of
+/// deep-cloning the top-k tuple vector.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum QueryOutcome {
     /// No tuple matches.
@@ -682,7 +681,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<HiddenDb>();
         assert_send_sync::<HiddenDb<crate::ShardedDb>>();
-        assert_send_sync::<crate::cache::CachingInterface<HiddenDb>>();
         assert_send_sync::<crate::counter::QueryCounter>();
         assert_send_sync::<Table>();
     }

@@ -58,7 +58,7 @@
 
 pub mod backend;
 pub mod bitmap;
-pub mod cache;
+mod cache;
 pub mod counter;
 pub mod error;
 pub mod federated;
@@ -79,7 +79,6 @@ pub mod tuple;
 pub mod wire;
 
 pub use backend::{Classified, EvalMode, Evaluation, SearchBackend, TableBackend, WalkState};
-pub use cache::{CachingInterface, ShardedMemo};
 pub use counter::QueryCounter;
 pub use error::{HdbError, Result};
 pub use federated::{FederatedBackend, FleetConfig, Topology};
@@ -96,9 +95,7 @@ pub use ranking::{AttributeRanking, RankingFunction, RankingSpec, RowIdRanking, 
 pub use remote::RemoteBackend;
 pub use schema::{AttrId, Attribute, Schema, ValueId};
 pub use sharded::ShardedDb;
-pub use storage::{
-    MemIo, PersistentBackend, RecoveryReport, SessionDump, SessionRecord, StdIo, StorageIo,
-    SyncPolicy, WalkStep,
-};
+pub use storage::{MemIo, PersistentBackend, RecoveryReport, StdIo, StorageIo, SyncPolicy};
 pub use table::Table;
 pub use tuple::{Tuple, TupleId};
+pub use wire::WalkStep;

@@ -56,8 +56,7 @@ use crate::obs::MetricsSnapshot;
 use crate::query::{Predicate, Query};
 use crate::ranking::{RankingFunction, RankingSpec};
 use crate::schema::{AttrId, Schema};
-use crate::storage::WalkStep;
-use crate::wire::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
+use crate::wire::{read_frame, write_frame, Request, Response, WalkStep, PROTOCOL_VERSION};
 
 /// Cap on pooled idle connections per client.
 const DEFAULT_MAX_IDLE: usize = 8;

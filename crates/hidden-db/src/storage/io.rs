@@ -34,24 +34,6 @@ pub enum SyncPolicy {
 }
 
 impl SyncPolicy {
-    /// Parses the `--fsync` CLI vocabulary: `always`, `never`, or
-    /// `every=N`.
-    ///
-    /// # Errors
-    /// A human-readable message naming the accepted forms.
-    pub fn parse(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "always" => Ok(Self::Always),
-            "never" => Ok(Self::Never),
-            _ => match s.strip_prefix("every=").map(str::parse::<u64>) {
-                Some(Ok(n)) if n > 0 => Ok(Self::EveryN(n)),
-                _ => Err(format!(
-                    "invalid --fsync value `{s}` (expected always, never, or every=N with N ≥ 1)"
-                )),
-            },
-        }
-    }
-
     /// Whether an append that brings the unsynced count to `unsynced`
     /// must fsync now.
     #[must_use]
@@ -358,15 +340,6 @@ impl StorageIo for Box<dyn StorageIo> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sync_policy_parses_the_cli_vocabulary() {
-        assert_eq!(SyncPolicy::parse("always"), Ok(SyncPolicy::Always));
-        assert_eq!(SyncPolicy::parse("never"), Ok(SyncPolicy::Never));
-        assert_eq!(SyncPolicy::parse("every=16"), Ok(SyncPolicy::EveryN(16)));
-        assert!(SyncPolicy::parse("every=0").is_err());
-        assert!(SyncPolicy::parse("sometimes").is_err());
-    }
 
     #[test]
     fn sync_policy_due() {

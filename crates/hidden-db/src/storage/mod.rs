@@ -8,7 +8,7 @@
 //! * [`wal`] — the length-prefixed, checksummed append log for tuple
 //!   ingest, with total scan/tail-classification;
 //! * [`snapshot`] — versioned, checksummed point-in-time images of the
-//!   corpus plus the server's walk-session table.
+//!   corpus.
 //!
 //! [`PersistentBackend`] composes them into a [`SearchBackend`] whose
 //! recovery (newest valid snapshot + WAL-tail replay + torn-tail
@@ -26,5 +26,5 @@ pub mod wal;
 
 pub use io::{MemIo, StdIo, StorageIo, SyncPolicy};
 pub use persistent::{PersistentBackend, RecoveryReport};
-pub use snapshot::{SessionDump, SessionRecord, SnapshotData, WalkStep};
+pub use snapshot::SnapshotData;
 pub use wal::{WalRecord, WalScan, WalTail};

@@ -62,8 +62,7 @@ use crate::tuple::Tuple;
 
 use super::io::{StdIo, StorageIo, SyncPolicy};
 use super::snapshot::{
-    decode_snapshot, encode_snapshot, parse_snapshot_name, snapshot_file_name, SessionDump,
-    SNAPSHOT_TMP,
+    decode_snapshot, encode_snapshot, parse_snapshot_name, snapshot_file_name, SNAPSHOT_TMP,
 };
 use super::wal::{self, WalOp, WalTail, WAL_FILE, WAL_MAGIC};
 
@@ -170,7 +169,6 @@ pub struct PersistentBackend {
     /// record), so it can be served by reference per the
     /// [`SearchBackend::schema`] contract.
     schema: Schema,
-    restored: SessionDump,
     recovery: RecoveryReport,
     state: RwLock<StoreState>,
 }
@@ -225,7 +223,7 @@ impl PersistentBackend {
     pub fn create_with(io: Box<dyn StorageIo>, policy: SyncPolicy, table: Table) -> Result<Self> {
         io.write(WAL_FILE, &WAL_MAGIC)?;
         io.sync(WAL_FILE)?;
-        write_snapshot(io.as_ref(), 0, &table, &SessionDump::default())?;
+        write_snapshot(io.as_ref(), 0, &table)?;
         let schema = table.schema().clone();
         let seen: BTreeSet<Tuple> = table.tuples().iter().cloned().collect();
         Ok(Self {
@@ -233,7 +231,6 @@ impl PersistentBackend {
             policy,
             obs: StorageObs::new(),
             schema,
-            restored: SessionDump::default(),
             recovery: RecoveryReport::default(),
             state: RwLock::new(StoreState {
                 backend: TableBackend::new(table),
@@ -279,8 +276,9 @@ impl PersistentBackend {
         }
         let Some(snap) = snap else {
             return Err(HdbError::Corrupt(format!(
-                "no valid snapshot in store ({} damaged candidate(s))",
-                report.skipped_snapshots.len()
+                "no valid snapshot in store ({} damaged candidate(s): {})",
+                report.skipped_snapshots.len(),
+                report.skipped_snapshots.join("; ")
             )));
         };
         report.base_seq = snap.next_seq;
@@ -379,7 +377,6 @@ impl PersistentBackend {
             policy,
             obs: StorageObs::new(),
             schema,
-            restored: snap.sessions,
             recovery: report,
             state: RwLock::new(StoreState {
                 backend: TableBackend::new(table),
@@ -441,13 +438,6 @@ impl PersistentBackend {
 
     fn write(&self) -> RwLockWriteGuard<'_, StoreState> {
         self.state.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The session table restored by recovery (empty for fresh stores);
-    /// `hdb-server` imports this on startup.
-    #[must_use]
-    pub fn restored_sessions(&self) -> &SessionDump {
-        &self.restored
     }
 
     /// What recovery found and did while opening this store.
@@ -516,8 +506,9 @@ impl PersistentBackend {
         Ok(())
     }
 
-    /// Writes a snapshot of the current corpus (no session state), then
-    /// compacts the WAL and prunes snapshots older than the new base.
+    /// Writes a snapshot of the current corpus, then compacts the WAL
+    /// and prunes snapshots older than the new base. Returns the
+    /// snapshot's file name.
     ///
     /// # Errors
     /// [`HdbError::Storage`] if any write in the atomic
@@ -527,20 +518,11 @@ impl PersistentBackend {
     /// (the log's on-disk state is no longer known); the snapshot
     /// itself survives either way.
     pub fn snapshot(&self) -> Result<String> {
-        self.snapshot_with_sessions(&SessionDump::default())
-    }
-
-    /// Writes a snapshot of the current corpus plus a server session
-    /// dump, and returns the snapshot's file name.
-    ///
-    /// # Errors
-    /// As [`PersistentBackend::snapshot`].
-    pub fn snapshot_with_sessions(&self, sessions: &SessionDump) -> Result<String> {
         // Write lock: the snapshot must be a point-in-time cut with no
         // concurrent ingest between reading next_seq and the table, and
         // no append may land between the publish and the WAL reset.
         let mut g = self.write();
-        let name = write_snapshot(self.io.as_ref(), g.next_seq, g.backend.table(), sessions)?;
+        let name = write_snapshot(self.io.as_ref(), g.next_seq, g.backend.table())?;
 
         // Compact: every WAL record is now covered by the snapshot just
         // published, so the log restarts empty. A crash before the reset
@@ -573,8 +555,8 @@ impl PersistentBackend {
         Ok(name)
     }
 
-    /// Flushes any unsynced WAL tail (used on graceful shutdown under
-    /// lazy sync policies).
+    /// Flushes any unsynced WAL tail (the end of an ingest stream under a
+    /// lazy sync policy).
     ///
     /// # Errors
     /// [`HdbError::Storage`] if the fsync fails (the store poisons
@@ -598,13 +580,8 @@ impl PersistentBackend {
 }
 
 /// Stages, fsyncs, and atomically publishes one snapshot file.
-fn write_snapshot(
-    io: &dyn StorageIo,
-    next_seq: u64,
-    table: &Table,
-    sessions: &SessionDump,
-) -> Result<String> {
-    let bytes = encode_snapshot(next_seq, table, sessions)?;
+fn write_snapshot(io: &dyn StorageIo, next_seq: u64, table: &Table) -> Result<String> {
+    let bytes = encode_snapshot(next_seq, table)?;
     let name = snapshot_file_name(next_seq);
     io.write(SNAPSHOT_TMP, &bytes)?;
     io.sync(SNAPSHOT_TMP)?;
@@ -869,20 +846,33 @@ mod tests {
         assert_eq!(got.tuples().len(), 3, "the ingested tuple matches the probe");
     }
 
+    /// A store whose only snapshot is damaged, or is a checksum-valid
+    /// version-1 file, fails to open typed, naming why.
     #[test]
     fn corrupt_only_snapshot_is_a_typed_open_error() {
-        let mem = MemIo::new();
-        let store = PersistentBackend::create_with(
-            boxed(&mem),
-            SyncPolicy::Always,
-            Table::empty(Schema::boolean(2)),
-        )
-        .unwrap();
-        drop(store);
-        mem.poke(&snapshot_file_name(0), 10, 0xFF);
-        assert!(matches!(
-            PersistentBackend::open_with(boxed(&mem), SyncPolicy::Always),
-            Err(HdbError::Corrupt(_))
-        ));
+        let name = snapshot_file_name(0);
+        let cases = [(None, "checksum mismatch"), (Some(1u32), "unsupported format version 1")];
+        for (version, why) in cases {
+            let mem = MemIo::new();
+            let table = Table::empty(Schema::boolean(2));
+            drop(PersistentBackend::create_with(boxed(&mem), SyncPolicy::Always, table).unwrap());
+            let mut bytes = mem.read(&name).unwrap().unwrap();
+            let crc_at = bytes.len() - 4;
+            match version {
+                // A flipped version byte the checksum catches.
+                None => bytes[10] ^= 0xFF,
+                // A well-formed file of another version: fresh checksum.
+                Some(v) => {
+                    bytes[8..12].copy_from_slice(&v.to_le_bytes());
+                    let crc = super::super::wal::crc32(&bytes[8..crc_at]);
+                    bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
+                }
+            }
+            mem.write(&name, &bytes).unwrap();
+            match PersistentBackend::open_with(boxed(&mem), SyncPolicy::Always) {
+                Err(HdbError::Corrupt(m)) => assert!(m.contains(why), "{m}"),
+                other => panic!("expected a typed Corrupt, got {other:?}"),
+            }
+        }
     }
 }

@@ -39,7 +39,6 @@ use crate::obs::{HistogramSnapshot, MetricsSnapshot};
 use crate::query::{Predicate, Query};
 use crate::ranking::RankingSpec;
 use crate::schema::{Attribute, Schema};
-use crate::storage::WalkStep;
 use crate::tuple::Tuple;
 
 /// Protocol version; [`Request::Hello`] / [`Response::Hello`] exchange it
@@ -54,6 +53,16 @@ pub const PROTOCOL_VERSION: u32 = 5;
 /// reply: a larger length prefix is treated as corrupt and rejected
 /// before allocation, and [`write_frame`] refuses a larger payload.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
+
+/// One extend a walk probe carries: the predicate the walk committed and
+/// the query of the level it pushes (the level below plus `pred`).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WalkStep {
+    /// The predicate the walk committed at this level.
+    pub pred: Predicate,
+    /// The full query of the level this step pushes.
+    pub child: Query,
+}
 
 /// One client → server message.
 #[derive(Clone, Debug, PartialEq)]
@@ -708,13 +717,13 @@ impl Request {
 }
 
 /// One walk step: the predicate, then the child query it pushes — the
-/// layout of a walk probe's extends and of a snapshotted session's steps.
-pub(crate) fn enc_step(e: &mut Enc, step: &WalkStep) -> Result<()> {
+/// layout of a walk probe's extends.
+fn enc_step(e: &mut Enc, step: &WalkStep) -> Result<()> {
     enc_predicate(e, step.pred)?;
     enc_query(e, &step.child)
 }
 
-pub(crate) fn dec_step(d: &mut Dec<'_>) -> Result<WalkStep> {
+fn dec_step(d: &mut Dec<'_>) -> Result<WalkStep> {
     let pred = dec_predicate(d)?;
     Ok(WalkStep { pred, child: dec_query(d)? })
 }

@@ -41,8 +41,9 @@
 //! predicate; a probe that names a level it does not extend (another
 //! walk's sid, say after a restart) is treated like a missing session,
 //! so it can never be answered from another walk's state. Sessions
-//! die on `WalkClose`, or by LRU eviction (O(log n) via an explicit
-//! recency order) once the table exceeds its cap — an evicted session is
+//! die on `WalkClose`, by LRU eviction (O(log n) via an explicit
+//! recency order) once the table exceeds its cap, or with the process —
+//! the table is soft state and is never persisted. A missing session is
 //! *not* an error: a probe without extends falls back to fresh
 //! evaluation (bit-identical, one intersection slower), and one with
 //! extends answers `SessionGone` so the client re-roots.
@@ -99,7 +100,7 @@ use hdb_interface::reactor::{Interest, Reactor, ReactorKind};
 use hdb_interface::wire::{write_frame, FrameBuf, Request, Response, PROTOCOL_VERSION};
 use hdb_interface::{
     HdbError, MetricsSnapshot, Predicate, Query, QueryCounter, Result, Schema, SearchBackend,
-    SessionDump, SessionRecord, WalkState, WalkStep,
+    WalkState, WalkStep,
 };
 
 /// The reactor token reserved for the listener; connections count up
@@ -152,15 +153,12 @@ impl Default for ServerConfig {
     }
 }
 
-/// One committed walk level: the materialised state plus the *recipe*
-/// that produced it (the level's query, and for levels ≥ 1 the
-/// predicate that extended the parent). The recipe is what snapshots
-/// persist — states are backend-internal and rebuild bit-identically
-/// from the recipe on import.
+/// One committed walk level: its query and the materialised state. Level
+/// 0 is the session root; above it, each level's query is the one below
+/// plus the predicate that extended it, which the level check in
+/// [`walk_probe`] enforces.
 struct Level {
     query: Query,
-    /// `None` exactly at level 0 (the root has no extending predicate).
-    pred: Option<Predicate>,
     state: WalkState,
 }
 
@@ -184,7 +182,10 @@ struct SessionTable {
 
 /// The server-side walk-session table: sid → state stack, LRU-capped
 /// with an explicit recency order (eviction is O(log n), not an O(n)
-/// scan — the C10K regime holds thousands of live sessions).
+/// scan — the C10K regime holds thousands of live sessions). It is soft
+/// state, held only in memory: a probe naming a session it lacks is
+/// answered bit-identically, fresh or by `SessionGone` and a client
+/// re-root.
 struct Sessions {
     table: Mutex<SessionTable>,
     next_sid: AtomicU64,
@@ -206,20 +207,14 @@ impl Sessions {
         }
     }
 
+    /// Opens a session rooted at `root`, evicting the stalest entry if
+    /// the table is at cap.
     fn open(&self, root: Query, root_state: WalkState) -> u64 {
         let sid = self.next_sid.fetch_add(1, Ordering::Relaxed);
         let touched = self.clock.fetch_add(1, Ordering::Relaxed);
         let entry = Arc::new(Session {
-            stack: Mutex::new(vec![Level { query: root, pred: None, state: root_state }]),
+            stack: Mutex::new(vec![Level { query: root, state: root_state }]),
         });
-        self.insert(sid, touched, entry);
-        sid
-    }
-
-    /// Inserts a session under an explicit `(sid, touched)` pair —
-    /// shared by [`Sessions::open`] and snapshot import — evicting the
-    /// stalest entry if the table is at cap.
-    fn insert(&self, sid: u64, touched: u64, entry: Arc<Session>) {
         // Poison recovery: the table holds plain data (the two maps are
         // re-synchronised on every mutation), so a panicked holder
         // leaves it fully usable.
@@ -234,41 +229,25 @@ impl Sessions {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        if let Some((old, _)) = t.by_sid.insert(sid, (touched, entry)) {
-            t.by_recency.remove(&(old, sid));
-        }
+        t.by_sid.insert(sid, (touched, entry));
         t.by_recency.insert((touched, sid));
+        sid
     }
 
-    /// Serialises every live session to its recipe (root query plus the
-    /// predicate/child chain). Sessions whose stack lock is poisoned are
-    /// skipped — their contents are suspect, exactly as probes treat
-    /// them.
-    fn export(&self) -> SessionDump {
-        let t = self.table.lock().unwrap_or_else(|p| p.into_inner());
-        let mut sessions = Vec::with_capacity(t.by_sid.len());
-        for (&sid, &(touched, ref entry)) in &t.by_sid {
-            let Ok(stack) = entry.stack.lock() else { continue };
-            let Some(root) = stack.first() else { continue };
-            let mut steps = Vec::with_capacity(stack.len().saturating_sub(1));
-            for level in stack.iter().skip(1) {
-                let Some(pred) = level.pred else { break };
-                steps.push(WalkStep { pred, child: level.query.clone() });
-            }
-            if steps.len() + 1 == stack.len() {
-                sessions.push(SessionRecord {
-                    sid,
-                    touched,
-                    root: root.query.clone(),
-                    steps,
-                });
-            }
-        }
-        SessionDump {
-            next_sid: self.next_sid.load(Ordering::Relaxed),
-            clock: self.clock.load(Ordering::Relaxed),
-            sessions,
-        }
+    /// The committed steps of session `sid`, shallowest first, leaving
+    /// its recency alone; `None` if it is gone or its stack is poisoned.
+    /// Each level's query is the one below plus its predicate, so the
+    /// step's predicate is the query's last.
+    fn steps(&self, sid: u64) -> Option<Vec<WalkStep>> {
+        let entry = {
+            let t = self.table.lock().unwrap_or_else(|p| p.into_inner());
+            Arc::clone(&t.by_sid.get(&sid)?.1)
+        };
+        let stack = entry.stack.lock().ok()?;
+        let step = |l: &Level| {
+            Some(WalkStep { pred: *l.query.predicates().last()?, child: l.query.clone() })
+        };
+        stack.iter().skip(1).map(step).collect()
     }
 
     /// The session, bumped to most-recently-used.
@@ -343,51 +322,6 @@ impl<B: SearchBackend> Inner<B> {
         );
         snap.gauges.insert("hdb_server_sessions".to_string(), self.sessions.len() as u64);
         snap
-    }
-
-    /// Rebuilds sessions from a snapshot dump: every record replays its
-    /// recipe (root `walk_state`, then one `extend_state` per step)
-    /// against the live backend, so the restored states are
-    /// bit-identical to the pre-crash ones. Records that no longer
-    /// validate against the schema, or exceed the walk depth cap, are
-    /// dropped — a missing session is not an error, clients fall back.
-    fn import_sessions(&self, dump: &SessionDump) {
-        let schema = self.backend.schema();
-        let mut max_sid = 0u64;
-        for rec in &dump.sessions {
-            if rec.root.validate(schema).is_err() || rec.steps.len() > schema.len() {
-                continue;
-            }
-            let valid = rec.steps.iter().all(|s| {
-                s.child.validate(schema).is_ok() && validate_pred(schema, s.pred).is_ok()
-            });
-            if !valid {
-                continue;
-            }
-            let mut stack = Vec::with_capacity(rec.steps.len() + 1);
-            stack.push(Level {
-                query: rec.root.clone(),
-                pred: None,
-                state: self.backend.walk_state(&rec.root),
-            });
-            for step in &rec.steps {
-                let parent = stack.len() - 1;
-                let state = self.backend.extend_state(
-                    &stack[parent].state,
-                    &step.child,
-                    step.pred,
-                    WalkState::fallback(),
-                );
-                stack.push(Level { query: step.child.clone(), pred: Some(step.pred), state });
-            }
-            let entry = Arc::new(Session { stack: Mutex::new(stack) });
-            self.sessions.insert(rec.sid, rec.touched, entry);
-            max_sid = max_sid.max(rec.sid);
-        }
-        // Monotonic counters: never move backwards, and never hand out a
-        // sid that a restored session already owns.
-        self.sessions.next_sid.fetch_max(dump.next_sid.max(max_sid + 1), Ordering::Relaxed);
-        self.sessions.clock.fetch_max(dump.clock, Ordering::Relaxed);
     }
 }
 
@@ -513,7 +447,7 @@ fn walk_probe<B: SearchBackend>(
         let Some(top) = stack.last() else { return Ok(Response::SessionGone) };
         let state =
             inner.backend.extend_state(&top.state, &step.child, step.pred, WalkState::fallback());
-        stack.push(Level { query: step.child, pred: Some(step.pred), state });
+        stack.push(Level { query: step.child, state });
     }
     classify(stack.last().map(|l| &l.state))
 }
@@ -978,12 +912,11 @@ struct Control(Arc<dyn ControlTarget>);
 trait ControlTarget: Send + Sync {
     fn set_shutdown(&self);
     fn session_count(&self) -> usize;
+    fn session_steps(&self, sid: u64) -> Option<Vec<WalkStep>>;
     fn dispatch_count(&self) -> u64;
     fn frame_count(&self) -> u64;
     fn reactor_name(&self) -> &'static str;
     fn drain(&self);
-    fn export_sessions(&self) -> SessionDump;
-    fn import_sessions(&self, dump: &SessionDump);
     fn metrics_snapshot(&self) -> MetricsSnapshot;
 }
 
@@ -994,6 +927,10 @@ impl<B: SearchBackend> ControlTarget for Inner<B> {
 
     fn session_count(&self) -> usize {
         self.sessions.len()
+    }
+
+    fn session_steps(&self, sid: u64) -> Option<Vec<WalkStep>> {
+        self.sessions.steps(sid)
     }
 
     fn dispatch_count(&self) -> u64 {
@@ -1019,14 +956,6 @@ impl<B: SearchBackend> ControlTarget for Inner<B> {
             self.reactor.deregister(conn.stream.as_raw_fd());
         }
         self.sessions.clear();
-    }
-
-    fn export_sessions(&self) -> SessionDump {
-        self.sessions.export()
-    }
-
-    fn import_sessions(&self, dump: &SessionDump) {
-        Inner::import_sessions(self, dump);
     }
 
     fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -1072,6 +1001,14 @@ impl RunningServer {
         self.control.0.session_count()
     }
 
+    /// The committed walk steps of session `sid`, shallowest first, or
+    /// `None` if the server holds no such session (diagnostics for tests
+    /// and ops; reading them leaves the session's recency alone).
+    #[must_use]
+    pub fn session_steps(&self, sid: u64) -> Option<Vec<WalkStep>> {
+        self.control.0.session_steps(sid)
+    }
+
     /// Connection turns started by readiness events so far, including
     /// each one after a connection yielded its fairness quota. Idle
     /// connections add zero — this is the regression pin for the
@@ -1091,23 +1028,6 @@ impl RunningServer {
     #[must_use]
     pub fn reactor_name(&self) -> &'static str {
         self.control.0.reactor_name()
-    }
-
-    /// Serialises every live walk session to its recipe (root query
-    /// plus the predicate chain) for inclusion in a durability snapshot
-    /// — see [`hdb_interface::PersistentBackend::snapshot_with_sessions`].
-    #[must_use]
-    pub fn export_sessions(&self) -> SessionDump {
-        self.control.0.export_sessions()
-    }
-
-    /// Rebuilds walk sessions from a snapshot dump by replaying each
-    /// recipe against the live backend — restored probe answers are
-    /// bit-identical to the pre-crash session's. Records that no longer
-    /// validate (schema drift, depth cap) are dropped silently; the sid
-    /// and recency counters only ever move forward.
-    pub fn import_sessions(&self, dump: &SessionDump) {
-        self.control.0.import_sessions(dump);
     }
 
     /// Stops the server and joins its threads.
@@ -1365,13 +1285,6 @@ mod tests {
         }
     }
 
-    /// The committed steps of session `sid`, from the server's export.
-    fn exported_steps(server: &RunningServer, sid: u64) -> Vec<WalkStep> {
-        let dump = server.export_sessions();
-        let rec = dump.sessions.into_iter().find(|r| r.sid == sid).expect("session exported");
-        rec.steps
-    }
-
     /// A probe naming a level whose query its child does not extend —
     /// another walk's, as after a server restart hands the sid out again
     /// — is never answered from that level: without extends it is
@@ -1398,7 +1311,7 @@ mod tests {
         assert_eq!(ask(&mut stream, &fresh), Response::Classified(want));
         let chained = classify(sid, 1, vec![step(&theirs, 3, 1)], &probed, (4, 0));
         assert_eq!(ask(&mut stream, &chained), Response::SessionGone);
-        assert_eq!(exported_steps(&server, sid), vec![one, two]);
+        assert_eq!(server.session_steps(sid), Some(vec![one, two]));
         server.shutdown();
     }
 
@@ -1428,7 +1341,7 @@ mod tests {
         assert!(matches!(extend(&mut stream, s1), Response::Classified(_)));
         let retired = classify(s1, 2, vec![step(&two.child, 2, 1)], &two.child, (3, 0));
         assert_eq!(ask(&mut stream, &retired), Response::SessionGone);
-        assert_eq!(exported_steps(&server, s1), vec![one]);
+        assert_eq!(server.session_steps(s1), Some(vec![one]));
         server.shutdown();
     }
 
@@ -1453,8 +1366,11 @@ mod tests {
             ask(&mut b, &classify(sid_b, 0, vec![one.clone(), two.clone()], &two.child, (2, 1)));
         assert!(matches!(split, Response::Classified(_)), "{split:?}");
         assert_eq!(split, chained);
-        assert_eq!(exported_steps(&server, sid_a), vec![one.clone(), two.clone()]);
-        assert_eq!(exported_steps(&server, sid_b), vec![one, two]);
+        assert_eq!(
+            server.session_steps(sid_a),
+            Some(vec![one.clone(), two.clone()])
+        );
+        assert_eq!(server.session_steps(sid_b), Some(vec![one, two]));
         server.shutdown();
     }
 
@@ -1634,34 +1550,35 @@ mod tests {
                 "extend depth must be capped at the schema width"
             );
         }
-        assert_eq!(exported_steps(&server, sid).len(), 4);
+        assert_eq!(server.session_steps(sid).map(|s| s.len()), Some(4));
         server.shutdown();
     }
 
+    /// Sessions are soft state: a restarted server holds none, so the
+    /// plain probe a walk sent before the restart is answered fresh and
+    /// bit-identically, and the same probe carrying its two extends from
+    /// the root gets `SessionGone`, so the client re-roots.
     #[test]
-    fn exported_sessions_reimport_with_bit_identical_probes() {
+    fn a_restarted_server_answers_plain_probes_identically_and_chains_gone() {
         let server = serve();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let sid = open(&mut stream);
         let one = step(&Query::all(), 0, 1);
         let two = step(&one.child, 1, 0);
-        let commit = classify(sid, 0, vec![one, two.clone()], &two.child, (3, 0));
+        let commit = classify(sid, 0, vec![one.clone(), two.clone()], &two.child, (3, 0));
         assert!(matches!(ask(&mut stream, &commit), Response::Classified(_)));
         let probe = classify(sid, 2, Vec::new(), &two.child, (2, 1));
         let before = ask(&mut stream, &probe);
-        let dump = server.export_sessions();
-        assert_eq!(dump.sessions.len(), 1);
-        assert_eq!(dump.sessions[0].steps.len(), 2);
+        assert!(matches!(before, Response::Classified(_)), "{before:?}");
+        assert_eq!(server.session_count(), 1);
+        assert_eq!(server.session_steps(sid).map(|s| s.len()), Some(2));
         server.shutdown();
-        // A brand-new server process restores the dump and answers the
-        // same probe on the same sid, bit-identically.
         let revived = serve();
-        revived.import_sessions(&dump);
-        assert_eq!(revived.session_count(), 1);
+        assert_eq!(revived.session_count(), 0);
         let mut stream = TcpStream::connect(revived.addr()).unwrap();
         assert_eq!(ask(&mut stream, &probe), before);
-        // New sessions never collide with restored sids.
-        assert!(open(&mut stream) > sid);
+        let chained = classify(sid, 0, vec![one, two.clone()], &two.child, (2, 1));
+        assert_eq!(ask(&mut stream, &chained), Response::SessionGone);
         revived.shutdown();
     }
 

@@ -5,7 +5,7 @@
 //! hdb-server [--addr 127.0.0.1:7171] [--rows 100000] [--attrs 20]
 //!            [--shards 1] [--shard-workers 1] [--pool-threads N]
 //!            [--shard-part I --shard-parts N]
-//!            [--data-dir DIR] [--fsync always|never|every=N]
+//!            [--data-dir DIR]
 //!            [--federate SHARDS] [fleet flags]
 //!            [--metrics-addr HOST:PORT]
 //!            [--seed 42] [--self-test] [--probe HOST:PORT]
@@ -22,10 +22,12 @@
 //! [`ShardedDb::partition`]) — run one process per part and point a
 //! `FederatedBackend` topology at the fleet; it merges their answers
 //! bit-identically to a local `ShardedDb`.
-//! `--data-dir DIR` serves a crash-safe [`PersistentBackend`]: first
-//! run seeds the store from the generated corpus, later runs recover
-//! (snapshot + WAL replay) and ignore `--rows`/`--attrs`; SIGTERM
-//! drains live walk sessions into a snapshot so a restart resumes them.
+//! `--data-dir DIR` serves a crash-safe [`PersistentBackend`]: the first
+//! run seeds the store from the generated corpus, later runs recover it
+//! (snapshot + WAL replay) and serve it, ignoring `--rows`/`--attrs`.
+//! The server never writes to the store after seeding it, and walk
+//! sessions are soft state: a restart starts with none, and clients
+//! re-root.
 //! `--federate a:1,b:1|b:2` serves a federation *gateway*: each
 //! comma-separated group is one shard, `|`-separated addresses its
 //! replicas, tuned by the fleet flags (`--retries`, `--backoff-ms`,
@@ -63,7 +65,6 @@ struct Opts {
     shard_part: Option<usize>,
     shard_parts: Option<usize>,
     data_dir: Option<String>,
-    fsync: SyncPolicy,
     federate: Option<String>,
     fleet: FleetConfig,
     metrics_addr: Option<String>,
@@ -84,7 +85,6 @@ impl Opts {
             shard_part: None,
             shard_parts: None,
             data_dir: None,
-            fsync: SyncPolicy::Always,
             federate: None,
             fleet: FleetConfig::default(),
             metrics_addr: None,
@@ -122,12 +122,6 @@ impl Opts {
                 "--self-test" => opts.self_test = true,
                 "--probe" => opts.probe = Some(value("--probe")),
                 "--data-dir" => opts.data_dir = Some(value("--data-dir")),
-                "--fsync" => {
-                    opts.fsync = SyncPolicy::parse(&value("--fsync")).unwrap_or_else(|msg| {
-                        eprintln!("invalid value for --fsync: {msg}");
-                        std::process::exit(2);
-                    });
-                }
                 "--federate" => opts.federate = Some(value("--federate")),
                 "--metrics-addr" => opts.metrics_addr = Some(value("--metrics-addr")),
                 "--help" | "-h" => {
@@ -138,9 +132,7 @@ impl Opts {
                          \n\
                          durability:\n  \
                          --data-dir DIR          crash-safe store: seed on first run, \
-                         recover (snapshot + WAL) afterwards\n  \
-                         --fsync MODE            WAL fsync discipline: always | never | \
-                         every=N (default always)\n\
+                         recover (snapshot + WAL) afterwards\n\
                          \n\
                          observability:\n  \
                          --metrics-addr HOST:PORT  serve Prometheus-text metrics on a \
@@ -334,9 +326,10 @@ fn parse_topology(spec: &str) -> Topology {
 }
 
 /// Opens (recovering) or seeds the persistent store and reports what
-/// recovery found.
-fn open_store(dir: &str, opts: &Opts) -> Arc<PersistentBackend> {
-    let backend = PersistentBackend::open_or_create(Path::new(dir), opts.fsync, || {
+/// recovery found. The policy only paces ingest fsyncs, and the server
+/// never ingests.
+fn open_store(dir: &str, opts: &Opts) -> PersistentBackend {
+    let backend = PersistentBackend::open_or_create(Path::new(dir), SyncPolicy::Always, || {
         Ok(dataset(opts.rows, opts.attrs, opts.seed))
     })
     .unwrap_or_else(|e| {
@@ -362,7 +355,7 @@ fn open_store(dir: &str, opts: &Opts) -> Arc<PersistentBackend> {
     if let Some(reason) = backend.read_only() {
         eprintln!("warning: store is READ-ONLY: {reason}");
     }
-    Arc::new(backend)
+    backend
 }
 
 fn main() {
@@ -399,25 +392,15 @@ fn main() {
         eprintln!("--federate serves a gateway over remote shards; it cannot be combined with --shards or --shard-part");
         std::process::exit(2);
     }
-    // The persistent store (when any) outlives the server handle: the
-    // SIGTERM path drains live sessions into a final snapshot after the
-    // serving threads have joined.
-    let mut store: Option<Arc<PersistentBackend>> = None;
     let (running, rows, attrs, role): (RunningServer, usize, usize, String) =
         if let Some(dir) = opts.data_dir.as_deref() {
             let backend = open_store(dir, &opts);
-            let restored = backend.restored_sessions().clone();
             let (rows, attrs) = (backend.len(), backend.schema().len());
-            store = Some(Arc::clone(&backend));
             let running = Server::bind_with(backend, &opts.addr, config(&opts))
                 .unwrap_or_else(|e| {
                     eprintln!("failed to start: {e}");
                     std::process::exit(1);
                 });
-            running.import_sessions(&restored);
-            if !restored.sessions.is_empty() {
-                println!("restored {} walk session(s) from snapshot", restored.sessions.len());
-            }
             (running, rows, attrs, format!("durable store in {dir}"))
         } else if let Some(spec) = opts.federate.as_deref() {
             let topology = parse_topology(spec);
@@ -475,22 +458,14 @@ fn main() {
         println!("metrics on http://{m}/metrics");
     }
     // Block until SIGINT/SIGTERM, then shut down gracefully: stop
-    // accepting, close every connection, drain the session table (into a
-    // snapshot when serving a durable store), and join the serving
-    // threads before exiting 0.
+    // accepting, close every connection, drop the session table, and join
+    // the serving threads before exiting 0.
     let term = TerminationSignal::install().unwrap_or_else(|e| {
         eprintln!("failed to install signal handlers: {e}");
         std::process::exit(1);
     });
     term.wait();
-    let dump = running.export_sessions();
-    println!("shutting down: draining {} walk session(s)", dump.sessions.len());
+    println!("shutting down: draining {} walk session(s)", running.session_count());
     running.shutdown();
-    if let Some(store) = store.take() {
-        match store.snapshot_with_sessions(&dump) {
-            Ok(name) => println!("final snapshot {name} written"),
-            Err(e) => eprintln!("failed to write the final snapshot: {e}"),
-        }
-    }
     println!("hdb-server stopped");
 }

@@ -231,8 +231,8 @@ fn failover_onto_a_replica_reusing_the_sid_stays_bit_identical() {
     }
     assert_eq!(local.queries_issued(), fed_db.queries_issued());
     assert_ledger_partition(&fed_db);
-    let kept = standby.export_sessions().sessions.into_iter().find(|r| r.sid == 1).unwrap();
-    assert_eq!(kept.steps, steps, "the other walk's session must keep its stack");
+    let kept = standby.session_steps(1);
+    assert_eq!(kept, Some(steps), "the other walk's session must keep its stack");
 }
 
 /// A garbled response frame is a reply that did not decode, which the
@@ -314,9 +314,9 @@ fn reset_before_a_probes_reply_replays_its_extends_idempotently() {
     );
     // The session survived the replay: further probes stay identical.
     assert_eq!(lw.classify(3, 0).unwrap(), fw.classify(3, 0).unwrap());
-    let steps: Vec<usize> =
-        servers[0].export_sessions().sessions.iter().map(|s| s.steps.len()).collect();
-    assert_eq!(steps, vec![2], "the replay must not push the chain twice");
+    assert_eq!(servers[0].session_count(), 1);
+    let steps = servers[0].session_steps(1).map(|s| s.len());
+    assert_eq!(steps, Some(2), "the replay must not push the chain twice");
     assert!(proxy.faults_injected() >= 1, "the reset must actually have fired");
     assert_ledger_partition(&fed_db);
     proxy.shutdown();
@@ -376,9 +376,9 @@ fn probe_with_extends_replays_idempotently_on_the_server() {
     let first = exchange(&chained);
     let second = exchange(&chained); // the blind replay
     assert_eq!(first, second, "replaying a committed chain must be a no-op");
-    let steps: Vec<usize> =
-        servers[0].export_sessions().sessions.iter().map(|s| s.steps.len()).collect();
-    assert_eq!(steps, vec![2], "the replay must not push the chain twice");
+    assert_eq!(servers[0].session_count(), 1);
+    let steps = servers[0].session_steps(sid).map(|s| s.len());
+    assert_eq!(steps, Some(2), "the replay must not push the chain twice");
 
     // The stack is healthy: a follow-up probe from the replayed level
     // answers, and matches the ground truth of the probed query.

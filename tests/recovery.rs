@@ -15,9 +15,8 @@ use std::sync::Arc;
 use hdb_core::UnbiasedSizeEstimator;
 use hdb_interface::storage::wal::{self, WalOp, WalTail, WAL_FILE, WAL_MAGIC};
 use hdb_interface::{
-    HdbError, HiddenDb, MemIo, MetricsSnapshot, PersistentBackend, Predicate, Query, Schema,
-    SearchBackend, SessionDump, SessionRecord, StorageIo, SyncPolicy, Table, TableBackend, Tuple,
-    WalkStep,
+    HdbError, HiddenDb, MemIo, MetricsSnapshot, PersistentBackend, Schema, SearchBackend,
+    StorageIo, SyncPolicy, Table, TableBackend, Tuple,
 };
 use hdb_repro::testkit::{DiskFault, FaultSchedule, FaultyStorageIo};
 use proptest::prelude::*;
@@ -470,40 +469,4 @@ fn crash_between_snapshot_publish_and_wal_reset_recovers() {
             "site {site} diverged from the in-memory reference"
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Session state across restarts
-
-/// A session dump snapshotted with the corpus comes back verbatim from
-/// recovery — the server-side half of "walk sessions survive SIGTERM".
-#[test]
-fn session_dumps_round_trip_through_snapshots() {
-    let attrs = 4;
-    let base = table(6, attrs);
-    let mem = MemIo::new();
-    create_clean(&mem, &base);
-    let dump = SessionDump {
-        next_sid: 7,
-        clock: 41,
-        sessions: vec![SessionRecord {
-            sid: 3,
-            touched: 40,
-            root: Query::all(),
-            steps: vec![WalkStep {
-                pred: Predicate::new(0, 1),
-                child: Query::all().and(0, 1).unwrap(),
-            }],
-        }],
-    };
-    {
-        let store = PersistentBackend::open_with(Box::new(mem.clone()), SyncPolicy::Always)
-            .expect("open");
-        store.ingest(tuple(6, attrs)).expect("ingest");
-        store.snapshot_with_sessions(&dump).expect("snapshot with sessions");
-    }
-    let recovered = PersistentBackend::open_with(Box::new(mem.clone()), SyncPolicy::Always)
-        .expect("recover");
-    assert_eq!(recovered.restored_sessions(), &dump);
-    assert_eq!(recovered.len(), base.len() + 1);
 }

@@ -5,8 +5,7 @@
 
 use hdb_datagen::{bool_iid, uniform_table};
 use hdb_interface::{
-    AttributeRanking, CachingInterface, HiddenDb, Query, RowIdRanking, Schema,
-    SeededRandomRanking, TopKInterface,
+    AttributeRanking, HiddenDb, Query, RowIdRanking, Schema, SeededRandomRanking, TopKInterface,
 };
 use std::sync::Arc;
 
@@ -66,24 +65,6 @@ fn different_rankings_return_different_top_k() {
         o.tuples().iter().map(|t| t.id).collect()
     };
     assert_ne!(ids(&a), ids(&b), "two random rankings almost surely disagree");
-}
-
-#[test]
-fn client_cache_wrapper_is_transparent() {
-    let table = bool_iid(1_000, 10, 5).unwrap();
-    let raw = HiddenDb::new(table.clone(), 3);
-    let cached = CachingInterface::new(HiddenDb::new(table, 3));
-    for attr in 0..10usize {
-        for v in 0..2u16 {
-            let q = Query::all().and(attr, v).unwrap();
-            assert_eq!(raw.query(&q).unwrap(), cached.query(&q).unwrap());
-            // repeat through the cache
-            assert_eq!(raw.query(&q).unwrap(), cached.query(&q).unwrap());
-        }
-    }
-    assert_eq!(raw.queries_issued(), 40);
-    assert_eq!(cached.queries_issued(), 20, "cache halves the charged queries here");
-    assert_eq!(cached.cache_hits(), 20);
 }
 
 #[test]
