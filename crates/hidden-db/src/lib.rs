@@ -98,4 +98,3 @@ pub use sharded::ShardedDb;
 pub use storage::{MemIo, PersistentBackend, RecoveryReport, StdIo, StorageIo, SyncPolicy};
 pub use table::Table;
 pub use tuple::{Tuple, TupleId};
-pub use wire::WalkStep;

@@ -22,11 +22,12 @@
 //!
 //! [`SearchBackend::extend_state`] costs **zero** round trips: it only
 //! records a pending branch commitment in the client-side walk node. The
-//! next probe carries the pending chain as its `extends`, so a drill-down
-//! step — commit a branch, probe a child — costs exactly one round trip,
-//! down from two, however many commitments are pending. Extends replay
-//! idempotently on the server (the chain's first push truncates deeper
-//! levels), which is what makes re-sending a probe safe.
+//! next probe carries the number of pending nodes as its `extends` (its
+//! query already names their predicates), so a drill-down step — commit
+//! a branch, probe a child — costs exactly one round trip, down from two,
+//! however many commitments are pending. Extends replay idempotently on
+//! the server (the chain's first push truncates deeper levels), which is
+//! what makes re-sending a probe safe.
 //!
 //! ## Retries and failover
 //!
@@ -56,7 +57,7 @@ use crate::obs::MetricsSnapshot;
 use crate::query::{Predicate, Query};
 use crate::ranking::{RankingFunction, RankingSpec};
 use crate::schema::{AttrId, Schema};
-use crate::wire::{read_frame, write_frame, Request, Response, WalkStep, PROTOCOL_VERSION};
+use crate::wire::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
 
 /// Cap on pooled idle connections per client.
 const DEFAULT_MAX_IDLE: usize = 8;
@@ -350,17 +351,15 @@ enum NodeState {
     /// The server knows this node: `(sid, level)` in a live session.
     Committed { session: Arc<RemoteSessionHandle>, level: u32 },
     /// The extend that created this node has not crossed the wire yet —
-    /// it will piggyback on the next probe. `pred` extends the parent;
-    /// the node's full query lives on [`RemoteNode::query`].
-    Pending { pred: Predicate },
+    /// it will piggyback on the next probe, whose query names its
+    /// predicate.
+    Pending,
 }
 
 /// One node of the client-side walk tree. Children keep their parent
 /// chain alive (`Arc`), so a pending node can always resolve upward to
 /// the nearest committed ancestor.
 struct RemoteNode {
-    /// The node's full query — the re-root anchor after an eviction.
-    query: Query,
     parent: Option<Arc<RemoteNode>>,
     state: Mutex<NodeState>,
 }
@@ -377,32 +376,25 @@ struct RemoteWalk {
 }
 
 /// How a probe reaches the server: the nearest committed ancestor, plus
-/// the pending nodes on the way down to the probed one and the steps
-/// that commit them, both shallowest first.
+/// the pending nodes on the way down to the probed one, shallowest first
+/// — as many as the probe's extends.
 struct Anchor {
     session: Arc<RemoteSessionHandle>,
     level: u32,
     pendings: Vec<Arc<RemoteNode>>,
-    extends: Vec<WalkStep>,
 }
 
 /// Walks from `node` up to the nearest committed ancestor, collecting
 /// pending nodes along the way; `None` when no ancestor is committed.
 fn anchor_of(node: &Arc<RemoteNode>) -> Option<Anchor> {
     let mut pendings = Vec::new();
-    let mut extends = Vec::new();
     let mut cur = Arc::clone(node);
     loop {
-        match &*cur.state.lock().unwrap_or_else(|p| p.into_inner()) {
-            NodeState::Committed { session, level } => {
-                pendings.reverse();
-                extends.reverse();
-                let (session, level) = (Arc::clone(session), *level);
-                return Some(Anchor { session, level, pendings, extends });
-            }
-            NodeState::Pending { pred } => {
-                extends.push(WalkStep { pred: *pred, child: cur.query.clone() });
-            }
+        if let NodeState::Committed { session, level } =
+            &*cur.state.lock().unwrap_or_else(|p| p.into_inner())
+        {
+            pendings.reverse();
+            return Some(Anchor { session: Arc::clone(session), level: *level, pendings });
         }
         let parent = cur.parent.clone()?;
         pendings.push(std::mem::replace(&mut cur, parent));
@@ -668,7 +660,6 @@ impl SearchBackend for RemoteBackend {
         match self.open_session(q) {
             Some(session) => WalkState::with_payload(RemoteWalk {
                 node: Arc::new(RemoteNode {
-                    query: q.clone(),
                     parent: None,
                     state: Mutex::new(NodeState::Committed { session, level: 0 }),
                 }),
@@ -683,7 +674,7 @@ impl SearchBackend for RemoteBackend {
         &self,
         parent: &WalkState,
         child: &Query,
-        pred: Predicate,
+        _pred: Predicate,
         _recycled: WalkState,
     ) -> WalkState {
         let Some(walk) = parent.payload::<RemoteWalk>() else {
@@ -693,19 +684,18 @@ impl SearchBackend for RemoteBackend {
         };
         WalkState::with_payload(RemoteWalk {
             node: Arc::new(RemoteNode {
-                query: child.clone(),
                 parent: Some(Arc::clone(&walk.node)),
-                state: Mutex::new(NodeState::Pending { pred }),
+                state: Mutex::new(NodeState::Pending),
             }),
         })
     }
 
     /// Sends one `WalkClassify` of `child` (= the parent's query ∧ `pred`)
-    /// from the parent's node, carrying the pending chain above it, and
-    /// commits each pending node once the answer arrives. When the chain
-    /// cannot commit (`SessionGone`), the node re-roots at a fresh session
-    /// and the probe goes again with no extends; `fresh` answers whenever
-    /// no session can.
+    /// from the parent's node, counting the pending chain above it as its
+    /// extends, and commits each pending node once the answer arrives.
+    /// When the chain cannot commit (`SessionGone`), the node re-roots at
+    /// a fresh session rooted at `child` without `pred` and the probe goes
+    /// again with no extends; `fresh` answers whenever no session can.
     fn classify_from(
         &self,
         parent: &WalkState,
@@ -722,16 +712,15 @@ impl SearchBackend for RemoteBackend {
         let Some(walk) = parent.payload::<RemoteWalk>() else {
             return fresh();
         };
-        let Some(Anchor { session, level, pendings, extends }) = anchor_of(&walk.node) else {
+        let Some(Anchor { session, level, pendings }) = anchor_of(&walk.node) else {
             return fresh();
         };
-        let send = |sid: u64, level: u32, extends: Vec<WalkStep>| -> Result<Option<Classified>> {
+        let send = |sid: u64, level: u32, extends: u32| -> Result<Option<Classified>> {
             let req = Request::WalkClassify {
                 sid,
                 parent_level: level,
                 extends,
                 child: child.clone(),
-                pred,
                 k: k as u64,
             };
             match self.ask(&req)? {
@@ -740,6 +729,8 @@ impl SearchBackend for RemoteBackend {
                 other => Err(unexpected("Classified", &other)),
             }
         };
+        // Saturates only when `child` is itself too long to encode.
+        let extends = u32::try_from(pendings.len()).unwrap_or(u32::MAX);
         if let Some(answer) = send(session.sid, level, extends)? {
             for (node, level) in pendings.iter().zip(level + 1..) {
                 node.set_state(NodeState::Committed { session: Arc::clone(&session), level });
@@ -747,10 +738,10 @@ impl SearchBackend for RemoteBackend {
             return Ok(answer);
         }
         if !pendings.is_empty() {
-            if let Some(session) = self.open_session(&walk.node.query) {
+            if let Some(session) = self.open_session(&child.without(pred.attr)) {
                 let root = NodeState::Committed { session: Arc::clone(&session), level: 0 };
                 walk.node.set_state(root);
-                if let Some(answer) = send(session.sid, 0, Vec::new())? {
+                if let Some(answer) = send(session.sid, 0, 0)? {
                     return Ok(answer);
                 }
             }

@@ -14,12 +14,15 @@
 //! page.
 //!
 //! Each exchange is one request frame and one reply frame, and
-//! [`MAX_FRAME_LEN`] bounds both. Walk probes carry their extends: a
-//! [`Request::WalkClassify`] lists the branch commitments the client
-//! made since its last probe ([`WalkStep`]s, shallowest first). The
-//! server pushes them onto the session's stack and probes the level the
-//! last one pushed, all under one lock, so a drill-down step (commit a
-//! branch, probe a child) costs one round trip however many commitments
+//! [`MAX_FRAME_LEN`] bounds both. Walk probes carry their extends as a
+//! count: a drill-down query is its parent plus one predicate, so a
+//! [`Request::WalkClassify`]'s query already spells out its path from the
+//! level it names. Its last predicate is the probed one, and the
+//! `extends` predicates before that are the branch commitments the client
+//! made since its last probe. The server pushes them onto the session's
+//! stack, each level the next prefix of the query, and probes the level
+//! the last one pushed, all under one lock, so a drill-down step (commit
+//! a branch, probe a child) costs one round trip however many commitments
 //! it carries. A reply too large for one frame is answered with a typed
 //! [`Response::Error`] instead; the paper's interface returns at most `k`
 //! tuples per query, so only an owner-side read of a whole corpus (such
@@ -46,23 +49,15 @@ use crate::tuple::Tuple;
 /// made a walk probe carry its pending extends; version 4 retired the
 /// full-page walk probe (tag `0x09`), leaving [`Request::WalkClassify`]
 /// the only one; version 5 retired chunked page streaming (tags `0x90`
-/// and `0x91`), so every reply is one frame.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// and `0x91`), so every reply is one frame; version 6 sends a walk
+/// probe's extends as a count over its query (tag `0x0C`), retiring the
+/// layout that listed each extend's predicate and query (tag `0x0A`).
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Upper bound on a frame payload (64 MiB), and so on any one request or
 /// reply: a larger length prefix is treated as corrupt and rejected
 /// before allocation, and [`write_frame`] refuses a larger payload.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
-
-/// One extend a walk probe carries: the predicate the walk committed and
-/// the query of the level it pushes (the level below plus `pred`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalkStep {
-    /// The predicate the walk committed at this level.
-    pub pred: Predicate,
-    /// The full query of the level this step pushes.
-    pub child: Query,
-}
 
 /// One client → server message.
 #[derive(Clone, Debug, PartialEq)]
@@ -103,25 +98,25 @@ pub enum Request {
         /// The session root query.
         root: Query,
     },
-    /// Count-only classification of `parent ∧ pred` against session
-    /// state — the drill-down probe fast path: one AND on the server, one
-    /// round trip on the wire. Any `extends` are pushed first, above
-    /// `parent_level` and after truncating deeper levels (the walk is
-    /// stack-disciplined); the probe then reads the level the last one
-    /// pushed. A chain that cannot commit answers
+    /// Count-only classification of `child` against session state — the
+    /// drill-down probe fast path: one AND on the server, one round trip
+    /// on the wire. `child` is the query of level `parent_level`, then
+    /// `extends` predicates that commit pending levels, then the probed
+    /// predicate. The extends are pushed first, above `parent_level` and
+    /// after truncating deeper levels (the walk is stack-disciplined),
+    /// each level the next prefix of `child`; the probe then reads the
+    /// level the last one pushed. A chain that cannot commit answers
     /// [`Response::SessionGone`].
     WalkClassify {
         /// The session id.
         sid: u64,
-        /// Index of the level the first extend (or, with none, the probe)
-        /// applies to.
+        /// Index of the level whose query `child` extends.
         parent_level: u32,
-        /// The branch commitments to push first, shallowest first.
-        extends: Vec<WalkStep>,
-        /// The child's full query (fallback path + revalidation).
+        /// How many of `child`'s predicates before its last commit
+        /// pending levels.
+        extends: u32,
+        /// The probed query, named once (also the fallback path).
         child: Query,
-        /// The probed predicate.
-        pred: Predicate,
         /// The interface constant `k` (must be ≥ 1).
         k: u64,
     },
@@ -337,19 +332,19 @@ impl<'a> Dec<'a> {
 // ---------------------------------------------------------------------------
 // Domain-type codecs
 
-pub(crate) fn enc_predicate(e: &mut Enc, p: Predicate) -> Result<()> {
+fn enc_predicate(e: &mut Enc, p: Predicate) -> Result<()> {
     e.usize(p.attr, "predicate attr")?;
     e.u16(p.value);
     Ok(())
 }
 
-pub(crate) fn dec_predicate(d: &mut Dec<'_>) -> Result<Predicate> {
+fn dec_predicate(d: &mut Dec<'_>) -> Result<Predicate> {
     let attr = d.usize("predicate attr")?;
     let value = d.u16("predicate value")?;
     Ok(Predicate::new(attr, value))
 }
 
-pub(crate) fn enc_query(e: &mut Enc, q: &Query) -> Result<()> {
+fn enc_query(e: &mut Enc, q: &Query) -> Result<()> {
     e.seq(q.predicates().len(), "query predicate count")?;
     for &p in q.predicates() {
         enc_predicate(e, p)?;
@@ -357,7 +352,7 @@ pub(crate) fn enc_query(e: &mut Enc, q: &Query) -> Result<()> {
     Ok(())
 }
 
-pub(crate) fn dec_query(d: &mut Dec<'_>) -> Result<Query> {
+fn dec_query(d: &mut Dec<'_>) -> Result<Query> {
     let n = d.seq_len("query predicate count")?;
     let mut preds = Vec::with_capacity(n);
     for _ in 0..n {
@@ -647,16 +642,12 @@ impl Request {
                 e.u8(0x07);
                 enc_query(&mut e, root)?;
             }
-            Self::WalkClassify { sid, parent_level, extends, child, pred, k } => {
-                e.u8(0x0A);
+            Self::WalkClassify { sid, parent_level, extends, child, k } => {
+                e.u8(0x0C);
                 e.u64(*sid);
                 e.u32(*parent_level);
-                e.seq(extends.len(), "walk step count")?;
-                for step in extends {
-                    enc_step(&mut e, step)?;
-                }
+                e.u32(*extends);
                 enc_query(&mut e, child)?;
-                enc_predicate(&mut e, *pred)?;
                 e.u64(*k);
             }
             Self::WalkClose { sid } => {
@@ -686,23 +677,13 @@ impl Request {
             0x05 => Self::ExactCount { query: dec_query(&mut d)? },
             0x06 => Self::ExactSum { attr: d.u64("sum attr")?, query: dec_query(&mut d)? },
             0x07 => Self::WalkOpen { root: dec_query(&mut d)? },
-            0x0A => {
-                let sid = d.u64("sid")?;
-                let parent_level = d.u32("parent level")?;
-                let n = d.seq_len("walk step count")?;
-                let mut extends = Vec::with_capacity(n);
-                for _ in 0..n {
-                    extends.push(dec_step(&mut d)?);
-                }
-                Self::WalkClassify {
-                    sid,
-                    parent_level,
-                    extends,
-                    child: dec_query(&mut d)?,
-                    pred: dec_predicate(&mut d)?,
-                    k: d.u64("k")?,
-                }
-            }
+            0x0C => Self::WalkClassify {
+                sid: d.u64("sid")?,
+                parent_level: d.u32("parent level")?,
+                extends: d.u32("extend count")?,
+                child: dec_query(&mut d)?,
+                k: d.u64("k")?,
+            },
             0x0B => Self::WalkClose { sid: d.u64("sid")? },
             0x0F => Self::Stats,
             t => {
@@ -714,18 +695,6 @@ impl Request {
         d.finish()?;
         Ok(req)
     }
-}
-
-/// One walk step: the predicate, then the child query it pushes — the
-/// layout of a walk probe's extends.
-fn enc_step(e: &mut Enc, step: &WalkStep) -> Result<()> {
-    enc_predicate(e, step.pred)?;
-    enc_query(e, &step.child)
-}
-
-fn dec_step(d: &mut Dec<'_>) -> Result<WalkStep> {
-    let pred = dec_predicate(d)?;
-    Ok(WalkStep { pred, child: dec_query(d)? })
 }
 
 impl Response {
@@ -967,46 +936,55 @@ mod tests {
             Request::ExactCount { query: q.clone() },
             Request::ExactSum { attr: 2, query: q.clone() },
             Request::WalkOpen { root: Query::all() },
-            Request::WalkClassify {
-                sid: 9,
-                parent_level: 0,
-                extends: Vec::new(),
-                child: q.clone(),
-                pred: Predicate::new(0, 1),
-                k: 3,
-            },
+            Request::WalkClassify { sid: 9, parent_level: 0, extends: 0, child: q.clone(), k: 3 },
             Request::WalkClassify {
                 sid: u64::MAX,
                 parent_level: 1,
-                extends: Vec::new(),
+                extends: 0,
                 child: q.clone(),
-                pred: Predicate::new(2, 0),
                 k: 10,
             },
             Request::WalkClose { sid: 5 },
             Request::WalkClassify {
                 sid: 11,
                 parent_level: 3,
-                extends: vec![WalkStep { pred: Predicate::new(1, 2), child: q.clone() }],
+                extends: 1,
                 child: q.clone().and(2, 1).unwrap(),
-                pred: Predicate::new(2, 1),
                 k: 4,
             },
             Request::WalkClassify {
                 sid: 12,
                 parent_level: 0,
-                extends: vec![
-                    WalkStep { pred: Predicate::new(0, 1), child: Query::all().and(0, 1).unwrap() },
-                    WalkStep { pred: Predicate::new(1, 2), child: q.clone() },
-                ],
+                extends: 2,
                 child: q.clone().and(2, 0).unwrap(),
-                pred: Predicate::new(2, 0),
                 k: 9,
             },
+            // A count that leaves no probed predicate still decodes; the
+            // server refuses it.
+            Request::WalkClassify { sid: 13, parent_level: 0, extends: 2, child: q.clone(), k: 1 },
             Request::Stats,
         ];
         for req in requests {
             let bytes = req.encode().unwrap();
+            assert_eq!(Request::decode(&bytes).unwrap(), req);
+        }
+        // A walk probe names its query once: with no extends or with
+        // three, it is the same 29 + 10·|child| bytes, laid out as tag,
+        // sid, parent level, extend count, query, k.
+        let child = q.and(2, 0).unwrap().and(3, 1).unwrap();
+        let len = 29 + 10 * child.len();
+        for extends in [0u32, 3] {
+            let child = child.clone();
+            let req = Request::WalkClassify { sid: 7, parent_level: 1, extends, child, k: 10 };
+            let bytes = req.encode().unwrap();
+            assert_eq!(bytes.len(), len, "extends={extends}");
+            let mut head = vec![0x0C];
+            head.extend(7u64.to_le_bytes());
+            head.extend(1u32.to_le_bytes());
+            head.extend(extends.to_le_bytes());
+            head.extend(4u32.to_le_bytes());
+            assert!(bytes.starts_with(&head), "extends={extends}");
+            assert!(bytes.ends_with(&10u64.to_le_bytes()), "extends={extends}");
             assert_eq!(Request::decode(&bytes).unwrap(), req);
         }
     }
@@ -1126,21 +1104,11 @@ mod tests {
     #[test]
     fn malformed_payloads_are_typed_errors_not_panics() {
         // every prefix of a valid message must fail cleanly, a chained
-        // probe's steps included
-        let child = Query::all().and(0, 1).unwrap();
-        let full = Request::WalkClassify {
-            sid: 1,
-            parent_level: 0,
-            extends: vec![
-                WalkStep { pred: Predicate::new(0, 1), child: child.clone() },
-                WalkStep { pred: Predicate::new(1, 0), child: child.and(1, 0).unwrap() },
-            ],
-            child: child.and(1, 0).unwrap().and(2, 1).unwrap(),
-            pred: Predicate::new(2, 1),
-            k: 2,
-        }
-        .encode()
-        .unwrap();
+        // probe included
+        let child = Query::all().and(0, 1).unwrap().and(1, 0).unwrap().and(2, 1).unwrap();
+        let full = Request::WalkClassify { sid: 1, parent_level: 0, extends: 2, child, k: 2 }
+            .encode()
+            .unwrap();
         for cut in 0..full.len() {
             let err = Request::decode(&full[..cut]).unwrap_err();
             assert!(matches!(err, HdbError::Transport(_)), "cut={cut}");
@@ -1163,16 +1131,36 @@ mod tests {
                 other => panic!("retired tag {tag:#04x} decoded as {other:?}"),
             }
         }
-        // the retired full-page walk probe (0x09): a well-formed body under
-        // that tag, ranking suffix included, is still an unknown tag
-        let mut retired = full.clone();
-        retired[0] = 0x09;
-        retired.push(0x00);
-        match Request::decode(&retired) {
-            Err(HdbError::Transport(msg)) => {
-                assert!(msg.contains("unknown request tag 0x09"), "{msg}");
+        // the retired walk probes are unknown tags: a well-formed version-5
+        // body under 0x0A (sid, parent level, two steps each a predicate
+        // and its query, then the probe's query, predicate and k), and
+        // the same body under 0x09 with a ranking byte, the full-page
+        // probe version 4 retired
+        let mut e = Enc::new();
+        e.u8(0x0A);
+        e.u64(1);
+        e.u32(0);
+        e.u32(2);
+        let mut level = Query::all();
+        for p in [Predicate::new(0, 1), Predicate::new(1, 0)] {
+            level = level.and(p.attr, p.value).unwrap();
+            enc_predicate(&mut e, p).unwrap();
+            enc_query(&mut e, &level).unwrap();
+        }
+        enc_query(&mut e, &level.and(2, 1).unwrap()).unwrap();
+        enc_predicate(&mut e, Predicate::new(2, 1)).unwrap();
+        e.u64(2);
+        let v5 = e.into_bytes();
+        let mut v4 = v5.clone();
+        v4[0] = 0x09;
+        v4.push(0x00);
+        for (tag, retired) in [(0x0Au8, v5), (0x09, v4)] {
+            match Request::decode(&retired) {
+                Err(HdbError::Transport(msg)) => {
+                    assert!(msg.contains(&format!("unknown request tag {tag:#04x}")), "{msg}");
+                }
+                other => panic!("retired tag {tag:#04x} decoded as {other:?}"),
             }
-            other => panic!("retired tag 0x09 decoded as {other:?}"),
         }
         // trailing garbage
         let mut bytes = Request::Len.encode().unwrap();

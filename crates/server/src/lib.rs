@@ -30,17 +30,21 @@
 //!
 //! `WalkOpen` materialises the root match set and returns a `sid`; a
 //! walk probe (`WalkClassify`, count-only — the protocol's one walk probe)
-//! references `(sid, parent_level)` and carries the extends the client
-//! committed since its last probe. The server pushes them above
-//! `parent_level`, truncating any deeper levels first (the walk is
+//! references `(sid, parent_level)` and names its query once: the named
+//! level's query, then the extends the client committed since its last
+//! probe, then the probed predicate. The server compares the named
+//! level's query with that prefix in one slice comparison, then pushes
+//! each extend above `parent_level` as the next prefix of the probe's
+//! query, truncating any deeper levels first (the walk is
 //! stack-disciplined, so a retract is simply the client extending from a
-//! shallower level), then classifies against the level the last one
+//! shallower level), and classifies against the level the last one
 //! pushed — all under the session's stack lock, so a chain commits
-//! atomically against concurrent probes of the same session. Each step's
-//! query, and the probe's, must be the query below it plus its
-//! predicate; a probe that names a level it does not extend (another
-//! walk's sid, say after a restart) is treated like a missing session,
-//! so it can never be answered from another walk's state. Sessions
+//! atomically against concurrent probes of the same session. A probe
+//! whose prefix is not the named level's query (another walk's sid, say
+//! after a restart) is treated like a missing session, so it can never be
+//! answered from another walk's state. Every level's query is a strict
+//! prefix of a validated query, which constrains each attribute once, so
+//! no session grows deeper than the schema is wide. Sessions
 //! die on `WalkClose`, by LRU eviction (O(log n) via an explicit
 //! recency order) once the table exceeds its cap, or with the process —
 //! the table is soft state and is never persisted. A missing session is
@@ -100,7 +104,7 @@ use hdb_interface::reactor::{Interest, Reactor, ReactorKind};
 use hdb_interface::wire::{write_frame, FrameBuf, Request, Response, PROTOCOL_VERSION};
 use hdb_interface::{
     HdbError, MetricsSnapshot, Predicate, Query, QueryCounter, Result, Schema, SearchBackend,
-    WalkState, WalkStep,
+    WalkState,
 };
 
 /// The reactor token reserved for the listener; connections count up
@@ -155,8 +159,8 @@ impl Default for ServerConfig {
 
 /// One committed walk level: its query and the materialised state. Level
 /// 0 is the session root; above it, each level's query is the one below
-/// plus the predicate that extended it, which the level check in
-/// [`walk_probe`] enforces.
+/// plus one predicate: [`walk_probe`] pushes the next prefix of the
+/// probe's query.
 struct Level {
     query: Query,
     state: WalkState,
@@ -234,20 +238,17 @@ impl Sessions {
         sid
     }
 
-    /// The committed steps of session `sid`, shallowest first, leaving
-    /// its recency alone; `None` if it is gone or its stack is poisoned.
-    /// Each level's query is the one below plus its predicate, so the
-    /// step's predicate is the query's last.
-    fn steps(&self, sid: u64) -> Option<Vec<WalkStep>> {
+    /// The predicates committed in session `sid`, one per level above its
+    /// root, shallowest first, leaving its recency alone; `None` if it is
+    /// gone or its stack is poisoned. Each level's query is the one below
+    /// plus its predicate, so that predicate is the query's last.
+    fn steps(&self, sid: u64) -> Option<Vec<Predicate>> {
         let entry = {
             let t = self.table.lock().unwrap_or_else(|p| p.into_inner());
             Arc::clone(&t.by_sid.get(&sid)?.1)
         };
         let stack = entry.stack.lock().ok()?;
-        let step = |l: &Level| {
-            Some(WalkStep { pred: *l.query.predicates().last()?, child: l.query.clone() })
-        };
-        stack.iter().skip(1).map(step).collect()
+        stack.iter().skip(1).map(|l| l.query.predicates().last().copied()).collect()
     }
 
     /// The session, bumped to most-recently-used.
@@ -325,21 +326,6 @@ impl<B: SearchBackend> Inner<B> {
     }
 }
 
-/// Validates a predicate against the schema bounds (the wire is
-/// untrusted: an out-of-range posting lookup must not reach the index).
-fn validate_pred(schema: &Schema, pred: Predicate) -> Result<()> {
-    if pred.attr >= schema.len() {
-        return Err(HdbError::InvalidQuery(format!("predicate attribute {} out of range", pred.attr)));
-    }
-    if (pred.value as usize) >= schema.fanout(pred.attr) {
-        return Err(HdbError::InvalidQuery(format!(
-            "predicate value {} out of domain for attribute {}",
-            pred.value, pred.attr
-        )));
-    }
-    Ok(())
-}
-
 /// Validates a wire-supplied ranking spec: an attribute ranking must
 /// reference a schema attribute (scoring would index out of bounds
 /// otherwise — the wire is untrusted).
@@ -362,45 +348,44 @@ fn validate_k(k: u64) -> Result<usize> {
     }
 }
 
-/// Validates each of a walk probe's extends: its query and predicate.
-fn validate_steps(schema: &Schema, steps: &[WalkStep]) -> Result<()> {
-    steps.iter().try_for_each(|s| {
-        s.child.validate(schema)?;
-        validate_pred(schema, s.pred)
-    })
-}
-
-/// Whether `child` is `below` with `pred` appended — how every walk
-/// builds a child (`Query::and` appends).
-fn extends_level(below: &Query, pred: Predicate, child: &Query) -> bool {
-    child.predicates().split_last() == Some((&pred, below.predicates()))
-}
-
-/// Classifies `child` (= the read level's query ∧ `pred`) against the
-/// level a walk probe reads. With no `extends`, that is `parent_level`
-/// itself; a missing session, a poisoned stack (some probe panicked
-/// mid-update, so its contents are suspect), a retired level, or a level
-/// whose query `child` does not extend by `pred` (the sid is some other
-/// walk's, say one handed out by a restarted server) leaves no state,
-/// and the probe evaluates fresh — bit-identical, one intersection
-/// slower. Otherwise the steps are pushed above `parent_level`,
-/// truncating anything deeper first (the walk is stack-disciplined, and
-/// the truncation makes a replayed chain idempotent), and the probe
-/// reads the level the last step pushed, under the same lock. A chain
-/// that cannot commit — missing or poisoned session (a poisoned one is
-/// closed), retired parent level, a stack deeper than the schema is
-/// wide, or a step or probe that does not extend the query below it by
-/// its predicate — answers `SessionGone` and commits nothing, so the
-/// client re-roots.
+/// Classifies `child` against the level a walk probe reads. `child` is
+/// the query of level `parent_level` (its prefix), then `extends`
+/// predicates that commit pending levels, then the probed predicate; a
+/// count that leaves no probed predicate is refused with a typed error
+/// before any session lookup. With no extends, the probe reads
+/// `parent_level` itself; a missing session, a poisoned stack (some
+/// probe panicked mid-update, so its contents are suspect), a retired
+/// level, or a level whose query is not the prefix (the sid is some
+/// other walk's, say one handed out by a restarted server) leaves no
+/// state, and the probe evaluates fresh — bit-identical, one
+/// intersection slower. Otherwise the stack is truncated above
+/// `parent_level` (the walk is stack-disciplined, and the truncation
+/// makes a replayed chain idempotent), each extend is pushed as the next
+/// prefix of `child`, and the probe reads the level the last one pushed,
+/// under the same lock. A chain that cannot commit — missing or poisoned
+/// session (a poisoned one is closed), retired parent level, or a named
+/// level whose query is not the prefix — answers `SessionGone` and
+/// commits nothing, so the client re-roots.
 fn walk_probe<B: SearchBackend>(
     inner: &Inner<B>,
     sid: u64,
     parent_level: u32,
-    extends: Vec<WalkStep>,
+    extends: u32,
     child: &Query,
-    pred: Predicate,
     k: usize,
 ) -> Result<Response> {
+    let preds = child.predicates();
+    let split = usize::try_from(extends).ok().and_then(|n| {
+        let (&pred, path) = preds.split_last()?;
+        let (prefix, pushed) = path.split_at_checked(path.len().checked_sub(n)?)?;
+        Some((prefix, pushed, pred))
+    });
+    let Some((prefix, pushed, pred)) = split else {
+        return Err(HdbError::InvalidQuery(format!(
+            "a walk probe's extends ({extends}) must be fewer than its query's predicates ({})",
+            preds.len()
+        )));
+    };
     let classify = |parent: Option<&WalkState>| -> Result<Response> {
         Ok(Response::Classified(match parent {
             Some(parent) => inner.backend.classify_from(parent, child, pred, k)?,
@@ -412,42 +397,29 @@ fn walk_probe<B: SearchBackend>(
     };
     let entry = inner.sessions.get(sid);
     let parent = parent_level as usize;
-    if extends.is_empty() {
+    let named = |l: &Level| l.query.predicates() == prefix;
+    if pushed.is_empty() {
         let stack = entry.as_ref().and_then(|e| e.stack.lock().ok());
         let level = stack.as_ref().and_then(|s| s.get(parent));
-        return classify(level.filter(|l| extends_level(&l.query, pred, child)).map(|l| &l.state));
+        return classify(level.filter(|l| named(l)).map(|l| &l.state));
     }
     let Some(entry) = entry else { return Ok(Response::SessionGone) };
-    // Depth cap: a legitimate walk commits at most one level per
-    // attribute, so a deeper stack can only be a hostile client
-    // inflating server memory.
-    if parent + extends.len() > inner.backend.schema().len() {
-        return Ok(Response::SessionGone);
-    }
     let Ok(mut stack) = entry.stack.lock() else {
         inner.sessions.close(sid);
         return Ok(Response::SessionGone);
     };
-    // The whole chain must hang off the level it names, and the probe
-    // off the chain's last step, before anything is truncated.
-    let Some(mut below) = stack.get(parent).map(|l| &l.query) else {
-        return Ok(Response::SessionGone);
-    };
-    for step in &extends {
-        if !extends_level(below, step.pred, &step.child) {
-            return Ok(Response::SessionGone);
-        }
-        below = &step.child;
-    }
-    if !extends_level(below, pred, child) {
+    // The chain must hang off the level it names before anything is
+    // truncated. A validated query constrains each attribute once, so
+    // this prefix rule also keeps the stack within the schema's width.
+    if !stack.get(parent).is_some_and(named) {
         return Ok(Response::SessionGone);
     }
     stack.truncate(parent + 1);
-    for step in extends {
+    for &p in pushed {
         let Some(top) = stack.last() else { return Ok(Response::SessionGone) };
-        let state =
-            inner.backend.extend_state(&top.state, &step.child, step.pred, WalkState::fallback());
-        stack.push(Level { query: step.child, state });
+        let query = top.query.and(p.attr, p.value)?;
+        let state = inner.backend.extend_state(&top.state, &query, p, WalkState::fallback());
+        stack.push(Level { query, state });
     }
     classify(stack.last().map(|l| &l.state))
 }
@@ -505,12 +477,10 @@ fn handle_request<B: SearchBackend>(
                 let state = inner.backend.walk_state(&root);
                 Response::Session { sid: inner.sessions.open(root, state) }
             }
-            Request::WalkClassify { sid, parent_level, extends, child, pred, k } => {
-                validate_steps(schema, &extends)?;
+            Request::WalkClassify { sid, parent_level, extends, child, k } => {
                 child.validate(schema)?;
-                validate_pred(schema, pred)?;
                 let k = validate_k(k)?;
-                walk_probe(inner, sid, parent_level, extends, &child, pred, k)?
+                walk_probe(inner, sid, parent_level, extends, &child, k)?
             }
             Request::WalkClose { sid } => {
                 inner.sessions.close(sid);
@@ -912,7 +882,7 @@ struct Control(Arc<dyn ControlTarget>);
 trait ControlTarget: Send + Sync {
     fn set_shutdown(&self);
     fn session_count(&self) -> usize;
-    fn session_steps(&self, sid: u64) -> Option<Vec<WalkStep>>;
+    fn session_steps(&self, sid: u64) -> Option<Vec<Predicate>>;
     fn dispatch_count(&self) -> u64;
     fn frame_count(&self) -> u64;
     fn reactor_name(&self) -> &'static str;
@@ -929,7 +899,7 @@ impl<B: SearchBackend> ControlTarget for Inner<B> {
         self.sessions.len()
     }
 
-    fn session_steps(&self, sid: u64) -> Option<Vec<WalkStep>> {
+    fn session_steps(&self, sid: u64) -> Option<Vec<Predicate>> {
         self.sessions.steps(sid)
     }
 
@@ -1001,11 +971,12 @@ impl RunningServer {
         self.control.0.session_count()
     }
 
-    /// The committed walk steps of session `sid`, shallowest first, or
-    /// `None` if the server holds no such session (diagnostics for tests
-    /// and ops; reading them leaves the session's recency alone).
+    /// The predicates committed in session `sid`, one per level above its
+    /// root, shallowest first, or `None` if the server holds no such
+    /// session (diagnostics for tests and ops; reading them leaves the
+    /// session's recency alone).
     #[must_use]
-    pub fn session_steps(&self, sid: u64) -> Option<Vec<WalkStep>> {
+    pub fn session_steps(&self, sid: u64) -> Option<Vec<Predicate>> {
         self.control.0.session_steps(sid)
     }
 
@@ -1261,26 +1232,21 @@ mod tests {
         }
     }
 
-    /// The step committing `attr = value` under `parent`.
-    fn step(parent: &Query, attr: usize, value: u16) -> WalkStep {
-        WalkStep { pred: Predicate::new(attr, value), child: parent.and(attr, value).unwrap() }
-    }
-
-    /// A count-only walk probe of `child ∧ attr = value` from
-    /// `parent_level`, pushing `extends` first.
+    /// A count-only walk probe of `below ∧ attr = value` from
+    /// `parent_level`, whose last `extends` predicates before the probed
+    /// one commit pending levels first.
     fn classify(
         sid: u64,
         parent_level: u32,
-        extends: Vec<WalkStep>,
-        child: &Query,
+        extends: u32,
+        below: &Query,
         (attr, value): (usize, u16),
     ) -> Request {
         Request::WalkClassify {
             sid,
             parent_level,
             extends,
-            child: child.and(attr, value).unwrap(),
-            pred: Predicate::new(attr, value),
+            child: below.and(attr, value).unwrap(),
             k: 2,
         }
     }
@@ -1295,9 +1261,8 @@ mod tests {
         let server = serve();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let sid = open(&mut stream);
-        let one = step(&Query::all(), 4, 1);
-        let two = step(&one.child, 3, 0);
-        let commit = classify(sid, 0, vec![one.clone(), two.clone()], &two.child, (2, 1));
+        let two = Query::all().and(4, 1).unwrap().and(3, 0).unwrap();
+        let commit = classify(sid, 0, 2, &two, (2, 1));
         assert!(matches!(ask(&mut stream, &commit), Response::Classified(_)));
         // Another walk, three levels deep: 0=1, 1=0, 2=1.
         let theirs = Query::all().and(0, 1).unwrap().and(1, 0).unwrap().and(2, 1).unwrap();
@@ -1307,11 +1272,11 @@ mod tests {
             2,
         );
         assert_eq!(want.page.iter().map(|t| t.id).collect::<Vec<_>>(), [13, 29]);
-        let fresh = classify(sid, 1, Vec::new(), &theirs, (3, 1));
+        let fresh = classify(sid, 1, 0, &theirs, (3, 1));
         assert_eq!(ask(&mut stream, &fresh), Response::Classified(want));
-        let chained = classify(sid, 1, vec![step(&theirs, 3, 1)], &probed, (4, 0));
+        let chained = classify(sid, 1, 1, &probed, (4, 0));
         assert_eq!(ask(&mut stream, &chained), Response::SessionGone);
-        assert_eq!(server.session_steps(sid), Some(vec![one, two]));
+        assert_eq!(server.session_steps(sid), Some(two.predicates().to_vec()));
         server.shutdown();
     }
 
@@ -1319,11 +1284,9 @@ mod tests {
     fn lru_eviction_follows_recency_not_sid_order() {
         let server = serve_with(ServerConfig { session_cap: 2, ..Default::default() });
         let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let root = Query::all();
-        let one = step(&root, 0, 1);
-        let extend = |stream: &mut TcpStream, sid: u64| {
-            ask(stream, &classify(sid, 0, vec![one.clone()], &one.child, (1, 0)))
-        };
+        let one = Query::all().and(0, 1).unwrap();
+        let extend =
+            |stream: &mut TcpStream, sid: u64| ask(stream, &classify(sid, 0, 1, &one, (1, 0)));
         let s1 = open(&mut stream);
         let s2 = open(&mut stream);
         // Touch s1 so s2 is now the stalest; the next open must evict
@@ -1335,13 +1298,13 @@ mod tests {
         assert!(matches!(extend(&mut stream, s3), Response::Classified(_)));
         // Two levels, then a retract to one: a chain from the retired
         // second level cannot commit.
-        let two = step(&one.child, 1, 0);
-        let deep = classify(s1, 0, vec![one.clone(), two.clone()], &two.child, (2, 1));
+        let two = one.and(1, 0).unwrap();
+        let deep = classify(s1, 0, 2, &two, (2, 1));
         assert!(matches!(ask(&mut stream, &deep), Response::Classified(_)));
         assert!(matches!(extend(&mut stream, s1), Response::Classified(_)));
-        let retired = classify(s1, 2, vec![step(&two.child, 2, 1)], &two.child, (3, 0));
+        let retired = classify(s1, 2, 1, &two.and(2, 1).unwrap(), (3, 0));
         assert_eq!(ask(&mut stream, &retired), Response::SessionGone);
-        assert_eq!(server.session_steps(s1), Some(vec![one]));
+        assert_eq!(server.session_steps(s1), Some(one.predicates().to_vec()));
         server.shutdown();
     }
 
@@ -1354,23 +1317,19 @@ mod tests {
         let mut a = TcpStream::connect(server.addr()).unwrap();
         let mut b = TcpStream::connect(server.addr()).unwrap();
         let (sid_a, sid_b) = (open(&mut a), open(&mut b));
-        let root = Query::all();
-        let one = step(&root, 0, 1);
-        let two = step(&one.child, 1, 0);
+        let one = Query::all().and(0, 1).unwrap();
+        let two = one.and(1, 0).unwrap();
         // One step per probe on session a…
-        let first = ask(&mut a, &classify(sid_a, 0, vec![one.clone()], &one.child, (1, 1)));
+        let first = ask(&mut a, &classify(sid_a, 0, 1, &one, (1, 1)));
         assert!(matches!(first, Response::Classified(_)), "{first:?}");
-        let split = ask(&mut a, &classify(sid_a, 1, vec![two.clone()], &two.child, (2, 1)));
+        let split = ask(&mut a, &classify(sid_a, 1, 1, &two, (2, 1)));
         // …both steps in one probe on session b.
-        let chained =
-            ask(&mut b, &classify(sid_b, 0, vec![one.clone(), two.clone()], &two.child, (2, 1)));
+        let chained = ask(&mut b, &classify(sid_b, 0, 2, &two, (2, 1)));
         assert!(matches!(split, Response::Classified(_)), "{split:?}");
         assert_eq!(split, chained);
-        assert_eq!(
-            server.session_steps(sid_a),
-            Some(vec![one.clone(), two.clone()])
-        );
-        assert_eq!(server.session_steps(sid_b), Some(vec![one, two]));
+        let steps = Some(two.predicates().to_vec());
+        assert_eq!(server.session_steps(sid_a), steps);
+        assert_eq!(server.session_steps(sid_b), steps);
         server.shutdown();
     }
 
@@ -1388,23 +1347,49 @@ mod tests {
         ));
         // The same connection still serves real requests.
         assert_eq!(ask(&mut stream, &Request::Len), Response::Len(32));
-        // The retired full-page walk probe (tag 0x09, a WalkClassify body
-        // plus a row-id ranking byte) is an unknown tag now: typed error,
-        // and the connection keeps serving.
+        // The retired walk probes are unknown tags now: a version-5 body
+        // carrying two steps (tag 0x0A: sid, parent level, step count,
+        // each step's predicate and query, then the probe's query,
+        // predicate and k), and the full-page probe (tag 0x09, the same
+        // body plus a row-id ranking byte). Each gets a typed error, and
+        // the connection keeps serving.
         let sid = open(&mut stream);
-        let mut retired =
-            classify(sid, 0, Vec::new(), &Query::all(), (0, 1)).encode().unwrap();
-        retired[0] = 0x09;
-        retired.push(0x00);
-        write_frame(&mut stream, &retired).unwrap();
-        let payload = read_frame(&mut stream).unwrap().unwrap();
-        assert!(matches!(
-            Response::decode(&payload).unwrap(),
-            Response::Error(HdbError::Transport(_))
-        ));
-        assert_eq!(ask(&mut stream, &Request::Len), Response::Len(32));
-        // A version-4 client is refused with the typed mismatch error.
-        let refused = ask(&mut stream, &Request::Hello { version: 4 });
+        let pred =
+            |attr: u64, value: u16| [attr.to_le_bytes().as_slice(), &value.to_le_bytes()].concat();
+        let query = |preds: &[(u64, u16)]| {
+            let count = u32::try_from(preds.len()).unwrap().to_le_bytes().to_vec();
+            [count, preds.iter().flat_map(|&(a, v)| pred(a, v)).collect()].concat()
+        };
+        let v5 = [
+            vec![0x0A],
+            sid.to_le_bytes().to_vec(),
+            0u32.to_le_bytes().to_vec(),
+            2u32.to_le_bytes().to_vec(),
+            pred(0, 1),
+            query(&[(0, 1)]),
+            pred(1, 0),
+            query(&[(0, 1), (1, 0)]),
+            query(&[(0, 1), (1, 0), (2, 1)]),
+            pred(2, 1),
+            2u64.to_le_bytes().to_vec(),
+        ]
+        .concat();
+        let mut v4 = v5.clone();
+        v4[0] = 0x09;
+        v4.push(0x00);
+        for (tag, retired) in [("0x0a", v5), ("0x09", v4)] {
+            write_frame(&mut stream, &retired).unwrap();
+            let payload = read_frame(&mut stream).unwrap().unwrap();
+            match Response::decode(&payload).unwrap() {
+                Response::Error(HdbError::Transport(msg)) => {
+                    assert!(msg.contains(&format!("unknown request tag {tag}")), "{msg}");
+                }
+                other => panic!("retired tag {tag} got {other:?}"),
+            }
+            assert_eq!(ask(&mut stream, &Request::Len), Response::Len(32));
+        }
+        // A version-5 client is refused with the typed mismatch error.
+        let refused = ask(&mut stream, &Request::Hello { version: 5 });
         assert!(matches!(&refused, Response::Error(HdbError::Transport(m))
             if m.contains("protocol version mismatch")), "{refused:?}");
         // Unframeable input (absurd length prefix) → connection dropped.
@@ -1524,32 +1509,42 @@ mod tests {
         );
         assert!(matches!(resp, Response::Error(HdbError::InvalidQuery(_))), "{resp:?}");
         // A client extending past one-level-per-attribute must be stopped
-        // instead of inflating the state stack unboundedly. Every step
-        // must extend the level below it (the server's level check), and
-        // a query constrains each attribute once, so a walk commits at
-        // most one level per attribute: here four, each probed with the
-        // fifth attribute still free.
+        // instead of inflating the state stack unboundedly. A probe's
+        // query must extend the level it names (the server's prefix
+        // check), and a query constrains each attribute once, so a walk
+        // commits at most one level per attribute: here four, each probed
+        // with the fifth attribute still free.
         let sid = open(&mut stream);
-        let root = Query::all();
-        let mut below = root.clone();
+        let mut below = Query::all();
         for level in 0..4u32 {
-            let next = step(&below, level as usize, 0);
-            match ask(&mut stream, &classify(sid, level, vec![next.clone()], &next.child, (4, 0))) {
-                Response::Classified(_) => below = next.child,
+            let next = below.and(level as usize, 0).unwrap();
+            match ask(&mut stream, &classify(sid, level, 1, &next, (4, 0))) {
+                Response::Classified(_) => below = next,
                 other => panic!("cap must allow legitimate depths, hit at {level}: {other:?}"),
             }
         }
-        // A chain that does not extend the level it names, or that runs
-        // deeper than the schema is wide, is refused whole, before any
-        // push.
-        let zero = step(&root, 0, 0);
-        for (level, chain) in [(4, vec![zero.clone()]), (0, vec![zero; 6])] {
-            assert_eq!(
-                ask(&mut stream, &classify(sid, level, chain, &root, (1, 0))),
-                Response::SessionGone,
-                "extend depth must be capped at the schema width"
-            );
+        // A chain whose query does not extend the level it names is
+        // refused whole, before any push.
+        let zero = Query::all().and(0, 0).unwrap();
+        assert_eq!(
+            ask(&mut stream, &classify(sid, 4, 1, &zero, (1, 0))),
+            Response::SessionGone,
+            "a chain must hang off the level it names"
+        );
+        // A count with no probed predicate left — six extends over a
+        // one-predicate query — is a typed error before any session
+        // lookup, tallied errored, and the connection serves on.
+        match ask(&mut stream, &classify(sid, 0, 6, &Query::all(), (1, 0))) {
+            Response::Error(HdbError::InvalidQuery(msg)) => {
+                assert!(msg.contains("extends (6)"), "{msg}");
+            }
+            other => panic!("an impossible extend count got {other:?}"),
         }
+        let snap = server.metrics();
+        assert_eq!(ledger_of(&snap), (7, 7), "ledger must partition");
+        // errored: the hostile ranking, the refused chain and the count
+        assert_eq!(snap.counters.get("hdb_queries_errored_total"), Some(&3));
+        assert_eq!(ask(&mut stream, &Request::Len), Response::Len(32));
         assert_eq!(server.session_steps(sid).map(|s| s.len()), Some(4));
         server.shutdown();
     }
@@ -1563,11 +1558,10 @@ mod tests {
         let server = serve();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         let sid = open(&mut stream);
-        let one = step(&Query::all(), 0, 1);
-        let two = step(&one.child, 1, 0);
-        let commit = classify(sid, 0, vec![one.clone(), two.clone()], &two.child, (3, 0));
+        let two = Query::all().and(0, 1).unwrap().and(1, 0).unwrap();
+        let commit = classify(sid, 0, 2, &two, (3, 0));
         assert!(matches!(ask(&mut stream, &commit), Response::Classified(_)));
-        let probe = classify(sid, 2, Vec::new(), &two.child, (2, 1));
+        let probe = classify(sid, 2, 0, &two, (2, 1));
         let before = ask(&mut stream, &probe);
         assert!(matches!(before, Response::Classified(_)), "{before:?}");
         assert_eq!(server.session_count(), 1);
@@ -1577,7 +1571,7 @@ mod tests {
         assert_eq!(revived.session_count(), 0);
         let mut stream = TcpStream::connect(revived.addr()).unwrap();
         assert_eq!(ask(&mut stream, &probe), before);
-        let chained = classify(sid, 0, vec![one, two.clone()], &two.child, (2, 1));
+        let chained = classify(sid, 0, 2, &two, (2, 1));
         assert_eq!(ask(&mut stream, &chained), Response::SessionGone);
         revived.shutdown();
     }

@@ -33,7 +33,8 @@
 //! replicas, tuned by the fleet flags (`--retries`, `--backoff-ms`,
 //! `--backoff-cap-ms`, `--io-timeout-ms`, `--health-interval-ms`).
 //! `--self-test` binds an ephemeral port, connects a [`RemoteBackend`]
-//! client to itself, verifies a query + walk-session round trip and a
+//! client to itself, verifies a query + walk-session round trip (a probe
+//! carrying two extends and one after a retract included) and a
 //! whole-corpus reply (a root evaluate with `k` = the corpus size, one
 //! frame) against the local backend bit-for-bit, and exits — the CI
 //! smoke path.
@@ -227,7 +228,7 @@ fn self_test(opts: &Opts) {
 
     let k = 10;
     let local_db = HiddenDb::new(table.clone(), k);
-    let remote_db = HiddenDb::over(remote, k);
+    let remote_db = HiddenDb::over(Arc::clone(&remote), k);
 
     // Fresh queries agree bit-for-bit.
     for attr in 0..table.schema().len().min(4) {
@@ -253,6 +254,27 @@ fn self_test(opts: &Opts) {
         }
     }
     assert_eq!(local_db.queries_issued(), remote_db.queries_issued());
+
+    // Two branches committed back to back ride on the next probe as a
+    // chain of two extends; after a retract, the next probe goes from the
+    // shallower level.
+    if table.schema().len() >= 3 {
+        let mut lw = local_db.walk_session(Query::all()).unwrap();
+        let mut rw = remote_db.walk_session(Query::all()).unwrap();
+        for (attr, v) in [(0, 0), (1, 0)] {
+            lw.extend(attr, v);
+            rw.extend(attr, v);
+        }
+        let sent = remote.requests_sent();
+        let out = lw.classify(2, 0).unwrap();
+        assert_eq!(out, rw.classify(2, 0).unwrap(), "chained walk probe diverged");
+        assert_eq!(remote.requests_sent(), sent + 1, "a chained probe is one exchange");
+        lw.retract();
+        rw.retract();
+        let out = lw.classify(2, 1).unwrap();
+        assert_eq!(out, rw.classify(2, 1).unwrap(), "walk probe after a retract diverged");
+        assert_eq!(local_db.queries_issued(), remote_db.queries_issued());
+    }
 
     // A short estimator run over the socket lands on the same bits.
     let mut local_est = hdb_core::UnbiasedSizeEstimator::hd(opts.seed).unwrap();

@@ -19,9 +19,9 @@ use std::time::Duration;
 use hdb_core::UnbiasedSizeEstimator;
 use hdb_interface::wire::{read_frame, write_frame, Request, Response};
 use hdb_interface::{
-    AttrId, Evaluation, FederatedBackend, FleetConfig, HdbError, HiddenDb, Predicate, Query,
-    RankingFunction, RankingSpec, RemoteBackend, Schema, SearchBackend, ShardedDb, Table,
-    TableBackend, TopKInterface, Topology, Tuple, TupleId, WalkStep,
+    AttrId, Evaluation, FederatedBackend, FleetConfig, HdbError, HiddenDb, Query, RankingFunction,
+    RankingSpec, RemoteBackend, Schema, SearchBackend, ShardedDb, Table, TableBackend,
+    TopKInterface, Topology, Tuple, TupleId,
 };
 use hdb_repro::testkit::{Fault, FaultProxy, FaultSchedule};
 use hdb_server::{RunningServer, Server, ServerConfig};
@@ -187,18 +187,15 @@ fn failover_onto_a_replica_reusing_the_sid_stays_bit_identical() {
     let mut other = TcpStream::connect(standby.addr()).unwrap();
     let open = Request::WalkOpen { root: Query::all() };
     assert_eq!(ask(&mut other, &open), Response::Session { sid: 1 });
-    let mut steps = Vec::new();
     let mut below = Query::all();
     for (attr, value) in [(1usize, 0u16), (2, 1), (3, 0), (4, 1)] {
         below = below.and(attr, value).unwrap();
-        steps.push(WalkStep { pred: Predicate::new(attr, value), child: below.clone() });
     }
     let commit = Request::WalkClassify {
         sid: 1,
         parent_level: 0,
-        extends: steps.clone(),
+        extends: 4,
         child: below.and(5, 0).unwrap(),
-        pred: Predicate::new(5, 0),
         k: 2,
     };
     assert!(matches!(ask(&mut other, &commit), Response::Classified(_)));
@@ -232,7 +229,8 @@ fn failover_onto_a_replica_reusing_the_sid_stays_bit_identical() {
     assert_eq!(local.queries_issued(), fed_db.queries_issued());
     assert_ledger_partition(&fed_db);
     let kept = standby.session_steps(1);
-    assert_eq!(kept, Some(steps), "the other walk's session must keep its stack");
+    let theirs = Some(below.predicates().to_vec());
+    assert_eq!(kept, theirs, "the other walk's session must keep its stack");
 }
 
 /// A garbled response frame is a reply that did not decode, which the
@@ -352,20 +350,9 @@ fn probe_with_extends_replays_idempotently_on_the_server() {
         other => panic!("expected Session, got {other:?}"),
     };
 
-    let child = Query::all().and(0, 1).unwrap();
-    let grandchild = child.and(1, 0).unwrap();
-    let probe = grandchild.and(2, 1).unwrap();
-    let chained = Request::WalkClassify {
-        sid,
-        parent_level: 0,
-        extends: vec![
-            WalkStep { pred: Predicate::new(0, 1), child },
-            WalkStep { pred: Predicate::new(1, 0), child: grandchild },
-        ],
-        child: probe.clone(),
-        pred: Predicate::new(2, 1),
-        k: 2,
-    };
+    let probe = Query::all().and(0, 1).unwrap().and(1, 0).unwrap().and(2, 1).unwrap();
+    let chained =
+        Request::WalkClassify { sid, parent_level: 0, extends: 2, child: probe.clone(), k: 2 };
     assert!(chained.replayable(), "walk probes carrying extends must be replayable");
     assert!(!Request::WalkOpen { root: Query::all() }.replayable());
 
@@ -385,9 +372,8 @@ fn probe_with_extends_replays_idempotently_on_the_server() {
     send(&mut stream, &Request::WalkClassify {
         sid,
         parent_level: 2,
-        extends: Vec::new(),
+        extends: 0,
         child: probe.clone(),
-        pred: Predicate::new(2, 1),
         k: 2,
     });
     let after = match reply(&mut stream) {

@@ -9,24 +9,20 @@
 use std::io::Read as _;
 
 use hdb_interface::wire::{read_frame, write_frame, FrameBuf, Request, Response, MAX_FRAME_LEN};
-use hdb_interface::{Evaluation, Predicate, Query, RankingSpec, ReturnedTuple, Tuple, WalkStep};
+use hdb_interface::{Evaluation, Query, RankingSpec, ReturnedTuple, Tuple};
 use proptest::prelude::*;
 
 /// A corpus of valid encoded requests, parameterised so proptest can
 /// drive the varying-width fields (session ids, levels, k, seeds).
 fn encoded_requests(sid: u64, level: u32, k: u64, seed: u64) -> Vec<Vec<u8>> {
     let q = Query::all().and(1, (seed % 7) as u16).expect("fresh attr");
-    // A walk probe's extends: `n` steps down attributes 2, 3, ….
-    let steps = |n: usize| {
-        let mut child = q.clone();
-        (0..n)
-            .map(|i| {
-                let pred = Predicate::new(2 + i, ((sid >> i) % 4) as u16);
-                child = child.and(pred.attr, pred.value).expect("fresh attr");
-                WalkStep { pred, child: child.clone() }
-            })
-            .collect::<Vec<_>>()
+    // A walk probe's query: `q`, then `n` extends down attributes 2, 3,
+    // …, then the probed predicate on attribute 0.
+    let probe = |n: usize| {
+        let path = (0..n).try_fold(q.clone(), |below, i| below.and(2 + i, ((sid >> i) % 4) as u16));
+        path.and_then(|p| p.and(0, (seed % 3) as u16)).expect("fresh attrs")
     };
+    let k1 = k.max(1);
     let reqs = vec![
         Request::Hello { version: (k as u32) ^ 1 },
         Request::Schema,
@@ -48,30 +44,12 @@ fn encoded_requests(sid: u64, level: u32, k: u64, seed: u64) -> Vec<Vec<u8>> {
         Request::ExactCount { query: q.clone() },
         Request::ExactSum { attr: sid % 5, query: q.clone() },
         Request::WalkOpen { root: Query::all() },
-        Request::WalkClassify {
-            sid,
-            parent_level: level,
-            extends: Vec::new(),
-            child: q.clone(),
-            pred: Predicate::new(0, 1),
-            k: k.max(1),
-        },
-        Request::WalkClassify {
-            sid,
-            parent_level: level,
-            extends: steps(1),
-            child: q.clone(),
-            pred: Predicate::new(2, 0),
-            k,
-        },
-        Request::WalkClassify {
-            sid,
-            parent_level: level,
-            extends: steps(3),
-            child: q.clone(),
-            pred: Predicate::new(1, 0),
-            k: k.max(1),
-        },
+        Request::WalkClassify { sid, parent_level: level, extends: 0, child: probe(0), k: k1 },
+        Request::WalkClassify { sid, parent_level: level, extends: 1, child: probe(1), k },
+        Request::WalkClassify { sid, parent_level: level, extends: 3, child: probe(3), k: k1 },
+        // A count that leaves no probed predicate decodes; the server
+        // refuses it.
+        Request::WalkClassify { sid, parent_level: level, extends: 3, child: probe(1), k },
         Request::WalkClose { sid },
         Request::Stats,
     ];
