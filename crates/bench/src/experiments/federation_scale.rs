@@ -46,9 +46,8 @@ struct FleetRun {
 
 /// The fleet tuning for a run: `workers` matched to the fleet width,
 /// then any of the shared fleet flags (`--retries`, `--backoff-ms`,
-/// `--backoff-cap-ms`, `--io-timeout-ms`, `--health-interval-ms` — the
-/// same vocabulary `hdb-server --help` documents) taken from the bench's
-/// command line.
+/// `--backoff-cap-ms`, `--io-timeout-ms` — the same vocabulary
+/// `hdb-server --help` documents) taken from the bench's command line.
 fn fleet_config(parts: usize) -> FleetConfig {
     let mut cfg = FleetConfig { workers: parts, ..FleetConfig::default() };
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use hdb_interface::{
     AttrId, Clock, Counter, Histogram, MetricsRegistry, Query, QueryOutcome, ReturnedTuple,
-    Schema, TopKInterface,
+    Schema, TopKInterface, WorkerPool,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -222,6 +222,11 @@ fn run_one_pass<I: TopKInterface>(
     }
 }
 
+/// The error of a run that completed no pass.
+fn no_passes() -> EstimatorError {
+    EstimatorError::InvalidConfig("no passes completed".into())
+}
+
 impl UnbiasedAggEstimator {
     /// Creates an estimator for `spec` under `config`, seeding its RNG
     /// with `seed`.
@@ -335,15 +340,8 @@ impl UnbiasedAggEstimator {
     /// summary is returned (matching how a real client would behave when
     /// the site cuts it off).
     pub fn run<I: TopKInterface>(&mut self, iface: &I, passes: u64) -> Result<AggEstimate> {
-        for _ in 0..passes {
-            if let Err(e) = self.pass(iface) {
-                if e.is_budget_exhausted() && !self.estimates.is_empty() {
-                    break;
-                }
-                return Err(e);
-            }
-        }
-        self.summary().ok_or(EstimatorError::InvalidConfig("no passes completed".into()))
+        let end = self.next_pass.saturating_add(passes);
+        self.run_while(iface, |est| est.next_pass < end)
     }
 
     /// Keeps running passes until this estimator has spent at least
@@ -357,7 +355,19 @@ impl UnbiasedAggEstimator {
         iface: &I,
         query_budget: u64,
     ) -> Result<AggEstimate> {
-        while self.queries_spent < query_budget {
+        self.run_while(iface, |est| est.queries_spent < query_budget)
+    }
+
+    /// The sequential loop behind [`UnbiasedAggEstimator::run`] and
+    /// [`UnbiasedAggEstimator::run_until_budget`]: passes in index order
+    /// while `more` holds. A budget cut after at least one completed pass
+    /// ends the run with the partial summary.
+    fn run_while<I: TopKInterface>(
+        &mut self,
+        iface: &I,
+        more: impl Fn(&Self) -> bool,
+    ) -> Result<AggEstimate> {
+        while more(self) {
             if let Err(e) = self.pass(iface) {
                 if e.is_budget_exhausted() && !self.estimates.is_empty() {
                     break;
@@ -365,11 +375,12 @@ impl UnbiasedAggEstimator {
                 return Err(e);
             }
         }
-        self.summary().ok_or(EstimatorError::InvalidConfig("no passes completed".into()))
+        self.summary().ok_or_else(no_passes)
     }
 
-    /// Runs `passes` estimation passes fanned across `workers` OS
-    /// threads.
+    /// Runs `passes` estimation passes fanned across `workers` threads
+    /// (the caller plus a [`WorkerPool`] of `workers - 1` built for the
+    /// call).
     ///
     /// Because each pass draws from its own
     /// [`engine::pass_seed`]-derived RNG stream and results are merged in
@@ -403,226 +414,60 @@ impl UnbiasedAggEstimator {
     /// whose per-query charge is history-independent (a plain
     /// [`HiddenDb`](hdb_interface::HiddenDb) charges every issued query).
     ///
+    /// An interface that meters a query budget
+    /// ([`TopKInterface::budget_remaining`] returns `Some`) ends the run
+    /// at the pass where the budget runs out, so against one this *is*
+    /// [`UnbiasedAggEstimator::run`]: the completed passes, history,
+    /// spend and error are the sequential run's by construction.
+    ///
     /// # Errors
-    /// Interface errors propagate, with two cases:
-    /// * **budget exhaustion** — the completed passes are kept and the
-    ///   partial summary returned, exactly as in the sequential
-    ///   [`UnbiasedAggEstimator::run`]. Interfaces that meter a budget
-    ///   ([`TopKInterface::budget_remaining`] returns `Some`) run in
-    ///   wave-barriered chunks: fully parallel while the remaining budget
-    ///   comfortably exceeds a chunk's expected spend, switching to
-    ///   canonical single-thread claiming as exhaustion nears — so the
-    ///   completed-pass set of a budget-cut run is the deterministic
-    ///   sequential one for any worker count, not an accident of thread
-    ///   scheduling. (Only if a single pass costs more than ~8× the
-    ///   running mean can the cut land inside a parallel chunk; that
-    ///   chunk is then discarded whole, keeping the history canonical,
-    ///   though the wasted spend is scheduling-dependent.)
-    /// * **any other error** — the failing fan-out commits nothing:
-    ///   estimates, history, and the pass cursor are exactly as before
-    ///   it started, so a retry re-runs the same pass indices
-    ///   deterministically.
+    /// Against a metered interface, the contract of
+    /// [`UnbiasedAggEstimator::run`]. Otherwise the fan-out commits every
+    /// pass or none: on the first interface error the estimates, history
+    /// and pass cursor are exactly as before the call (the queries the
+    /// failed fan-out issued still count in `queries_spent`), so a retry
+    /// re-runs the same pass indices.
+    ///
+    /// # Panics
+    /// A pass that panics, on any thread, panics the caller once every
+    /// worker has stopped.
     pub fn run_parallel<I: TopKInterface + Sync>(
         &mut self,
         iface: &I,
         passes: u64,
         workers: usize,
     ) -> Result<AggEstimate> {
-        self.run_fanned(iface, Some(passes), None, workers)
-    }
-
-    /// Parallel counterpart of [`UnbiasedAggEstimator::run_until_budget`]:
-    /// passes run in waves of `workers`, with the estimator's spend
-    /// checked at each wave barrier, until at least `query_budget`
-    /// queries are spent.
-    ///
-    /// Unlike [`UnbiasedAggEstimator::run_parallel`], the **number** of
-    /// passes performed depends on the worker count (the final wave may
-    /// overshoot the budget by up to `workers` passes) — but for
-    /// interfaces whose per-query charge is history-independent it is a
-    /// deterministic function of `(seed, query_budget, workers)`, because
-    /// the spend compared at each barrier is the sum of deterministic
-    /// per-pass costs, not a mid-flight racy read. Every individual pass
-    /// value is deterministic in its pass index regardless.
-    ///
-    /// # Errors
-    /// Same contract as [`UnbiasedAggEstimator::run_parallel`]; a
-    /// non-budget error in a wave leaves the passes committed by earlier
-    /// waves intact and the pass cursor at the failing wave's start.
-    pub fn run_until_budget_parallel<I: TopKInterface + Sync>(
-        &mut self,
-        iface: &I,
-        query_budget: u64,
-        workers: usize,
-    ) -> Result<AggEstimate> {
-        self.run_fanned(iface, None, Some(query_budget), workers)
-    }
-
-    /// Shared body of the parallel runners: fan passes out, merge in
-    /// canonical order, and commit to estimator state only on success or
-    /// budget exhaustion.
-    ///
-    /// Determinism of budget cuts: against a metered interface
-    /// ([`TopKInterface::budget_remaining`] is `Some`) passes run in
-    /// wave-barriered chunks — fully parallel while the remaining budget
-    /// comfortably exceeds the chunk's expected spend, canonical
-    /// single-thread claiming once exhaustion nears — so the moment the
-    /// budget runs dry, and therefore the completed-pass set, is
-    /// identical to the sequential run's. Self-budgeted runs
-    /// (`query_budget`) proceed in waves of `workers` passes with the
-    /// spend compared only at wave barriers, where it is a sum of
-    /// deterministic per-pass costs.
-    fn run_fanned<I: TopKInterface + Sync>(
-        &mut self,
-        iface: &I,
-        passes: Option<u64>,
-        query_budget: Option<u64>,
-        workers: usize,
-    ) -> Result<AggEstimate> {
+        if iface.budget_remaining().is_some() {
+            return self.run(iface, passes);
+        }
         let before = iface.queries_issued();
-        let ready = self.ensure_ready(iface);
-        self.queries_spent += iface.queries_issued() - before;
-        ready?;
-        let workers = workers.max(1);
-        let metered = iface.budget_remaining().is_some();
-        let mut budget_error = None;
-        if !metered && query_budget.is_none() {
-            // Unmetered fixed-pass run: one fan-out, no barriers needed.
-            budget_error =
-                self.fan_chunk(iface, passes.expect("bounded by passes"), workers, true)?;
-        } else {
-            // Chunked: wave barriers are where budgets can be checked
-            // deterministically (the spend there is a sum of completed
-            // per-pass costs, not a mid-flight racy read).
-            let mut remaining = passes;
-            loop {
-                if budget_error.is_some() || remaining == Some(0) {
-                    break;
-                }
-                if let Some(b) = query_budget {
-                    if self.queries_spent >= b {
-                        break;
-                    }
-                }
-                // With no cost estimate yet, a metered run probes with a
-                // single serial pass instead of serialising a whole
-                // workers-sized chunk — startup parallelism matters most
-                // in exactly the slow-remote metered scenario.
-                let chunk = if metered && self.estimates.is_empty() {
-                    1
-                } else {
-                    remaining.map_or(workers as u64, |r| r.min(workers as u64))
-                };
-                let chunk_workers =
-                    if metered { self.safe_parallel_workers(iface, workers, chunk) } else { workers };
-                // A parallel chunk that a budget cut lands in anyway
-                // (margin breached by a pathological pass) commits
-                // nothing, so the committed history stays chunk-aligned
-                // and canonical; serial chunks commit their prefix,
-                // which is exactly the sequential behaviour.
-                budget_error = self.fan_chunk(iface, chunk, chunk_workers, chunk_workers == 1)?;
-                if let Some(r) = remaining.as_mut() {
-                    *r -= chunk;
-                }
-            }
-        }
-        match self.summary() {
-            Some(s) => Ok(s),
-            None => Err(budget_error
-                .unwrap_or_else(|| EstimatorError::InvalidConfig("no passes completed".into()))),
-        }
-    }
-
-    /// Decides how many workers may run the next chunk of `chunk` passes
-    /// against a metered interface: full parallelism while the remaining
-    /// budget is at least 8× the chunk's expected spend (observed mean
-    /// cost per pass), canonical single-thread claiming once exhaustion
-    /// is near — or before any pass has completed (no cost estimate yet).
-    fn safe_parallel_workers<I: TopKInterface>(
-        &self,
-        iface: &I,
-        workers: usize,
-        chunk: u64,
-    ) -> usize {
-        if workers == 1 {
-            return 1;
-        }
-        let Some(remaining) = iface.budget_remaining() else { return workers };
-        let done = self.estimates.len() as u64;
-        if done == 0 {
-            return 1;
-        }
-        let mean_cost = (self.queries_spent / done).max(1);
-        let margin = chunk.saturating_mul(mean_cost).saturating_mul(8);
-        if remaining >= margin {
-            workers
-        } else {
-            1
-        }
-    }
-
-    /// Runs one fan-out of `n` passes starting at the current pass cursor
-    /// and commits its results in canonical pass-index order.
-    ///
-    /// Returns `Ok(Some(err))` when interface budget exhaustion cut the
-    /// chunk short. With `commit_prefix` the contiguous prefix of
-    /// completed passes is committed and everything past the first
-    /// incomplete index discarded (sequential semantics for serial
-    /// chunks); without it a cut chunk commits nothing at all
-    /// (all-or-nothing for parallel chunks, whose prefix length would be
-    /// scheduling-dependent). Any other worker error aborts without
-    /// committing anything from this chunk, leaving the pass cursor where
-    /// it started so a retry re-runs the same indices deterministically.
-    fn fan_chunk<I: TopKInterface + Sync>(
-        &mut self,
-        iface: &I,
-        n: u64,
-        workers: usize,
-        commit_prefix: bool,
-    ) -> Result<Option<EstimatorError>> {
-        let before = iface.queries_issued();
-        let base = self.next_pass;
-        let (config, spec, master) = (&self.config, &self.spec, self.master_seed);
-        let levels = self.levels.as_deref().expect("resolved");
-        let root = self.root_outcome.as_ref().expect("cached");
-        let out = engine::fan_out(n, workers, |i| {
-            run_one_pass(config, spec, levels, root, iface, master, base + i)
+        let out = self.ensure_ready(iface).map(|()| {
+            let (config, spec, master, base) =
+                (&self.config, &self.spec, self.master_seed, self.next_pass);
+            let levels = self.levels.as_deref().expect("resolved");
+            let root = self.root_outcome.as_ref().expect("cached");
+            let threads = workers.min(usize::try_from(passes).unwrap_or(usize::MAX));
+            WorkerPool::new(threads.saturating_sub(1)).fan_out(passes, |i| {
+                run_one_pass(config, spec, levels, root, iface, master, base + i)
+            })
         });
         self.queries_spent += iface.queries_issued() - before;
-        let budget_error = match out.error {
-            // A non-budget error aborts without committing any of this
-            // chunk's passes (other workers may have completed later
-            // indices, but recording them would leave a hole at the
-            // failed index and break sequential parity on retry).
-            Some(e) if !e.is_budget_exhausted() => return Err(e),
-            other => other,
-        };
-        if budget_error.is_some() && !commit_prefix {
-            return Ok(budget_error);
+        let out = out?;
+        if let Some(e) = out.error {
+            return Err(e);
         }
-        // Replay results in canonical pass-index order (arrival order is
-        // scheduling-dependent; the committed fold must not be) and stop
-        // at the first gap: under a budget cut, stragglers past an
-        // incomplete index never become part of the history.
+        // Replay results in canonical pass-index order: arrival order is
+        // scheduling-dependent, the committed fold must not be.
         let mut results = out.results;
         results.sort_unstable_by_key(|&(i, _)| i);
-        let mut committed = 0u64;
-        for &(i, v) in &results {
-            if i != committed {
-                break;
-            }
-            self.estimates.push(v);
-            committed += 1;
-        }
-        self.next_pass = base + committed;
+        self.estimates.extend(results.into_iter().map(|(_, v)| v));
+        self.next_pass += passes;
         if let Some(obs) = &self.obs {
-            // Counted only once committed (discarded chunks never ran to
-            // completion as far as the history is concerned); durations
-            // are not recorded here — a parallel pass's wall time is an
+            // No durations here: a parallel pass's wall time is an
             // artefact of scheduling, not of the work.
-            obs.passes.add(committed);
+            obs.passes.add(passes);
         }
-        Ok(budget_error)
+        self.summary().ok_or_else(no_passes)
     }
 
     /// The running estimate (mean of pass estimates), if any pass has
@@ -857,21 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_budget_parallel_spends_at_least_budget() {
-        let db = db();
-        let mut est = UnbiasedAggEstimator::new(
-            EstimatorConfig::plain(),
-            AggregateSpec::database_size(),
-            5,
-        )
-        .unwrap();
-        let summary = est.run_until_budget_parallel(&db, 100, 4).unwrap();
-        assert!(summary.queries >= 100);
-        assert!(summary.passes > 1);
-        assert_eq!(summary.passes as usize, est.history().len());
-    }
-
-    #[test]
     fn parallel_budget_exhaustion_preserves_partial_results() {
         let schema = Schema::boolean(6);
         let tuples: Vec<Tuple> =
@@ -891,9 +721,9 @@ mod tests {
 
     #[test]
     fn ample_metered_budget_keeps_parallel_parity() {
-        // A budget nowhere near exhaustion must not change anything:
-        // chunks run in parallel after the first (serial, cost-probing)
-        // one, and the results match the unlimited run bit for bit.
+        // A metered run is the sequential run, so a budget nowhere near
+        // exhaustion changes nothing: the results match the unlimited
+        // run bit for bit.
         let mut unlimited = UnbiasedAggEstimator::new(
             EstimatorConfig::plain(),
             AggregateSpec::database_size(),
@@ -912,6 +742,46 @@ mod tests {
         assert_eq!(reference.estimate.to_bits(), summary.estimate.to_bits());
         assert_eq!(unlimited.history(), est.history());
         assert_eq!(reference.queries, summary.queries);
+    }
+
+    #[test]
+    fn a_panicking_pass_panics_the_caller_of_run_parallel() {
+        /// Answers the root query, then panics on every later one, so
+        /// whichever thread runs the first pass panics.
+        struct PanicsAfterRoot(HiddenDb);
+        impl TopKInterface for PanicsAfterRoot {
+            fn schema(&self) -> &Schema {
+                self.0.schema()
+            }
+            fn k(&self) -> usize {
+                self.0.k()
+            }
+            fn query(&self, q: &Query) -> hdb_interface::Result<QueryOutcome> {
+                assert_eq!(self.0.queries_issued(), 0, "a pass issued a query");
+                self.0.query(q)
+            }
+            fn queries_issued(&self) -> u64 {
+                self.0.queries_issued()
+            }
+        }
+        // On a thread of its own, so a run that hangs fails the test.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let mut est = UnbiasedAggEstimator::new(
+                EstimatorConfig::plain(),
+                AggregateSpec::database_size(),
+                5,
+            )
+            .unwrap();
+            let iface = PanicsAfterRoot(db());
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                est.run_parallel(&iface, 64, 4)
+            }));
+            tx.send(run.is_err()).unwrap();
+        });
+        let panicked = rx.recv_timeout(std::time::Duration::from_secs(60)).expect("run hung");
+        runner.join().expect("the runner catches the panic");
+        assert!(panicked, "the pass's panic must reach the caller");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The paper's estimators converge by averaging thousands of independent
 //! drill-down passes; the passes share nothing but the (read-only)
-//! interface, so they are embarrassingly parallel. This module fans
-//! passes across a `std::thread` worker pool while preserving the
+//! interface, so they are embarrassingly parallel.
+//! [`run_parallel`](crate::UnbiasedAggEstimator::run_parallel) fans them
+//! across a [`WorkerPool`] built for the run while preserving the
 //! workspace's determinism guarantee:
 //!
 //! * **Seed derivation** — pass `i` of a run with master seed `s` draws
@@ -13,34 +14,29 @@
 //! * **Order-independent merge** — per-pass estimates are keyed by pass
 //!   index and replayed in canonical index order before any
 //!   floating-point fold, so arrival order can never leak into a result.
-//! * **Canonical budget exhaustion** — interfaces that meter a query
-//!   budget ([`TopKInterface::budget_remaining`] returns `Some`) run in
-//!   wave-barriered chunks: fully parallel while the remaining budget
-//!   comfortably exceeds a chunk's expected spend, canonical
-//!   single-thread claiming once exhaustion nears — so the set of passes
-//!   completed when the budget runs dry is the same as the sequential
-//!   run's, not an accident of thread scheduling.
+//! * **One budget rule** — a site's query limit ends the run at the pass
+//!   where it runs out. Against an interface that meters a budget
+//!   ([`TopKInterface::budget_remaining`] returns `Some`), `run_parallel`
+//!   therefore *is* the sequential
+//!   [`run`](crate::UnbiasedAggEstimator::run); an unmetered interface
+//!   cannot cut the run short, so its fan-out commits every pass or none.
 //!
 //! Together these make the merged estimate **bit-identical to the
-//! sequential run regardless of worker count**: `run` and
-//! [`run_parallel`](crate::UnbiasedAggEstimator::run_parallel) with 1, 2,
-//! or 64 workers produce the same per-pass history and the same mean —
-//! including runs cut short by a metered interface budget, provided no
-//! single pass blows through the 8× safety margin the near-exhaustion
-//! serialisation relies on (see
-//! [`run_parallel`](crate::UnbiasedAggEstimator::run_parallel) for the
-//! pathological-pass caveat).
+//! sequential run regardless of worker count**: `run` and `run_parallel`
+//! with 1, 2, or 64 workers produce the same per-pass history and the
+//! same mean — including runs cut short by a metered interface budget.
 //!
-//! The threading primitive itself, [`fan_out`], is shared with the
-//! substrate crate (re-exported from [`hdb_interface::par`], where
-//! [`ShardedDb`](hdb_interface::ShardedDb) uses it for per-shard query
-//! evaluation). The worker count defaults to [`default_workers`], which
-//! honours the `HDB_ENGINE_WORKERS` environment variable (CI runs the
-//! test suite under both `=1` and `=4`).
+//! The pool is the substrate crate's one fan-out primitive
+//! ([`hdb_interface::par`]; [`ShardedDb`](hdb_interface::ShardedDb) and
+//! [`FederatedBackend`](hdb_interface::FederatedBackend) fan their shards
+//! across it too). The worker count defaults to [`default_workers`],
+//! which honours the `HDB_ENGINE_WORKERS` environment variable (CI runs
+//! the test suite under both `=1` and `=4`).
 //!
 //! [`TopKInterface::budget_remaining`]: hdb_interface::TopKInterface::budget_remaining
+//! [`WorkerPool`]: hdb_interface::WorkerPool
 
-pub use hdb_interface::par::{default_workers, fan_out, FanOut, WORKERS_ENV};
+pub use hdb_interface::par::{default_workers, WORKERS_ENV};
 
 /// Derives the RNG seed of pass `pass_index` under `master_seed`.
 ///
@@ -58,7 +54,6 @@ pub fn pass_seed(master_seed: u64, pass_index: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::EstimatorError;
 
     #[test]
     fn pass_seed_is_stable_and_spread() {
@@ -72,19 +67,6 @@ mod tests {
         let a = pass_seed(7, 1);
         let b = pass_seed(7, 2);
         assert!((a ^ b).count_ones() > 8, "seeds too correlated: {a:x} vs {b:x}");
-    }
-
-    #[test]
-    fn fan_out_reexport_works_with_estimator_errors() {
-        let out = fan_out(100, 4, |i| {
-            if i == 3 {
-                Err(EstimatorError::InvalidConfig("boom".into()))
-            } else {
-                Ok(i as f64)
-            }
-        });
-        assert!(out.error.is_some());
-        assert!(out.results.iter().all(|&(i, _)| i != 3));
     }
 
     #[test]

@@ -105,11 +105,12 @@ impl UnbiasedSizeEstimator {
     }
 
     /// Runs `passes` passes fanned across `workers` threads; bitwise
-    /// identical to [`UnbiasedSizeEstimator::run`] for any worker count.
-    /// See [`UnbiasedAggEstimator::run_parallel`].
+    /// identical to [`UnbiasedSizeEstimator::run`] for any worker count,
+    /// and exactly `run` against an interface that meters a budget. See
+    /// [`UnbiasedAggEstimator::run_parallel`].
     ///
     /// # Errors
-    /// Same contract as [`UnbiasedSizeEstimator::run`].
+    /// See [`UnbiasedAggEstimator::run_parallel`].
     pub fn run_parallel<I: TopKInterface + Sync>(
         &mut self,
         iface: &I,
@@ -117,21 +118,6 @@ impl UnbiasedSizeEstimator {
         workers: usize,
     ) -> Result<SizeEstimate> {
         self.inner.run_parallel(iface, passes, workers)
-    }
-
-    /// Runs passes across `workers` threads until at least `query_budget`
-    /// queries are spent; see
-    /// [`UnbiasedAggEstimator::run_until_budget_parallel`].
-    ///
-    /// # Errors
-    /// Same contract as [`UnbiasedSizeEstimator::run_until_budget`].
-    pub fn run_until_budget_parallel<I: TopKInterface + Sync>(
-        &mut self,
-        iface: &I,
-        query_budget: u64,
-        workers: usize,
-    ) -> Result<SizeEstimate> {
-        self.inner.run_until_budget_parallel(iface, query_budget, workers)
     }
 
     /// The running size estimate, if any pass completed.

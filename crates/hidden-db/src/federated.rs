@@ -15,7 +15,7 @@
 //! bit-identical to a single [`TableBackend`](crate::TableBackend). The
 //! estimators cannot tell how many machines they are talking to.
 //!
-//! ## Fleet layer: topology, health, failover
+//! ## Fleet layer: topology, failover
 //!
 //! A [`Topology`] maps each shard to an ordered list of replica
 //! addresses, and each shard's [`RemoteBackend`] holds that list as its
@@ -41,12 +41,9 @@
 //! [`HiddenDb`](crate::HiddenDb) then tallies the charged query as
 //! `Errored`, keeping the accounting partition
 //! `issued == underflow + valid + overflow + errored` exact. An error
-//! frame is the server's answer: it surfaces at once, sent once. An
-//! optional background health checker ([`FleetConfig::health_interval`])
-//! pings every shard, so a dead replica fails over between probes; it
-//! paces on a condition-variable timed wait (woken instantly at
-//! shutdown) and never reads a clock, so results can never depend on
-//! timing.
+//! frame is the server's answer: it surfaces at once, sent once. Failure
+//! detection is the probe path's alone: a dead replica is noticed, and
+//! failed over, by the next request sent to it.
 //!
 //! ## Why failover cannot change results
 //!
@@ -68,8 +65,7 @@
 //!    shard client re-roots on the new server.
 
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::backend::{checked_numeric, Classified, Evaluation, SearchBackend, WalkState};
@@ -141,11 +137,10 @@ impl Topology {
 // FleetConfig
 
 /// Tuning for a fleet client: fan-out width, failover budget, backoff
-/// pacing, socket limits, and the optional health checker. Every
-/// [`RemoteBackend`] runs its retry loop by `retries`, `backoff`,
-/// `backoff_cap` and `io_timeout` ([`RemoteBackend::connect`] uses the
-/// defaults); a [`FederatedBackend`] hands them to each shard's client and
-/// reads `workers` and `health_interval` itself.
+/// pacing and socket limits. Every [`RemoteBackend`] runs its retry loop
+/// by `retries`, `backoff`, `backoff_cap` and `io_timeout`
+/// ([`RemoteBackend::connect`] uses the defaults); a [`FederatedBackend`]
+/// hands them to each shard's client and reads `workers` itself.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Threads evaluating shards concurrently (as
@@ -163,10 +158,6 @@ pub struct FleetConfig {
     pub backoff_cap: Duration,
     /// Per-operation socket timeout for every connection.
     pub io_timeout: Duration,
-    /// When set, a background thread pings every shard at this cadence,
-    /// failing dead replicas over between probes. `None` (the default)
-    /// leaves failure detection entirely to the probe path.
-    pub health_interval: Option<Duration>,
 }
 
 impl Default for FleetConfig {
@@ -177,7 +168,6 @@ impl Default for FleetConfig {
             backoff: Duration::from_millis(10),
             backoff_cap: Duration::from_millis(200),
             io_timeout: Duration::from_secs(30),
-            health_interval: None,
         }
     }
 }
@@ -224,10 +214,6 @@ impl FleetConfig {
                 }
                 self.io_timeout = t;
             }
-            "--health-interval-ms" => {
-                let t = millis(flag, value)?;
-                self.health_interval = if t.is_zero() { None } else { Some(t) };
-            }
             _ => return Ok(false),
         }
         Ok(true)
@@ -241,8 +227,7 @@ impl FleetConfig {
         "  --retries N             extra failover attempts per request (default 3)\n  \
          --backoff-ms MS         delay before the first retry, doubling per attempt (default 10)\n  \
          --backoff-cap-ms MS     ceiling for the doubled backoff delay (default 200)\n  \
-         --io-timeout-ms MS      per-operation socket timeout (default 30000)\n  \
-         --health-interval-ms MS background health-check cadence; 0 disables (default off)"
+         --io-timeout-ms MS      per-operation socket timeout (default 30000)"
     }
 }
 
@@ -253,74 +238,6 @@ impl FleetConfig {
 /// shard walk per shard, in shard order.
 struct FedWalk {
     shards: Vec<WalkState>,
-}
-
-// ---------------------------------------------------------------------------
-// Health checker
-
-/// Background health checks: a thread that pings every shard once per
-/// tick. A ping to a dead replica fails over inside the shard client's
-/// retry loop and leaves a checked connection to the survivor in its
-/// pool, so the next probe does not pay the reconnect. Pacing is a
-/// condition-variable timed wait — the thread is parked for the whole
-/// interval and woken instantly at shutdown, instead of polling a stop
-/// flag in sleep slices — and it never reads a clock or touches results,
-/// only connections.
-struct HealthChecker {
-    /// `(stopped, wakeup)`: Drop sets the flag and notifies, ending the
-    /// thread's timed wait immediately.
-    state: Arc<(Mutex<bool>, Condvar)>,
-    /// Shards visited by the sweep loop so far (one per shard per tick),
-    /// exported as `hdb_fed_health_probe_total`.
-    probes: Arc<AtomicU64>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl HealthChecker {
-    fn spawn(shards: Vec<Arc<RemoteBackend>>, interval: Duration) -> Option<Self> {
-        let state = Arc::new((Mutex::new(false), Condvar::new()));
-        let probes = Arc::new(AtomicU64::new(0));
-        let shared = Arc::clone(&state);
-        let tally = Arc::clone(&probes);
-        let handle = std::thread::Builder::new()
-            .name("hdb-fleet-health".into())
-            .spawn(move || loop {
-                for shard in &shards {
-                    tally.fetch_add(1, Ordering::Relaxed);
-                    // A failed ping has already failed over as far as
-                    // the retry budget reached; the next tick goes on.
-                    let _ = shard.ping();
-                }
-                let (stopped, wakeup) = &*shared;
-                let guard = stopped.lock().unwrap_or_else(|p| p.into_inner());
-                let (guard, _) = wakeup
-                    .wait_timeout_while(guard, interval, |stop| !*stop)
-                    .unwrap_or_else(|p| p.into_inner());
-                if *guard {
-                    return;
-                }
-            })
-            .ok()?;
-        Some(Self { state, probes, handle: Some(handle) })
-    }
-
-    /// Shards visited by the health sweep so far.
-    fn probe_count(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for HealthChecker {
-    fn drop(&mut self) {
-        {
-            let (stopped, wakeup) = &*self.state;
-            *stopped.lock().unwrap_or_else(|p| p.into_inner()) = true;
-            wakeup.notify_all();
-        }
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -335,13 +252,11 @@ pub struct FederatedBackend {
     schema: Schema,
     len: usize,
     /// One client per shard, each holding that shard's replica rotation.
-    shards: Vec<Arc<RemoteBackend>>,
+    shards: Vec<RemoteBackend>,
     workers: usize,
     /// Persistent helper threads for per-probe shard fan-out; `None` when
     /// `workers == 1`.
     pool: Option<Arc<WorkerPool>>,
-    /// The optional background health thread (joined on drop).
-    health: Option<HealthChecker>,
 }
 
 impl std::fmt::Debug for FederatedBackend {
@@ -374,7 +289,7 @@ impl FederatedBackend {
     /// Same as [`FederatedBackend::connect`].
     pub fn connect_with(topology: Topology, cfg: FleetConfig) -> Result<Self> {
         let workers = cfg.workers.max(1);
-        let mut shards: Vec<Arc<RemoteBackend>> = Vec::with_capacity(topology.shards.len());
+        let mut shards: Vec<RemoteBackend> = Vec::with_capacity(topology.shards.len());
         for (index, replicas) in topology.shards.into_iter().enumerate() {
             let client = RemoteBackend::connect_with(replicas, cfg.clone())?;
             if shards.first().is_some_and(|first| first.schema() != client.schema()) {
@@ -383,7 +298,7 @@ impl FederatedBackend {
                     client.addr(),
                 )));
             }
-            shards.push(Arc::new(client));
+            shards.push(client);
         }
         let Some(schema) = shards.first().map(|s| s.schema().clone()) else {
             return Err(HdbError::Transport("federated topology has no shards".into()));
@@ -391,10 +306,7 @@ impl FederatedBackend {
         let len = shards.iter().map(|s| s.len()).sum();
         let pool = (workers > 1 && shards.len() > 1)
             .then(|| Arc::new(WorkerPool::new(workers - 1)));
-        let health = cfg
-            .health_interval
-            .and_then(|interval| HealthChecker::spawn(shards.clone(), interval));
-        Ok(Self { schema, len, shards, workers, pool, health })
+        Ok(Self { schema, len, shards, workers, pool })
     }
 
     /// Number of shards in the fleet.
@@ -424,19 +336,11 @@ impl FederatedBackend {
     }
 
     /// Per-shard serving state ([`RemoteBackend::serving`]): `false`
-    /// from a failure until the shard's next request or health tick has
-    /// checked a survivor.
+    /// from a failure until the shard's next request has checked a
+    /// survivor.
     #[must_use]
     pub fn shard_health(&self) -> Vec<bool> {
         self.shards.iter().map(|s| s.serving()).collect()
-    }
-
-    /// Shards visited by the background health checker so far (0 when
-    /// [`FleetConfig::health_interval`] is off). One sweep over an
-    /// `n`-shard fleet adds `n`.
-    #[must_use]
-    pub fn health_probe_count(&self) -> u64 {
-        self.health.as_ref().map_or(0, HealthChecker::probe_count)
     }
 
     /// The address shard `i`'s requests go to (`None` when out of range).
@@ -446,10 +350,7 @@ impl FederatedBackend {
     }
 
     fn shard(&self, i: usize) -> Result<&RemoteBackend> {
-        self.shards
-            .get(i)
-            .map(AsRef::as_ref)
-            .ok_or_else(|| HdbError::Transport(format!("no such shard: {i}")))
+        self.shards.get(i).ok_or_else(|| HdbError::Transport(format!("no such shard: {i}")))
     }
 
     /// Registers `addr` as an additional replica of `shard` — the live
@@ -525,7 +426,6 @@ impl SearchBackend for FederatedBackend {
 
     fn fill_metrics(&self, snap: &mut MetricsSnapshot) {
         snap.counters.insert("hdb_fed_failovers_total".into(), self.failover_count());
-        snap.counters.insert("hdb_fed_health_probe_total".into(), self.health_probe_count());
         for (i, healthy) in self.shard_health().iter().enumerate() {
             snap.gauges
                 .insert(format!("hdb_fed_shard_state{{shard=\"{i}\"}}"), u64::from(*healthy));
@@ -663,23 +563,16 @@ mod tests {
         assert_eq!(cfg.apply_cli("--backoff-ms", "25"), Ok(true));
         assert_eq!(cfg.apply_cli("--backoff-cap-ms", "400"), Ok(true));
         assert_eq!(cfg.apply_cli("--io-timeout-ms", "1500"), Ok(true));
-        assert_eq!(cfg.apply_cli("--health-interval-ms", "50"), Ok(true));
         assert_eq!(cfg.backoff, Duration::from_millis(25));
         assert_eq!(cfg.backoff_cap, Duration::from_millis(400));
         assert_eq!(cfg.io_timeout, Duration::from_millis(1500));
-        assert_eq!(cfg.health_interval, Some(Duration::from_millis(50)));
-        // 0 disables the health checker rather than busy-spinning it.
-        assert_eq!(cfg.apply_cli("--health-interval-ms", "0"), Ok(true));
-        assert_eq!(cfg.health_interval, None);
         // Unknown flags are left for the caller; bad values are typed.
         assert_eq!(cfg.apply_cli("--listen", "0.0.0.0:1"), Ok(false));
         assert!(cfg.apply_cli("--retries", "many").is_err());
         assert!(cfg.apply_cli("--io-timeout-ms", "0").is_err());
         assert!(cfg.apply_cli("--backoff-cap-ms", "1").is_err(), "cap below base");
         // Every flag in apply_cli appears in the shared help text.
-        for flag in
-            ["--retries", "--backoff-ms", "--backoff-cap-ms", "--io-timeout-ms", "--health-interval-ms"]
-        {
+        for flag in ["--retries", "--backoff-ms", "--backoff-cap-ms", "--io-timeout-ms"] {
             assert!(FleetConfig::cli_help().contains(flag), "{flag} missing from help");
         }
     }

@@ -182,9 +182,16 @@ pub trait TopKInterface {
     fn queries_issued(&self) -> u64;
 
     /// Remaining query budget, if this interface meters one (`None` means
-    /// unmetered). The parallel estimation engine consults this to keep
-    /// the completed-pass set of budget-cut runs deterministic: a metered
-    /// interface has its passes claimed in canonical index order.
+    /// unmetered). A metered budget ends an estimation run at the pass
+    /// where it runs out, so against a metered interface the engine's
+    /// parallel runner runs its passes sequentially, in index order: the
+    /// completed-pass set of a budget-cut run is the sequential run's.
+    ///
+    /// An interface that can return
+    /// [`crate::HdbError::BudgetExhausted`] must return `Some` here. The
+    /// parallel runner relies on it: against an interface that reports
+    /// `None` it commits every pass or none, so a budget cut there keeps
+    /// no completed pass.
     fn budget_remaining(&self) -> Option<u64> {
         None
     }

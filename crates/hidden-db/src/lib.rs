@@ -24,7 +24,7 @@
 //! evaluation fanned across threads, merged order-independently), the
 //! networked [`RemoteBackend`] client, the fleet-spanning
 //! [`FederatedBackend`] (every shard behind its own server, with
-//! health checks and failover), and the crash-safe
+//! replica failover), and the crash-safe
 //! [`PersistentBackend`]. All backends return
 //! bit-identical outcomes for the same corpus, so estimator runs are
 //! reproducible across substrates (see `docs/ARCHITECTURE.md`).

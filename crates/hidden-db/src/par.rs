@@ -1,26 +1,28 @@
-//! Concurrency primitives shared by the whole workspace: the scoped
-//! [`fan_out`] function and the persistent [`WorkerPool`].
+//! The workspace's one concurrency primitive: the persistent
+//! [`WorkerPool`] and its scoped [`WorkerPool::fan_out`].
 //!
-//! Both layers of the system parallelise through the same claiming
+//! Every parallel layer of the system goes through the same claiming
 //! contract: tasks are claimed from a shared atomic dispenser (each index
 //! runs exactly once), results are keyed by task index, and the caller
 //! merges them in an order-independent way — so thread scheduling can
 //! never leak into a result. The estimation engine in `hdb-core` fans
-//! independent drill-down *passes* through [`fan_out`] (re-exported there
-//! as `hdb_core::engine::fan_out`, one thread scope per estimator run —
-//! the spawn cost amortises over the run), while per-*query* work
+//! independent drill-down *passes* across a pool built for the run
+//! (`UnbiasedAggEstimator::run_parallel`; the thread start-up cost
+//! amortises over the run), while per-*query* work
 //! ([`ShardedDb`](crate::ShardedDb) shard evaluation,
 //! [`FederatedBackend`](crate::FederatedBackend) fleet fan-out) runs on a
-//! [`WorkerPool`], whose threads persist across calls so a single
-//! drill-down probe never pays a thread spawn.
+//! pool whose threads persist across calls, so a single drill-down probe
+//! never pays a thread spawn.
 //!
 //! The worker count defaults to [`default_workers`], which honours the
 //! `HDB_ENGINE_WORKERS` environment variable (CI runs the test suite
 //! under both `=1` and `=4`).
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Environment variable consulted by [`default_workers`].
 pub const WORKERS_ENV: &str = "HDB_ENGINE_WORKERS";
@@ -41,8 +43,9 @@ pub fn default_workers() -> usize {
         })
 }
 
-/// Outcome of a [`fan_out`]: per-task results (unordered), how many task
-/// indices were claimed, and the first error any worker hit.
+/// Outcome of a [`WorkerPool::fan_out`]: per-task results (unordered),
+/// how many task indices were claimed, and the first error any worker
+/// hit.
 pub struct FanOut<T, E> {
     /// `(task_index, result)` pairs from completed tasks, in arbitrary
     /// arrival order — merge them order-independently (sort by index, or
@@ -56,13 +59,15 @@ pub struct FanOut<T, E> {
 
 /// The shared state of one fan-out run: the dispenser every participating
 /// thread claims from, plus the merged results. One `RunCtx` lives on the
-/// initiating caller's stack for exactly the duration of the run — both
-/// the scoped-thread [`fan_out`] and [`WorkerPool::fan_out`] drive it.
+/// initiating caller's stack for exactly the duration of the run.
 struct RunCtx<T, E, F> {
     tasks: u64,
     dispenser: AtomicU64,
     stop: AtomicBool,
     first_error: Mutex<Option<E>>,
+    /// The first panic a task raised, resumed on the caller once every
+    /// thread has left the run.
+    first_panic: Mutex<Option<Box<dyn Any + Send>>>,
     results: Mutex<Vec<(u64, T)>>,
     run_task: F,
 }
@@ -79,6 +84,7 @@ where
             dispenser: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             first_error: Mutex::new(None),
+            first_panic: Mutex::new(None),
             results: Mutex::new(Vec::new()),
             run_task,
         }
@@ -87,36 +93,52 @@ where
     /// The claiming loop: run on the caller and every helper thread.
     /// Results accumulate thread-locally and merge once at the end, so
     /// the only cross-thread traffic during the run is the dispenser.
+    /// A panic in a task, or in dropping an error that lost the race to
+    /// be first, is caught here and stops the run like an error; the
+    /// caller resumes it once every thread has left the run.
     fn work(&self) {
         let mut local: Vec<(u64, T)> = Vec::new();
-        loop {
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
-            let idx = self.dispenser.fetch_add(1, Ordering::Relaxed);
-            if idx >= self.tasks {
-                // undo the overshoot so `claimed` stays meaningful
-                self.dispenser.fetch_sub(1, Ordering::Relaxed);
-                break;
-            }
-            match (self.run_task)(idx) {
-                Ok(result) => local.push((idx, result)),
-                Err(e) => {
-                    self.stop.store(true, Ordering::Release);
-                    let mut slot = self.first_error.lock().expect("error slot poisoned");
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                    break;
+        let claimed = panic::catch_unwind(AssertUnwindSafe(|| {
+            while !self.stop.load(Ordering::Acquire) {
+                let idx = self.dispenser.fetch_add(1, Ordering::Relaxed);
+                if idx >= self.tasks {
+                    // undo the overshoot so `claimed` stays meaningful
+                    self.dispenser.fetch_sub(1, Ordering::Relaxed);
+                    return;
+                }
+                match (self.run_task)(idx) {
+                    Ok(result) => local.push((idx, result)),
+                    Err(e) => return self.halt(&self.first_error, e),
                 }
             }
+        }));
+        if let Err(payload) = claimed {
+            self.halt(&self.first_panic, payload);
         }
         if !local.is_empty() {
             self.results.lock().expect("results poisoned").append(&mut local);
         }
     }
 
+    /// Stops further claiming and keeps `value` if `slot` is still empty.
+    /// A value that lost the race drops after the slot is unlocked, so a
+    /// `Drop` that panics cannot poison the slot.
+    fn halt<V>(&self, slot: &Mutex<Option<V>>, value: V) {
+        self.stop.store(true, Ordering::Release);
+        let mut value = Some(value);
+        let mut kept = slot.lock().expect("failure slot poisoned");
+        if kept.is_none() {
+            *kept = value.take();
+        }
+        drop(kept);
+    }
+
+    /// The run's outcome, once no other thread can reach `self`; resumes
+    /// the first task panic instead, if there was one.
     fn into_fan_out(self) -> FanOut<T, E> {
+        if let Some(payload) = self.first_panic.into_inner().expect("panic slot poisoned") {
+            panic::resume_unwind(payload);
+        }
         let claimed = self.dispenser.load(Ordering::Relaxed).min(self.tasks);
         FanOut {
             results: self.results.into_inner().expect("results poisoned"),
@@ -124,59 +146,6 @@ where
             error: self.first_error.into_inner().expect("error slot poisoned"),
         }
     }
-}
-
-/// Runs `run_task(i)` for `i` in `0..tasks` across `workers` OS threads
-/// (the calling thread plus `workers - 1` scoped spawns).
-///
-/// Task indices are claimed from a shared atomic dispenser, so each index
-/// runs exactly once; results are collected per worker and merged after
-/// the join, so the only cross-thread traffic during the run is the
-/// dispenser and whatever synchronisation `run_task` does internally.
-/// With `workers == 1` the claiming loop runs on the calling thread (no
-/// spawn cost) and therefore executes tasks in canonical index order —
-/// the property the estimation engine relies on for deterministic
-/// budget-exhaustion behaviour.
-///
-/// For *per-query* fan-outs (one per drill-down probe) prefer
-/// [`WorkerPool::fan_out`], which reuses persistent threads instead of
-/// spawning per call.
-///
-/// ```
-/// use hdb_interface::par::fan_out;
-///
-/// // Sum the squares of 0..10 across 4 workers. The per-index results
-/// // arrive in arbitrary order; the sum is order-independent.
-/// let out = fan_out(10, 4, |i| Ok::<u64, String>(i * i));
-/// assert_eq!(out.claimed, 10);
-/// assert!(out.error.is_none());
-/// let total: u64 = out.results.iter().map(|&(_, sq)| sq).sum();
-/// assert_eq!(total, 285);
-/// ```
-pub fn fan_out<T, E, F>(tasks: u64, workers: usize, run_task: F) -> FanOut<T, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(u64) -> Result<T, E> + Sync,
-{
-    let workers = workers
-        .max(1)
-        .min(usize::try_from(tasks).unwrap_or(usize::MAX).max(1));
-    let ctx = RunCtx::new(tasks, run_task);
-    if workers == 1 {
-        // In-thread fast path: identical claiming logic, no spawn cost,
-        // canonical (ascending) execution order.
-        ctx.work();
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(|| ctx.work())).collect();
-            ctx.work();
-            for h in handles {
-                h.join().expect("fan-out worker panicked");
-            }
-        });
-    }
-    ctx.into_fan_out()
 }
 
 /// A queued pool job: boxed so owned jobs and scoped fan-out helpers
@@ -231,13 +200,50 @@ struct GateSlot {
     active: usize,
 }
 
+impl Gate {
+    /// Locks the slot. Nothing panics while holding it, and the guards
+    /// below take it while unwinding, so a poisoned lock is read through.
+    fn lock(&self) -> MutexGuard<'_, GateSlot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Held by a pool helper while it runs a fan-out: deregisters the helper
+/// on every exit from the job, unwinding included, so the caller's wait
+/// always ends.
+struct Registered<'a>(&'a Gate);
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.0.lock().active -= 1;
+        self.0.done.notify_all();
+    }
+}
+
+/// Held by the caller of a fan-out with helpers: on every exit from the
+/// call, unwinding included, revokes the context and then waits out
+/// every registered helper, so no thread can reach the context after.
+struct Revoke<'a>(&'a Gate);
+
+impl Drop for Revoke<'_> {
+    fn drop(&mut self) {
+        let mut slot = self.0.lock();
+        slot.job = None;
+        while slot.active > 0 {
+            slot = self.0.done.wait(slot).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// A persistent pool of worker threads.
 ///
 /// [`WorkerPool::fan_out`] runs a *scoped* fan-out over borrowed data —
 /// how [`ShardedDb`](crate::ShardedDb) evaluates shards per probe without
-/// paying a thread spawn per AND. Its helpers ride the pool's job queue
-/// as owned jobs, and the calling thread always participates, so a busy
-/// pool degrades to in-thread execution, never to a deadlock.
+/// paying a thread spawn per AND, and how the estimation engine fans its
+/// passes. Its helpers ride the pool's job queue as owned jobs, and the
+/// calling thread always participates, so a busy pool degrades to
+/// in-thread execution, never to a deadlock. A pool of zero threads is
+/// valid: it runs every task on the caller, in index order.
 ///
 /// Dropping the pool finishes the jobs currently running, discards any
 /// still queued, and joins the threads.
@@ -253,13 +259,14 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns a pool of `threads` persistent worker threads.
+    /// Spawns a pool of `threads` persistent worker threads; with
+    /// `threads == 0` it spawns none and [`WorkerPool::fan_out`] runs on
+    /// the caller alone.
     ///
     /// # Panics
-    /// Panics if `threads == 0`.
+    /// Panics if the operating system fails to spawn a thread.
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "a worker pool needs at least one thread");
         let inner = Arc::new(PoolInner {
             queue: Mutex::new(PoolQueue { jobs: VecDeque::new(), shutdown: false }),
             available: Condvar::new(),
@@ -325,17 +332,39 @@ impl WorkerPool {
         self.inner.available.notify_one();
     }
 
-    /// [`fan_out`] over the pool's persistent threads: runs `run_task(i)`
-    /// for `i` in `0..tasks` on the calling thread plus up to
-    /// [`WorkerPool::threads`] helpers, with the same claiming contract
-    /// (each index exactly once, results keyed by index, first error
-    /// stops the run).
+    /// Runs `run_task(i)` for `i` in `0..tasks` on the calling thread plus
+    /// up to [`WorkerPool::threads`] helpers. Task indices are claimed
+    /// from a shared atomic dispenser, so each index runs exactly once;
+    /// results are keyed by index, and the first error stops the run.
+    /// With no helper (a zero-thread pool, or a single task) the tasks
+    /// run on the caller in canonical index order.
     ///
     /// The calling thread always participates, so the call makes progress
     /// even when every pool thread is busy; helpers that start after the
     /// work is finished return immediately. The call blocks until every
     /// helper that touched the run has finished — the borrowed closure
     /// and results never outlive the call.
+    ///
+    /// ```
+    /// use hdb_interface::WorkerPool;
+    ///
+    /// // Sum the squares of 0..10 on the caller plus 3 pool threads. The
+    /// // per-index results arrive in arbitrary order; the sum is
+    /// // order-independent.
+    /// let pool = WorkerPool::new(3);
+    /// let out = pool.fan_out(10, |i| Ok::<u64, String>(i * i));
+    /// assert_eq!(out.claimed, 10);
+    /// assert!(out.error.is_none());
+    /// let total: u64 = out.results.iter().map(|&(_, sq)| sq).sum();
+    /// assert_eq!(total, 285);
+    /// ```
+    ///
+    /// # Panics
+    /// If a task panics, on the caller or on a helper, the run stops
+    /// claiming; once every thread has left it, the first panic resumes
+    /// on the caller. The pool keeps all its threads. An error whose
+    /// `Drop` panics when it loses the race to be first counts as a
+    /// panicking task.
     pub fn fan_out<T, E, F>(&self, tasks: u64, run_task: F) -> FanOut<T, E>
     where
         T: Send,
@@ -367,15 +396,19 @@ impl WorkerPool {
         }
 
         let gate = Arc::new(Gate::default());
-        gate.slot.lock().expect("gate poisoned").job = Some(ErasedCtx {
+        gate.lock().job = Some(ErasedCtx {
             ptr: std::ptr::from_ref(&ctx).cast::<()>(),
             run: trampoline::<T, E, F>,
         });
+        // From here a helper may reach `ctx`. `revoke` is declared after
+        // `ctx`, so it drops first, unwinding included: the helpers are
+        // waited out before `ctx` is freed.
+        let revoke = Revoke(&gate);
         for _ in 0..helpers {
             let gate = Arc::clone(&gate);
             self.execute(move || {
                 let job = {
-                    let mut slot = gate.slot.lock().expect("gate poisoned");
+                    let mut slot = gate.lock();
                     match slot.job {
                         // Register under the same lock that revocation
                         // takes: once registered, the caller will wait.
@@ -387,25 +420,17 @@ impl WorkerPool {
                         None => return,
                     }
                 };
+                let _registered = Registered(&gate);
                 // SAFETY: `job.ptr` points at `ctx` on the initiating
-                // caller's stack; the caller cannot return before this
-                // helper deregisters below.
+                // caller's stack. The caller's `Revoke` guard keeps its
+                // frame, and `ctx`, alive until this helper deregisters,
+                // and `_registered` deregisters it only once `run` has
+                // returned or unwound.
                 unsafe { (job.run)(job.ptr) };
-                let mut slot = gate.slot.lock().expect("gate poisoned");
-                slot.active -= 1;
-                drop(slot);
-                gate.done.notify_all();
             });
         }
         ctx.work();
-        // Revoke the context, then wait out every registered helper: after
-        // this block no thread can reach `ctx` again.
-        let mut slot = gate.slot.lock().expect("gate poisoned");
-        slot.job = None;
-        while slot.active > 0 {
-            slot = gate.done.wait(slot).expect("gate poisoned");
-        }
-        drop(slot);
+        drop(revoke);
         ctx.into_fan_out()
     }
 }
@@ -427,37 +452,62 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Runs `f` on a thread of its own and returns how it ended: its
+    /// value, or the message it panicked with. A run that has not ended
+    /// within 30 s fails the test instead of hanging the suite.
+    fn bounded<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> Result<R, String> {
+        let (tx, rx) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let ended = panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|m| (*m).to_string()))
+                    .unwrap_or_default()
+            });
+            tx.send(ended).expect("receiver alive");
+        });
+        let ended = rx.recv_timeout(Duration::from_secs(30)).expect("the fan-out hung");
+        runner.join().expect("the runner catches every panic");
+        ended
+    }
 
     #[test]
     fn fan_out_covers_every_index_exactly_once() {
-        for workers in [1, 2, 5] {
-            let out = fan_out(100, workers, Ok::<_, ()>);
+        for threads in [0, 1, 4] {
+            let out = WorkerPool::new(threads).fan_out(100, Ok::<_, ()>);
             assert_eq!(out.claimed, 100);
             assert!(out.error.is_none());
             let mut indices: Vec<u64> = out.results.iter().map(|&(i, _)| i).collect();
             indices.sort_unstable();
-            assert_eq!(indices, (0..100).collect::<Vec<_>>(), "workers={workers}");
+            assert_eq!(indices, (0..100).collect::<Vec<_>>(), "threads={threads}");
         }
     }
 
     #[test]
     fn fan_out_stops_on_error_and_keeps_completed() {
-        let out = fan_out(1000, 4, |i| {
-            if i == 3 {
-                Err("boom".to_string())
-            } else {
-                Ok(0.0f64)
-            }
-        });
-        assert_eq!(out.error.as_deref(), Some("boom"));
-        assert!(out.results.iter().all(|&(i, _)| i != 3));
-        assert!(out.results.len() < 1000);
+        for threads in [0, 3] {
+            let out = WorkerPool::new(threads).fan_out(1000, |i| {
+                if i == 3 {
+                    Err("boom".to_string())
+                } else {
+                    Ok(0.0f64)
+                }
+            });
+            assert_eq!(out.error.as_deref(), Some("boom"));
+            assert!(out.results.iter().all(|&(i, _)| i != 3));
+            assert!(out.results.len() < 1000, "threads={threads}");
+        }
     }
 
     #[test]
     fn single_worker_executes_in_canonical_order() {
         let log = Mutex::new(Vec::new());
-        let out = fan_out(10, 1, |i| {
+        let out = WorkerPool::new(0).fan_out(10, |i| {
             log.lock().unwrap().push(i);
             Ok::<_, ()>(())
         });
@@ -467,7 +517,7 @@ mod tests {
 
     #[test]
     fn zero_tasks_is_a_noop() {
-        let out = fan_out(0, 4, Ok::<_, ()>);
+        let out = WorkerPool::new(3).fan_out(0, Ok::<_, ()>);
         assert_eq!(out.claimed, 0);
         assert!(out.results.is_empty());
         assert!(out.error.is_none());
@@ -480,7 +530,7 @@ mod tests {
 
     #[test]
     fn non_copy_results_and_errors_are_supported() {
-        let out = fan_out(3, 2, |i| Ok::<_, String>(vec![i; 2]));
+        let out = WorkerPool::new(1).fan_out(3, |i| Ok::<_, String>(vec![i; 2]));
         assert_eq!(out.results.len(), 3);
     }
 
@@ -504,15 +554,20 @@ mod tests {
 
     #[test]
     fn pool_fan_out_matches_the_scoped_fan_out() {
-        let pool = WorkerPool::new(3);
+        // With three helpers or none, every index runs once and keeps its
+        // own result.
+        let (pool, alone) = (WorkerPool::new(3), WorkerPool::new(0));
+        assert_eq!(alone.threads(), 0);
         for tasks in [0u64, 1, 7, 100] {
-            let out = pool.fan_out(tasks, |i| Ok::<u64, ()>(i * i));
-            assert_eq!(out.claimed, tasks);
-            assert!(out.error.is_none());
-            let mut got: Vec<(u64, u64)> = out.results;
-            got.sort_unstable();
             let want: Vec<(u64, u64)> = (0..tasks).map(|i| (i, i * i)).collect();
-            assert_eq!(got, want, "tasks={tasks}");
+            for p in [&pool, &alone] {
+                let out = p.fan_out(tasks, |i| Ok::<u64, ()>(i * i));
+                assert_eq!(out.claimed, tasks);
+                assert!(out.error.is_none());
+                let mut got: Vec<(u64, u64)> = out.results;
+                got.sort_unstable();
+                assert_eq!(got, want, "threads={} tasks={tasks}", p.threads());
+            }
         }
     }
 
@@ -560,5 +615,111 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn a_panic_on_a_helper_panics_the_caller_and_the_pool_keeps_its_threads() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let shared = Arc::clone(&pool);
+        let ended = bounded(move || {
+            let caller = std::thread::current().id();
+            let helper_ran = AtomicBool::new(false);
+            shared.fan_out(64, |i| {
+                if std::thread::current().id() != caller {
+                    helper_ran.store(true, Ordering::Release);
+                    panic!("helper task {i}");
+                }
+                // The caller's tasks wait for a helper to panic, so one
+                // is sure to.
+                while !helper_ran.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                Ok::<u64, ()>(i)
+            })
+            .claimed
+        });
+        let message = ended.expect_err("the helper's panic must reach the caller");
+        assert!(message.starts_with("helper task"), "{message}");
+
+        // Both pool threads survived: three tasks that each wait until
+        // all three have started need the caller and both helpers.
+        let shared = Arc::clone(&pool);
+        let out = bounded(move || {
+            let started = AtomicUsize::new(0);
+            shared.fan_out(3, |i| {
+                started.fetch_add(1, Ordering::AcqRel);
+                while started.load(Ordering::Acquire) < 3 {
+                    std::thread::yield_now();
+                }
+                Ok::<u64, ()>(i)
+            })
+        })
+        .expect("no task panics");
+        assert_eq!(out.results.len(), 3);
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_waits_out_the_helpers_before_it_resumes() {
+        let inside = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&inside);
+        let ended = bounded(move || {
+            let pool = WorkerPool::new(2);
+            let caller = std::thread::current().id();
+            let caller_panicking = AtomicBool::new(false);
+            let inside = &*counter;
+            pool.fan_out(64, |i| {
+                if std::thread::current().id() == caller {
+                    while inside.load(Ordering::Acquire) == 0 {
+                        std::thread::yield_now();
+                    }
+                    caller_panicking.store(true, Ordering::Release);
+                    panic!("caller task {i}");
+                }
+                inside.fetch_add(1, Ordering::AcqRel);
+                while !caller_panicking.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                // Stay in the run long after the caller's panic, so a
+                // caller that did not wait would be seen returning first.
+                std::thread::sleep(Duration::from_millis(50));
+                inside.fetch_sub(1, Ordering::AcqRel);
+                Ok::<u64, ()>(i)
+            })
+            .claimed
+        });
+        let message = ended.expect_err("the caller's panic must resume");
+        assert!(message.starts_with("caller task"), "{message}");
+        assert_eq!(inside.load(Ordering::Acquire), 0, "a helper outlived the run");
+    }
+
+    #[test]
+    fn a_panic_dropping_a_losing_error_panics_the_caller() {
+        /// An error whose `Drop` panics unless its thread is unwinding.
+        struct Loud;
+        impl Drop for Loud {
+            fn drop(&mut self) {
+                if !std::thread::panicking() {
+                    panic!("dropping an error");
+                }
+            }
+        }
+        let ended = bounded(|| {
+            // Three tasks that each wait until all three have started run
+            // on three threads, and two of their errors lose the race to
+            // be first: they drop inside the run, on a helper at least.
+            let started = AtomicUsize::new(0);
+            let out = WorkerPool::new(2).fan_out(3, |_| {
+                started.fetch_add(1, Ordering::AcqRel);
+                while started.load(Ordering::Acquire) < 3 {
+                    std::thread::yield_now();
+                }
+                Err::<(), _>(Loud)
+            });
+            // Reached only if the run did not panic; the kept error must
+            // not panic here in its place.
+            std::mem::forget(out);
+        });
+        let message = ended.expect_err("the panic in `Drop` must reach the caller");
+        assert_eq!(message, "dropping an error");
     }
 }

@@ -562,27 +562,6 @@ impl RemoteBackend {
         }
     }
 
-    /// One cheap request/response round trip ([`Request::Len`]) proving
-    /// the server is alive and answering protocol — the fleet health
-    /// checker's probe. Also re-validates that the server still reports
-    /// the corpus size learned at connect time, so a restarted server
-    /// with different data is detected instead of silently merged.
-    ///
-    /// # Errors
-    /// [`HdbError::Transport`] when the exchange fails or the reported
-    /// size changed.
-    pub fn ping(&self) -> Result<()> {
-        match self.ask(&Request::Len)? {
-            Response::Len(n) if usize::try_from(n) == Ok(self.len) => Ok(()),
-            Response::Len(n) => Err(HdbError::Transport(format!(
-                "server at {} now reports {n} rows (expected {})",
-                self.addr(),
-                self.len
-            ))),
-            other => Err(unexpected("Len", &other)),
-        }
-    }
-
     /// One request through the retry loop, with an error frame turned
     /// into `Err`.
     fn ask(&self, req: &Request) -> Result<Response> {

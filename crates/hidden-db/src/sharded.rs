@@ -14,10 +14,10 @@
 //! and property tests).
 //!
 //! Shard evaluation fans across a persistent [`WorkerPool`]
-//! ([`ShardedDb::with_workers`]), through the same claiming contract the
-//! estimation engine's `fan_out` uses — no ad-hoc thread spawning, and no
-//! spawn per probe: incremental walk probes (one AND per shard) ride the
-//! same pool.
+//! ([`ShardedDb::with_workers`]), the primitive the estimation engine
+//! fans its passes across too — no ad-hoc thread spawning, and no spawn
+//! per probe: incremental walk probes (one AND per shard) ride the same
+//! pool.
 //!
 //! A federation serves the same shards out of process:
 //! [`ShardedDb::partition`] cuts the corpus into one-shard databases, one

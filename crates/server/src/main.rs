@@ -31,7 +31,7 @@
 //! `--federate a:1,b:1|b:2` serves a federation *gateway*: each
 //! comma-separated group is one shard, `|`-separated addresses its
 //! replicas, tuned by the fleet flags (`--retries`, `--backoff-ms`,
-//! `--backoff-cap-ms`, `--io-timeout-ms`, `--health-interval-ms`).
+//! `--backoff-cap-ms`, `--io-timeout-ms`).
 //! `--self-test` binds an ephemeral port, connects a [`RemoteBackend`]
 //! client to itself, verifies a query + walk-session round trip (a probe
 //! carrying two extends and one after a retract included) and a

@@ -13,9 +13,9 @@ use std::time::Duration;
 
 use hdb_core::UnbiasedSizeEstimator;
 use hdb_interface::{
-    Attribute, AttributeRanking, FleetConfig, HdbError, HiddenDb, Query, RankingFunction,
-    RemoteBackend, Schema, SearchBackend, SeededRandomRanking, SessionMode, ShardedDb, Table,
-    TableBackend, TopKInterface, Tuple, TupleId,
+    Attribute, AttributeRanking, FleetConfig, HdbError, HiddenDb, MetricsSnapshot, Query,
+    RankingFunction, RemoteBackend, Schema, SearchBackend, SeededRandomRanking, SessionMode,
+    ShardedDb, Table, TableBackend, TopKInterface, Tuple, TupleId,
 };
 use hdb_server::{RunningServer, Server};
 use proptest::prelude::*;
@@ -378,6 +378,33 @@ fn charged_but_failed_queries_land_in_the_errored_tally() {
         c.underflow_count() + c.valid_count() + c.overflow_count() + c.errored_count(),
         "the outcome tallies must partition the issued count exactly"
     );
+}
+
+/// The client side of the `Stats` frame: after an estimator job over the
+/// wire, `RemoteBackend::server_stats` reads the server's query ledger
+/// exactly as the server reports it in process, and the five series
+/// partition `issued`.
+#[test]
+fn server_stats_over_the_wire_match_the_server_ledger() {
+    let tuples: Vec<Tuple> =
+        (0..64u16).map(|i| Tuple::new((0..6).map(|b| (i >> b) & 1).collect())).collect();
+    let table = Table::new(Schema::boolean(6), tuples).unwrap();
+    let (server, remote) = serve(&table, 1);
+    let db = HiddenDb::over(remote, 2);
+    UnbiasedSizeEstimator::hd(7).unwrap().run(&db, 20).unwrap();
+
+    let over_wire = db.backend().server_stats().unwrap();
+    let in_process = server.metrics();
+    let ledger = |snap: &MetricsSnapshot| {
+        ["issued", "underflow", "valid", "overflow", "errored"].map(|kind| {
+            let name = format!("hdb_queries_{kind}_total");
+            *snap.counters.get(&name).unwrap_or_else(|| panic!("{name} missing"))
+        })
+    };
+    let [issued, underflow, valid, overflow, errored] = ledger(&over_wire);
+    assert_eq!([issued, underflow, valid, overflow, errored], ledger(&in_process));
+    assert!(issued > 0, "the job's probes reached the server");
+    assert_eq!(issued, underflow + valid + overflow + errored);
 }
 
 #[test]
